@@ -25,7 +25,7 @@ from slowsound.response import (
     susceptibility_curve,
     transparency_width,
 )
-from slowsound.gpe import imaginary_time_eigenstates
+from slowsound.gpe import well_eigenstates
 
 __all__ = [
     "ConfigError",
@@ -48,6 +48,6 @@ __all__ = [
     "propagate_envelope",
     "susceptibility_curve",
     "transparency_width",
-    "imaginary_time_eigenstates",
+    "well_eigenstates",
     "__version__",
 ]

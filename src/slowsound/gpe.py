@@ -14,8 +14,11 @@ frozen saturated well
 the potential whose bound ladder is the analytic impurity spectrum; the
 raw product g12 |psi_soliton|^2 is twice that deep, a tension kept
 visible here by naming the two potentials separately rather than
-blending them.  The coupled mode evolves both fields with the raw mutual
-terms and is used for backreaction estimates, not spectral checks.
+blending them.  The frozen well is linear, so its eigenstates come from
+one dense eigensolve of the Fourier-grid Hamiltonian, not from a
+relaxation.  The coupled mode evolves both fields with the raw mutual
+terms and is used for backreaction estimates, not spectral checks; its
+ground state, a nonlinear problem, is the one relaxed in imaginary time.
 
 All propagators are Strang-split FFT steps (exactly norm-preserving per
 factor), guarded by the accuracy condition dt <= 0.1 dx^2 — at that step
@@ -42,7 +45,7 @@ __all__ = [
     "evolve_impurity",
     "evolve_coupled",
     "EigenstateReport",
-    "imaginary_time_eigenstates",
+    "well_eigenstates",
     "CoupledGroundState",
     "coupled_ground_state",
 ]
@@ -233,27 +236,12 @@ def evolve_coupled(condensate: Field1D, impurity: Field1D, params: Params, t_fin
 
 
 # ----------------------------------------------------------------------
-# Imaginary-time relaxation
+# Frozen-well eigenstates
 # ----------------------------------------------------------------------
-
-def _rayleigh(psi, grid: Grid1D, potential, inv_mass):
-    dpsi = ifft(1j * grid.k * fft(psi))
-    num = float(
-        np.sum(0.5 * inv_mass * np.abs(dpsi) ** 2 + potential * np.abs(psi) ** 2) * grid.dx
-    )
-    return num / float(np.sum(np.abs(psi) ** 2) * grid.dx)
-
-
-def _gram_schmidt(states, grid: Grid1D):
-    for i, psi in enumerate(states):
-        for j in range(i):
-            psi -= states[j] * (np.vdot(states[j], psi) * grid.dx)
-        psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2) * grid.dx))
-
 
 @dataclass
 class EigenstateReport:
-    """Imaginary-time eigenstates of the frozen soliton well."""
+    """Eigenstates of the frozen soliton well on the periodic grid."""
 
     grid: Grid1D
     nu: float
@@ -261,9 +249,7 @@ class EigenstateReport:
     states: np.ndarray  # (n_states, npoints), unit norm
     bound: np.ndarray  # True where the state is localized in the well
     edge_fractions: np.ndarray
-    iterations: int
-    converged: bool
-    drifts: np.ndarray  # per-state |dE| per step at the final check
+    residuals: np.ndarray  # per-state ||H psi - E psi|| on the grid
 
     def overlap_with_analytic(self, n):
         """|<numeric n | analytic n>| against the closed-form bound shape."""
@@ -273,101 +259,67 @@ class EigenstateReport:
         return abs(complex(np.vdot(sampled, self.states[n]) * self.grid.dx))
 
 
-def imaginary_time_eigenstates(
-    params: Params,
-    n_states,
-    grid: Grid1D = None,
-    nu=None,
-    dtau=1e-3,
-    max_steps=120000,
-    drift_tol=1e-10,
-):
-    """Lowest eigenstates of the frozen well by imaginary-time descent.
+def well_eigenstates(params: Params, n_states, grid: Grid1D = None, nu=None):
+    """Lowest eigenstates of the frozen well from one dense eigensolve.
 
-    Propagates n_states trial fields with exp(-dtau H) split steps,
-    re-orthonormalizing by Gram-Schmidt every step, until every Rayleigh
-    quotient drifts by less than drift_tol per step.  States whose
-    probability mass leaks to the outer half of the box (beyond |x| =
-    L/4) are flagged unbound: in a periodic box the continuum also
-    quantizes at slightly negative energies, so the energy alone cannot
-    tell a shallow bound state from a box state, but localization can.
+    The frozen well is linear, so its grid spectrum is that of the
+    Fourier-grid Hamiltonian (Marston & Balint-Kurti, J. Chem. Phys. 91,
+    3571 (1989)): the spectral kinetic operator k^2 / (2 mass_ratio) is
+    the real symmetric circulant matrix whose first column is
+    ifft(k^2 / (2 mass_ratio)), and the well adds its diagonal.  Each
+    returned state has unit norm on the grid and is positive where |psi|
+    peaks, so reruns write identical files.
 
-    A trial state above the well's bound ladder relaxes toward the box
-    quasi-continuum, where near-degenerate levels make the descent
-    arbitrarily slow, so the drift tolerance is only enforced on states
-    that are both localized and clearly below the continuum edge
-    (energy < -0.05): one of those still drifting at the iteration
-    budget raises NumericsError, while threshold and scattering
-    stragglers are reported with converged=False and their residual
-    drift.
+    States whose probability mass leaks to the outer half of the box
+    (beyond |x| = L/4) are flagged unbound: in a periodic box the
+    continuum also quantizes at slightly negative energies, so the energy
+    alone cannot tell a shallow bound state from a box state, but
+    localization can.
     """
     if grid is None:
-        grid = Grid1D(2048, 80.0)
+        grid = Grid1D(512, 80.0)
     _require_box(grid)
     if nu is None:
         nu = params.nu
-    potential = frozen_well(grid, nu, params.mass_ratio)
-    inv_mass = 1.0 / params.mass_ratio
-    kin = np.exp(-0.5 * dtau * grid.k ** 2 * (0.5 * inv_mass))
-    pot_step = np.exp(-dtau * potential)
+    kinetic = np.real(ifft(grid.k ** 2 / (2.0 * params.mass_ratio)))
+    index = np.arange(grid.npoints)
+    hamiltonian = kinetic[(index[:, None] - index[None, :]) % grid.npoints]
+    hamiltonian[index, index] += frozen_well(grid, nu, params.mass_ratio)
+    try:
+        energies, vectors = np.linalg.eigh(hamiltonian)
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(f"frozen-well eigensolve failed: {exc}") from exc
+    energies, vectors = energies[:n_states], vectors[:, :n_states]
+    # unit columns are unit grid states scaled by sqrt(dx), so the plain
+    # vector residual is already the grid-norm residual
+    residuals = np.linalg.norm(hamiltonian @ vectors - vectors * energies, axis=0)
 
-    rng = np.random.default_rng(7)
-    x = grid.x
-    states = []
-    for n in range(n_states):
-        seed = np.exp(-0.5 * (x / (2.0 + n)) ** 2) * np.polynomial.hermite.hermval(
-            x / (2.0 + n), [0.0] * n + [1.0]
-        )
-        seed = seed + 0.01 * rng.standard_normal(grid.npoints)
-        states.append(seed.astype(complex))
-    _gram_schmidt(states, grid)
-
-    energies = np.array([_rayleigh(s, grid, potential, inv_mass) for s in states])
-    check_every = 25
-    converged = False
-    drifts = np.full(n_states, math.inf)
-    step = 0
-    while step < max_steps:
-        for _ in range(check_every):
-            for i, psi in enumerate(states):
-                psi = ifft(kin * fft(psi))
-                psi *= pot_step
-                psi = ifft(kin * fft(psi))
-                states[i] = psi
-            _gram_schmidt(states, grid)
-            step += 1
-        new = np.array([_rayleigh(s, grid, potential, inv_mass) for s in states])
-        drifts = np.abs(new - energies) / check_every
-        energies = new
-        if np.max(drifts) < drift_tol:
-            converged = True
-            break
-
-    stacked = np.array(states)
-    outer = np.abs(x) > grid.length / 4.0
-    edge = np.array(
-        [float(np.sum(np.abs(s[outer]) ** 2) * grid.dx) for s in states]
-    )
-    bound = edge < 0.05
-    stuck = bound & (drifts >= drift_tol) & (energies < -0.05)
-    if np.any(stuck):
-        worst = int(np.argmax(np.where(stuck, drifts, -math.inf)))
-        raise NumericsError(
-            "imaginary-time relaxation did not converge for localized state "
-            f"{worst}: residual energy drift {drifts[worst]:.3e} per step "
-            f"after {step} steps (tolerance {drift_tol:.1e})"
-        )
+    states = vectors.T / math.sqrt(grid.dx)
+    peaks = states[np.arange(len(states)), np.argmax(np.abs(states), axis=1)]
+    states *= np.sign(peaks)[:, None]
+    outer = np.abs(grid.x) > grid.length / 4.0
+    edge = np.sum(states[:, outer] ** 2, axis=1) * grid.dx
     return EigenstateReport(
         grid=grid,
         nu=nu,
         energies=energies,
-        states=stacked,
-        bound=bound,
+        states=states,
+        bound=edge < 0.05,
         edge_fractions=edge,
-        iterations=step,
-        converged=converged,
-        drifts=drifts,
+        residuals=residuals,
     )
+
+
+# ----------------------------------------------------------------------
+# Imaginary-time relaxation
+# ----------------------------------------------------------------------
+
+def _rayleigh(psi, grid: Grid1D, potential, inv_mass):
+    dpsi = ifft(1j * grid.k * fft(psi))
+    num = float(
+        np.sum(0.5 * inv_mass * np.abs(dpsi) ** 2 + potential * np.abs(psi) ** 2) * grid.dx
+    )
+    return num / float(np.sum(np.abs(psi) ** 2) * grid.dx)
 
 
 @dataclass

@@ -30,7 +30,7 @@ from slowsound.bloch import (
 from slowsound.bogoliubov import dispersion, resonant_wavevector
 from slowsound.coupling import coupling_set, g0_closed, g1_closed, g_quadrature
 from slowsound.decay import cascade, decay_rates
-from slowsound.gpe import frozen_well, imaginary_time_eigenstates
+from slowsound.gpe import frozen_well, well_eigenstates
 from slowsound.numerics import hilbert_transform, integrate_line
 from slowsound.output import write_csv, write_json
 from slowsound.params import Params, coupling_ratio_for_nu
@@ -640,8 +640,8 @@ def scenario_groupvel(params: Params, sink, formats):
 # ----------------------------------------------------------------------
 
 def scenario_eigenstates(params: Params, sink, formats):
-    """Imaginary-time eigenstates of the frozen soliton well vs closed forms."""
-    report = imaginary_time_eigenstates(params, 3)
+    """Eigenstates of the frozen soliton well vs closed forms."""
+    report = well_eigenstates(params, 3)
     x = report.grid.x
     potential = frozen_well(report.grid, report.nu, params.mass_ratio)
 
@@ -662,7 +662,7 @@ def scenario_eigenstates(params: Params, sink, formats):
             "energy_ladder": ladder[n],
             "bound": bool(report.bound[n]),
             "edge_fraction": float(report.edge_fractions[n]),
-            "energy_drift_per_step": float(report.drifts[n]),
+            "residual": float(report.residuals[n]),
         }
         if report.bound[n]:
             entry["energy_relative_error"] = abs(report.energies[n] - ladder[n]) / abs(ladder[n])
@@ -678,15 +678,12 @@ def scenario_eigenstates(params: Params, sink, formats):
     summary = {
         "nu": report.nu,
         "grid": {"points": report.grid.npoints, "length": report.grid.length},
-        "iterations": report.iterations,
-        "converged": report.converged,
         "states": states_payload,
         "note": (
-            "the n=2 rung of the analytic ladder is unbound for nu < 2; its "
-            "trial state relaxes toward the box continuum, so its energy row "
-            "reports the delocalized value and the global converged flag "
-            "stays false while that state creeps along near-degenerate box "
-            "levels (localized states are converged to their drift column)"
+            "the frozen well binds only the states n < nu, so for nu < 2 the "
+            "n=2 rung of the analytic ladder is unbound and the third state "
+            "is a box state, delocalized and near zero energy (bound false); "
+            "every state solves the grid eigenproblem to its residual column"
         ),
     }
     _emit_json(sink, formats, "eigenstates.json", summary)

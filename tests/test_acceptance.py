@@ -3,10 +3,10 @@
 Every criterion runs end to end at its stated tolerance.  Criterion 9b
 checks the well's third rung in two legs.  The frozen sech^2 well with
 parameter nu binds exactly the states n < nu, so the n=2 rung is bound
-only for nu > 2: there the descent must match the closed form.  Every
-in-window nu is below 9/7 < 2, so at REFERENCE.nu the descent's third
-state must come back unbound, near the continuum edge, and the
-closed-form n=2 shape must be refused.
+only for nu > 2: there the frozen-well eigensolve must match the closed
+form.  Every in-window nu is below 9/7 < 2, so at REFERENCE.nu the
+eigensolve's third state must come back unbound, near the continuum
+edge, and the closed-form n=2 shape must be refused.
 """
 import dataclasses
 import math
@@ -25,7 +25,7 @@ from slowsound.bloch import (
 )
 from slowsound.bogoliubov import dispersion
 from slowsound.decay import cascade, decay_rates
-from slowsound.gpe import imaginary_time_eigenstates
+from slowsound.gpe import well_eigenstates
 from slowsound.numerics import Grid1D, hilbert_transform
 from slowsound.output import OutputSink
 from slowsound.params import REFERENCE
@@ -253,45 +253,41 @@ def test_criterion_09a_bound_ladder():
     rm = REFERENCE.mass_ratio
     worst_energy, worst_overlap = 0.0, 1.0
     for nu in (1.18, 1.20, 1.225, 1.25, 1.27):
-        rep = imaginary_time_eigenstates(REFERENCE, 2, grid=grid, nu=nu, max_steps=240000)
+        rep = well_eigenstates(REFERENCE, 2, grid=grid, nu=nu)
         for n in range(2):
             exact = -((nu - n) ** 2) / (2.0 * rm)
             worst_energy = max(worst_energy, abs(rep.energies[n] / exact - 1.0))
             worst_overlap = min(worst_overlap, rep.overlap_with_analytic(n))
     ok = worst_energy < 1e-3 and worst_overlap >= 0.99
-    report("9a", ok, f"descent vs ladder for n=0,1 at 5 nu values: energy gap "
+    report("9a", ok, f"eigensolve vs ladder for n=0,1 at 5 nu values: energy gap "
                      f"<= {worst_energy:.2e}, overlaps >= {worst_overlap:.5f}")
     assert ok
 
 
 def test_criterion_09b_second_excited_energy():
     # the well with parameter nu binds only the states n < nu.  At a nu
-    # in (2, 3) the n=2 rung is bound and the descent must reach the
+    # in (2, 3) the n=2 rung is bound and the eigensolve must reach the
     # ladder's E'_2 = -(nu-2)^2/(2 r_m) and the closed-form shape at 9a's
     # tolerances.  In the three-level window nu < 9/7 < 2, so at
     # REFERENCE.nu the third state is a box state near zero energy: it
-    # must be flagged unbound, lie above the -0.05 line the descent
-    # treats as clearly below the continuum edge (the ladder value is
-    # -0.17), and its closed-form shape ~ sech^(nu-2), not normalizable,
-    # must be refused.
+    # must be flagged unbound, lie above -0.05, clearly above the
+    # ladder value -0.17, and its closed-form shape ~ sech^(nu-2), not
+    # normalizable, must be refused.
     grid = Grid1D(1024, 80.0)
     rm = REFERENCE.mass_ratio
 
     nu_deep = 2.6
-    deep = imaginary_time_eigenstates(
-        REFERENCE, 3, grid=grid, nu=nu_deep, max_steps=120000
-    )
+    deep = well_eigenstates(REFERENCE, 3, grid=grid, nu=nu_deep)
     target = -((nu_deep - 2.0) ** 2) / (2.0 * rm)
     gap = abs(float(deep.energies[2]) / target - 1.0)
     overlap = deep.overlap_with_analytic(2)
     bound_ok = (
-        bool(deep.bound[2]) and deep.converged and gap < 1e-3 and overlap >= 0.99
+        bool(deep.bound[2]) and deep.residuals[2] < 1e-10
+        and gap < 1e-3 and overlap >= 0.99
     )
 
     nu = REFERENCE.nu
-    rep3 = imaginary_time_eigenstates(
-        REFERENCE, 3, grid=grid, nu=nu, max_steps=120000
-    )
+    rep3 = well_eigenstates(REFERENCE, 3, grid=grid, nu=nu)
     third = float(rep3.energies[2])
     ladder = -((nu - 2.0) ** 2) / (2.0 * rm)
     with pytest.raises(ValueError, match="unbound"):
@@ -303,7 +299,7 @@ def test_criterion_09b_second_excited_energy():
         "9b",
         ok,
         f"nu={nu_deep}: n=2 energy gap {gap:.2e}, overlap {overlap:.6f} "
-        f"(bound: {bool(deep.bound[2])}, {deep.iterations} steps); "
+        f"(bound: {bool(deep.bound[2])}, residual {deep.residuals[2]:.1e}); "
         f"nu={nu:.4f}: third state at E = {third:+.4f} "
         f"(bound: {bool(rep3.bound[2])}, edge {rep3.edge_fractions[2]:.4f}) "
         f"vs ladder {ladder:+.4f}, closed-form shape refused",

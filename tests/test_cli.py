@@ -99,9 +99,10 @@ def test_validate_reports_and_exits_four(tmp_path, capsys):
     assert (out / "manifest.json").exists()
 
 
-def test_reruns_byte_identical_except_timestamp(tmp_path):
-    _, first = run(tmp_path / "a", "spectrum")
-    _, second = run(tmp_path / "b", "spectrum")
+@pytest.mark.parametrize("scenario", ["spectrum", "eigenstates"])
+def test_reruns_byte_identical_except_timestamp(tmp_path, scenario):
+    _, first = run(tmp_path / "a", scenario)
+    _, second = run(tmp_path / "b", scenario)
     for name in sorted(os.listdir(first)):
         with open(first / name, "rb") as fh:
             left = fh.read()

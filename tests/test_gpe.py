@@ -2,7 +2,10 @@
 
 Real-time tests lean on exactly solvable limits (free flight, the
 stationary tanh pair, two-level beats, a conserved energy functional);
-the imaginary-time tests compare against the closed-form well ladder.
+the frozen-well eigensolve is compared against the closed-form ladder
+and checked as an eigenproblem by an FFT-applied Hamiltonian, and the
+imaginary-time relaxation of the coupled pair against the bare tanh pair
+and its own step-size scaling.
 """
 import dataclasses
 import math
@@ -18,10 +21,10 @@ from slowsound.gpe import (
     evolve_impurity,
     frozen_well,
     gaussian_packet,
-    imaginary_time_eigenstates,
     soliton_pair,
+    well_eigenstates,
 )
-from slowsound.numerics import Grid1D, NumericsError
+from slowsound.numerics import Grid1D
 from slowsound.params import REFERENCE
 from slowsound.qutrit import poschl_teller_state, spectrum
 
@@ -179,39 +182,45 @@ def test_dt_guard_rejects_coarse_steps():
 
 def test_well_ladder_from_descent():
     grid = Grid1D(512, 60.0)
-    report = imaginary_time_eigenstates(REFERENCE, 2, grid=grid)
+    report = well_eigenstates(REFERENCE, 2, grid=grid)
     ladder = spectrum(REFERENCE)
-    assert report.converged
     assert report.bound.all()
     for n in range(2):
         assert abs(report.energies[n] - ladder.energies[n]) < 1e-3
         assert report.overlap_with_analytic(n) > 0.999
-        assert report.drifts[n] < 1e-10
-    # the descent knows nothing of the closed-form ladder, so the
+        assert report.residuals[n] < 1e-10
+    # the eigensolve knows nothing of the closed-form ladder, so the
     # near-exact ground energy is a genuine cross-check
     assert abs(report.energies[0] - ladder.energies[0]) < 1e-9
 
 
 def test_threshold_state_reported_not_raised():
     # at nu = 1 the first excited level sits exactly at the continuum
-    # edge; the descent must hand it back with converged=False instead
-    # of pretending it settled or raising
+    # edge; the eigensolve must hand it back as a delocalized state
+    # flagged unbound instead of raising
     grid = Grid1D(512, 60.0)
-    report = imaginary_time_eigenstates(
-        REFERENCE, 2, grid=grid, nu=1.0, max_steps=40000
-    )
+    report = well_eigenstates(REFERENCE, 2, grid=grid, nu=1.0)
     assert abs(report.energies[0] + 1.0 / (2.0 * REFERENCE.mass_ratio)) < 1e-6
     assert abs(report.energies[1]) < 0.01
-    assert not report.converged
-    assert report.drifts[0] < 1e-12
+    assert not report.bound[1]
+    assert report.residuals[0] < 1e-12
 
 
-def test_descent_budget_guard():
-    # a deeply bound state still drifting when the budget runs out is a
-    # numerics failure, not a result
+def test_well_states_solve_fft_hamiltonian():
+    # independent of the dense matrix the solver builds: apply H by FFT
+    # to every returned state and check the eigen-equation and the
+    # orthonormality the grid inner product promises
     grid = Grid1D(512, 60.0)
-    with pytest.raises(NumericsError):
-        imaginary_time_eigenstates(REFERENCE, 1, grid=grid, max_steps=2000)
+    report = well_eigenstates(REFERENCE, 3, grid=grid)
+    well = frozen_well(grid, REFERENCE.nu, REFERENCE.mass_ratio)
+    for energy, psi in zip(report.energies, report.states):
+        h_psi = np.fft.ifft(
+            grid.k ** 2 / (2.0 * REFERENCE.mass_ratio) * np.fft.fft(psi)
+        ) + well * psi
+        residual = math.sqrt(float(np.sum(np.abs(h_psi - energy * psi) ** 2) * grid.dx))
+        assert residual < 1e-10
+    gram = report.states.conj() @ report.states.T * grid.dx
+    assert float(np.max(np.abs(gram - np.eye(3)))) < 1e-12
 
 
 def test_tanh_pair_recovered_without_impurity():
