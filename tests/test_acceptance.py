@@ -270,7 +270,8 @@ def test_criterion_09b_second_excited_energy():
     # ladder's E'_2 = -(nu-2)^2/(2 r_m) and the closed-form shape at 9a's
     # tolerances.  In the three-level window nu < 9/7 < 2, so at
     # REFERENCE.nu the third state is a box state near zero energy: it
-    # must be flagged unbound, lie above -0.05, clearly above the
+    # must be flagged unbound with over half its mass beyond |x| = L/4,
+    # far from the 0.05 cut, lie above -0.05, clearly above the
     # ladder value -0.17, and its closed-form shape ~ sech^(nu-2), not
     # normalizable, must be refused.
     grid = Grid1D(1024, 80.0)
@@ -292,7 +293,9 @@ def test_criterion_09b_second_excited_energy():
     ladder = -((nu - 2.0) ** 2) / (2.0 * rm)
     with pytest.raises(ValueError, match="unbound"):
         rep3.overlap_with_analytic(2)
-    unbound_ok = not bool(rep3.bound[2]) and third > -0.05
+    unbound_ok = (
+        not bool(rep3.bound[2]) and rep3.edge_fractions[2] > 0.5 and third > -0.05
+    )
 
     ok = bound_ok and unbound_ok
     report(

@@ -223,6 +223,17 @@ def test_well_states_solve_fft_hamiltonian():
     assert float(np.max(np.abs(gram - np.eye(3)))) < 1e-12
 
 
+def test_well_state_signs_follow_the_ladder():
+    # the odd state peaks equally at +-x; on this grid the eigensolver's
+    # rounding puts the larger |psi| at -x, so a sign read over the whole
+    # grid would flip it.  The ladder's shapes sech^nu x and
+    # sech^(nu-1) x tanh x are both positive on x > 0.
+    grid = Grid1D(1024, 80.0)
+    report = well_eigenstates(REFERENCE, 2, grid=grid)
+    core = (grid.x > 0.0) & (grid.x < 5.0)
+    assert np.all(report.states[:, core] > 0.0)
+
+
 def test_tanh_pair_recovered_without_impurity():
     """With no impurity the relaxation must hand back the seed profile;
     the fixed-point bias of the splitting is O(dtau^2), so a small step
