@@ -11,43 +11,46 @@ dispersion, and pulse observables.  :mod:`slowsound.gpe` provides the
 independent mean-field solver used for cross-validation.
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
-from slowsound.params import ConfigError, Params, nu_from_ratios
-from slowsound.qutrit import NotAQutrit, QutritSpectrum, spectrum
-from slowsound.bogoliubov import dispersion, resonant_wavevector
-from slowsound.coupling import CouplingSet, coupling_set
-from slowsound.decay import DecayRates, cascade, decay_rates
-from slowsound.bloch import DriveConfig, drive_from_params, steady_state_lindblad
-from slowsound.response import (
-    group_velocity_curve,
-    propagate_envelope,
-    susceptibility_curve,
-    transparency_width,
-)
-from slowsound.gpe import well_eigenstates
+# Public name -> defining module.  The names are resolved on first access
+# (PEP 562), so importing the package, or `slowsound.cli` through it, does
+# not load numpy: the CLI's --threads must set the BLAS thread variables
+# before numpy first loads.
+_EXPORTS = {
+    "ConfigError": "slowsound.params",
+    "Params": "slowsound.params",
+    "nu_from_ratios": "slowsound.params",
+    "NotAQutrit": "slowsound.qutrit",
+    "QutritSpectrum": "slowsound.qutrit",
+    "spectrum": "slowsound.qutrit",
+    "dispersion": "slowsound.bogoliubov",
+    "resonant_wavevector": "slowsound.bogoliubov",
+    "CouplingSet": "slowsound.coupling",
+    "coupling_set": "slowsound.coupling",
+    "DecayRates": "slowsound.decay",
+    "cascade": "slowsound.decay",
+    "decay_rates": "slowsound.decay",
+    "DriveConfig": "slowsound.bloch",
+    "drive_from_params": "slowsound.bloch",
+    "steady_state_lindblad": "slowsound.bloch",
+    "group_velocity_curve": "slowsound.response",
+    "propagate_envelope": "slowsound.response",
+    "susceptibility_curve": "slowsound.response",
+    "transparency_width": "slowsound.response",
+    "well_eigenstates": "slowsound.gpe",
+}
 
-__all__ = [
-    "ConfigError",
-    "Params",
-    "nu_from_ratios",
-    "NotAQutrit",
-    "QutritSpectrum",
-    "spectrum",
-    "dispersion",
-    "resonant_wavevector",
-    "CouplingSet",
-    "coupling_set",
-    "DecayRates",
-    "cascade",
-    "decay_rates",
-    "DriveConfig",
-    "drive_from_params",
-    "steady_state_lindblad",
-    "group_velocity_curve",
-    "propagate_envelope",
-    "susceptibility_curve",
-    "transparency_width",
-    "well_eigenstates",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(_EXPORTS[name]), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

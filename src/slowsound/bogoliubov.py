@@ -50,43 +50,49 @@ def dispersion_derivative(k):
 
 
 class BogoliubovMode:
-    """Mode amplitudes u(x), v(x) for one wavevector.
+    """Mode amplitudes u(x), v(x) for one wavevector or an array of them.
 
     Attributes
     ----------
-    k : wavevector (1/xi)
-    energy : eps(k) (mu)
-    u, v : callables over x returning complex arrays
+    k : wavevector (1/xi), a scalar or an array
+    energy : eps(k) (mu), of k's shape
+    u, v : methods over x returning complex arrays of shape k.shape + x.shape,
+        so an array of k evaluates every mode on the same x grid at once
     """
 
     def __init__(self, k):
-        if k == 0.0:
+        k = np.asarray(k, dtype=float)
+        if np.any(k == 0.0):
             raise ValueError("k = 0 is the singular zero mode (eps = 0 in denominators)")
-        self.k = float(k)
-        self.energy = float(dispersion(self.k))
-        eps = self.energy
-        kk = self.k
+        self.k = k[()]
+        self.energy = dispersion(self.k)
+
+    def _amplitude(self, x, sign):
+        x = np.asarray(x, dtype=float)
+        shape = np.shape(self.k) + (1,) * x.ndim
+        kk = np.reshape(self.k, shape)
+        eps = np.reshape(self.energy, shape)
         pref = math.sqrt(1.0 / (4.0 * math.pi)) / eps
+        envelope = (
+            (kk * kk + sign * 2.0 * eps) * (0.5 * kk + 1j * np.tanh(x)) + kk / np.cosh(x) ** 2
+        )
+        return pref * envelope * np.exp(1j * kk * x)
 
-        def u(x):
-            x = np.asarray(x, dtype=float)
-            envelope = (kk * kk + 2.0 * eps) * (0.5 * kk + 1j * np.tanh(x)) + kk / np.cosh(x) ** 2
-            return pref * envelope * np.exp(1j * kk * x)
+    def u(self, x):
+        """Particle amplitude u_k(x)."""
+        return self._amplitude(x, 1.0)
 
-        def v(x):
-            x = np.asarray(x, dtype=float)
-            envelope = (kk * kk - 2.0 * eps) * (0.5 * kk + 1j * np.tanh(x)) + kk / np.cosh(x) ** 2
-            return pref * envelope * np.exp(1j * kk * x)
-
-        self.u = u
-        self.v = v
+    def v(self, x):
+        """Hole amplitude v_k(x)."""
+        return self._amplitude(x, -1.0)
 
     def __repr__(self):
-        return f"BogoliubovMode(k={self.k:g}, energy={self.energy:g})"
+        k = np.array2string(np.asarray(self.k), precision=6)
+        return f"BogoliubovMode(k={k})"
 
 
 def mode_profiles(k):
-    """Closed-form soliton-frame mode amplitudes for wavevector k (k != 0)."""
+    """Closed-form soliton-frame mode amplitudes for wavevector(s) k (k != 0)."""
     return BogoliubovMode(k)
 
 

@@ -6,11 +6,14 @@ Two routes to the same physics:
   (ground <-> first, first <-> second), polynomial-times-csch expressions
   whose exponential csch(pi k/2) envelope reflects the smooth sech-type
   overlap region of width ~ xi;
-* a quadrature oracle g_quadrature(l, l', k) evaluating the defining
-  overlap integral  g12 * integral phi_l phi_l' psi_sol (u_k + v_k) dx
-  with psi_sol = sqrt(n0) tanh(x) and the soliton-frame mode amplitudes,
-  which also provides the intraband amplitudes (l = l') that the closed
-  forms do not cover.
+* the overlap integral g_quadrature(l, l', k) of the defining expression
+  g12 * integral phi_l phi_l' psi_sol (u_k + v_k) dx with psi_sol =
+  sqrt(n0) tanh(x) and the soliton-frame mode amplitudes, evaluated for a
+  whole array of k by one uniform trapezoid sum over x; it also provides
+  the intraband amplitudes (l = l') that the closed forms do not cover.
+
+Every function here takes a float k or an array of k, and returns a value
+or an array of k's shape.
 
 Only |g|^2 enters rates and susceptibilities; complex phases are retained
 for amplitude-level dynamics.  The closed forms carry a global i by
@@ -22,8 +25,10 @@ ones); magnitude comparisons are the meaningful cross-check.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bogoliubov import dispersion, mode_profiles
-from .numerics import integrate_line
+from .numerics import NumericsError
 from .params import Params
 from .qutrit import ImpurityStates
 
@@ -37,17 +42,39 @@ __all__ = [
     "coupling_set",
 ]
 
-# csch(pi k / 2) underflows to zero well before math.sinh overflows.
+# csch(pi k / 2) underflows to zero well before sinh overflows.
 _CSCH_ARG_MAX = 700.0
+
+# The overlap integrands are analytic in the strip |Im x| < pi/2 and decay
+# like sech^(2 alpha), so the uniform trapezoid rule converges geometrically
+# in 1/h (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)) and the cut at
+# |x| = 40 costs nothing.  What h must resolve is the carrier e^{ikx}: with
+# k h <= _MAX_KH the 2h sum that estimates the error still samples the
+# carrier well below its Nyquist limit.  A fixed h cannot catch its own
+# aliasing: at k h = 2 pi the h and 2h sums agree on a wrong value.
+_STEP = 0.05
+_HALF_WIDTH = 40.0
+_MAX_KH = 0.6
+# Bound on the h/2h difference and on the edge samples, relative to the
+# trapezoid sum of |integrand|.
+_REL_TOL = 1e-10
+
+
+def _wavevectors(k):
+    k = np.asarray(k, dtype=float)
+    bad = k[~(k > 0)]
+    if bad.size:
+        raise ValueError(f"couplings are defined for k > 0, got {float(bad[0])!r}")
+    return k
 
 
 def csch(x):
     """Hyperbolic cosecant with graceful underflow for large arguments."""
-    if x == 0.0:
+    x = np.asarray(x, dtype=float)
+    if np.any(x == 0.0):
         raise ValueError("csch(0) is singular")
-    if abs(x) > _CSCH_ARG_MAX:
-        return 0.0
-    return 1.0 / math.sinh(x)
+    big = np.abs(x) > _CSCH_ARG_MAX
+    return np.where(big, 0.0, 1.0 / np.sinh(np.where(big, 1.0, x)))[()]
 
 
 def g0_closed(k, params: Params):
@@ -55,9 +82,8 @@ def g0_closed(k, params: Params):
 
     i g12 k^2/(80 eps) sqrt(n0 pi/6) (2 + 8k^2 + 15 eps)(-4 + k^2) csch(pi k/2)
     """
-    if not (k > 0):
-        raise ValueError(f"couplings are defined for k > 0, got {k!r}")
-    eps = float(dispersion(k))
+    k = _wavevectors(k)
+    eps = dispersion(k)
     pref = params.g12 * k * k / (80.0 * eps) * math.sqrt(params.density_xi * math.pi / 6.0)
     poly = (2.0 + 8.0 * k * k + 15.0 * eps) * (-4.0 + k * k)
     return 1j * pref * poly * csch(math.pi * k / 2.0)
@@ -69,9 +95,8 @@ def g1_closed(k, params: Params):
     i g12 k^2/(896 eps) sqrt(n0 pi/15)
         [28 (2k^4 - 35k^2 + 68) eps + (29k^6 - 504k^4 + 896k^2 + 64)] csch(pi k/2)
     """
-    if not (k > 0):
-        raise ValueError(f"couplings are defined for k > 0, got {k!r}")
-    eps = float(dispersion(k))
+    k = _wavevectors(k)
+    eps = dispersion(k)
     k2 = k * k
     pref = params.g12 * k2 / (896.0 * eps) * math.sqrt(params.density_xi * math.pi / 15.0)
     bracket = 28.0 * (2.0 * k2 * k2 - 35.0 * k2 + 68.0) * eps + (
@@ -80,42 +105,59 @@ def g1_closed(k, params: Params):
     return 1j * pref * bracket * csch(math.pi * k / 2.0)
 
 
-def g_quadrature(l, lp, k, params: Params, states: ImpurityStates = None, tol=1e-9):
+def g_quadrature(l, lp, k, params: Params, states: ImpurityStates = None):
     """Overlap-integral coupling between impurity states l and l' at wavevector k.
 
     Evaluates g12 * integral phi_l(x) phi_l'(x) psi_sol(x) [u_k(x)+v_k(x)] dx
-    with psi_sol = sqrt(n0) tanh(x).  The impurity states default to the
+    with psi_sol = sqrt(n0) tanh(x), for every k at once, as one trapezoid
+    sum over a uniform grid on |x| <= 40.  The step is 0.05, or smaller
+    when the largest k needs it.  The impurity states default to the
     params' ansatz family; pass a prepared ImpurityStates to amortize the
-    normalization quadratures over a k sweep.
+    normalization quadratures over calls.
+
+    Raises NumericsError, naming the pair and k, when the sum at step h
+    and the one over its even samples (step 2h) differ, or the integrand
+    has not decayed at the grid's edges, by more than _REL_TOL of the sum
+    of |integrand|.
     """
     if l not in (0, 1, 2) or lp not in (0, 1, 2):
         raise ValueError(f"state indices must be in {{0,1,2}}, got ({l!r}, {lp!r})")
-    if not (k > 0):
-        raise ValueError(f"couplings are defined for k > 0, got {k!r}")
+    k = _wavevectors(k)
     if states is None:
         states = ImpurityStates(params)
+    h = min(_STEP, _MAX_KH / float(np.max(k)))
+    n = 2 * math.ceil(_HALF_WIDTH / (2.0 * h))  # even, so the 2h grid keeps both ends
+    x = h * np.arange(-n, n + 1)
+    weight = states[l](x) * states[lp](x) * math.sqrt(params.density_xi) * np.tanh(x)
+    fine = np.full(x.shape, h)
+    fine[[0, -1]] = 0.5 * h
+    coarse = np.zeros(x.shape)
+    coarse[::2] = 2.0 * h
+    coarse[[0, -1]] = h
     mode = mode_profiles(k)
-    sqrt_n0 = math.sqrt(params.density_xi)
-    phi_l = states[l]
-    phi_lp = states[lp]
-
-    def integrand(x):
-        return (
-            float(phi_l(x))
-            * float(phi_lp(x))
-            * sqrt_n0
-            * math.tanh(x)
-            * complex(mode.u(x) + mode.v(x))
+    kernel = mode.u(x) + mode.v(x)
+    total = kernel @ (weight * fine)
+    scale = np.abs(kernel) @ np.abs(weight * fine)
+    miss = np.maximum(
+        np.abs(total - kernel @ (weight * coarse)),
+        np.max(np.abs(kernel[..., [0, -1]] * weight[[0, -1]]), axis=-1),
+    )
+    bad = ~(miss <= _REL_TOL * scale)
+    if np.any(bad):
+        i = np.flatnonzero(bad)[0]
+        raise NumericsError(
+            f"overlap integral g_{l}{lp} at k={np.ravel(k)[i]:.6g} is not resolved by "
+            f"the trapezoid sum (h={h:.3g} on |x| <= {x[-1]:g}): error estimate "
+            f"{np.ravel(miss)[i]:.2e} exceeds {_REL_TOL:g} of {np.ravel(scale)[i]:.2e}"
         )
-
-    return params.g12 * integrate_line(integrand, tol=tol)
+    return params.g12 * total
 
 
 def interband_coupling(which, k, params: Params, states: ImpurityStates = None):
     """Transition coupling for the lower (which=0) or upper (which=1) line.
 
     Dispatches on params.coupling_mode: "closed" uses the printed closed
-    forms, "quadrature" the overlap oracle (pairs 0-1 and 1-2).
+    forms, "quadrature" the overlap integral (pairs 0-1 and 1-2).
     """
     if which not in (0, 1):
         raise ValueError(f"which must be 0 or 1, got {which!r}")
@@ -127,7 +169,8 @@ def interband_coupling(which, k, params: Params, states: ImpurityStates = None):
 
 @dataclass(frozen=True)
 class CouplingSet:
-    """All coupling amplitudes at one wavevector, with provenance tags."""
+    """All coupling amplitudes at one wavevector or an array of them,
+    with provenance tags."""
 
     k: float
     g0: complex
@@ -140,7 +183,7 @@ class CouplingSet:
 
 
 def coupling_set(k, params: Params, states: ImpurityStates = None):
-    """Interband and intraband amplitudes at k.
+    """Interband and intraband amplitudes at k (a float or an array).
 
     Interband follows params.coupling_mode; the intraband amplitudes have
     no closed forms and always come from quadrature.

@@ -272,27 +272,35 @@ class CascadeResult:
     _g1_k: np.ndarray = field(repr=False, default=None)
     _g0_p: np.ndarray = field(repr=False, default=None)
 
+    def __post_init__(self):
+        # Detunings, resonance denominators and the coupling prefactor of
+        # b_kp: the time-independent parts, shared by every sample time.
+        g0, g1 = self.rates.gamma_0, self.rates.gamma_1
+        self._dk = np.asarray(dispersion(self.k_grid)) - self.rates.omega_1
+        self._dp = np.asarray(dispersion(self.p_grid)) - self.rates.omega_0
+        self._denom_k = 1j * self._dk - 0.5 * (g1 - g0)
+        self._denom_p = 1j * self._dp - 0.5 * g0
+        self._inv_denom_eg = 1.0 / (1j * (self._dk[:, None] + self._dp[None, :]) - 0.5 * g1)
+        self._pref_kp = np.multiply.outer(np.conj(self._g1_k) / self._denom_k, np.conj(self._g0_p))
+
     @property
     def norm_total(self):
         return np.abs(self.a) ** 2 + self.norm_one_phonon + self.norm_two_phonon
 
-    def _bracket_terms(self, t):
-        """The two resonance denominators/exponents of the two-phonon form."""
-        g0, g1 = self.rates.gamma_0, self.rates.gamma_1
-        dk = np.asarray(dispersion(self.k_grid)) - self.rates.omega_1
-        dp = np.asarray(dispersion(self.p_grid)) - self.rates.omega_0
-        denom_k = 1j * dk - 0.5 * (g1 - g0)
-        denom_p = 1j * dp - 0.5 * g0
-        denom_eg = 1j * (dk[:, None] + dp[None, :]) - 0.5 * g1
-        term_p = (np.exp((1j * dp - 0.5 * g0) * t) - 1.0) / denom_p
-        term_eg = (1.0 - np.exp((1j * (dk[:, None] + dp[None, :]) - 0.5 * g1) * t)) / denom_eg
-        return denom_k, term_p, term_eg
-
     def two_phonon_amplitudes(self, t):
-        """Full b_kp array at time t (k rows, p columns)."""
-        denom_k, term_p, term_eg = self._bracket_terms(t)
-        pref = np.conj(self._g1_k) / denom_k
-        return pref[:, None] * np.conj(self._g0_p)[None, :] * (term_p[None, :] + term_eg)
+        """Full b_kp array at time t (k rows, p columns).
+
+        exp((i(dk + dp) - gamma_1/2) t) is taken as the outer product of
+        exp((i dk - gamma_1/2) t) and exp(i dp t), so only 1-D exponentials
+        are evaluated.
+        """
+        g0, g1 = self.rates.gamma_0, self.rates.gamma_1
+        term_p = (np.exp((1j * self._dp - 0.5 * g0) * t) - 1.0) / self._denom_p
+        phase = np.multiply.outer(
+            np.exp((1j * self._dk - 0.5 * g1) * t), np.exp(1j * self._dp * t)
+        )
+        term_eg = (1.0 - phase) * self._inv_denom_eg
+        return self._pref_kp * (term_p[None, :] + term_eg)
 
     def first_line_spectrum(self):
         """Asymptotic first-emission spectrum: marginal of |b_kp(inf)|^2 over p.
@@ -300,14 +308,7 @@ class CascadeResult:
         Returns (k_grid, spectral density in k).  The exponential factors
         vanish as t -> infinity, leaving the pure two-pole structure.
         """
-        g0, g1 = self.rates.gamma_0, self.rates.gamma_1
-        dk = np.asarray(dispersion(self.k_grid)) - self.rates.omega_1
-        dp = np.asarray(dispersion(self.p_grid)) - self.rates.omega_0
-        denom_k = 1j * dk - 0.5 * (g1 - g0)
-        denom_p = 1j * dp - 0.5 * g0
-        denom_eg = 1j * (dk[:, None] + dp[None, :]) - 0.5 * g1
-        bracket = -1.0 / denom_p[None, :] + 1.0 / denom_eg
-        b_inf = (np.conj(self._g1_k) / denom_k)[:, None] * np.conj(self._g0_p)[None, :] * bracket
+        b_inf = self._pref_kp * (-1.0 / self._denom_p[None, :] + self._inv_denom_eg)
         w_p = _trapezoid_weights(self.p_grid)
         return self.k_grid, self.measure * np.sum(np.abs(b_inf) ** 2 * w_p[None, :], axis=1)
 
@@ -348,16 +349,12 @@ def cascade(params: Params, times, k_grid=None, p_grid=None, states: ImpuritySta
     if np.any(times < 0):
         raise ValueError("times must be >= 0")
 
-    g1_k = np.array([interband_coupling(1, k, params, states=states) for k in k_grid])
-    g0_p = np.array([interband_coupling(0, p, params, states=states) for p in p_grid])
+    g1_k = interband_coupling(1, k_grid, params, states=states)
+    g0_p = interband_coupling(0, p_grid, params, states=states)
 
     measure = params.impurity_norm / (2.0 * math.pi * params.density_xi)
     w_k = _trapezoid_weights(k_grid)
     w_p = _trapezoid_weights(p_grid)
-
-    omega_k = np.asarray(dispersion(k_grid))
-    dk = omega_k - spec.omega_1
-    denom_k = 1j * dk - 0.5 * (g1_rate - g0_rate)
 
     a = np.exp(-0.5 * g1_rate * times).astype(complex)
     b_k = np.empty((len(times), len(k_grid)), dtype=complex)
@@ -383,8 +380,8 @@ def cascade(params: Params, times, k_grid=None, p_grid=None, states: ImpuritySta
         b_k[i] = (
             -1j
             * np.conj(g1_k)
-            * (np.exp((1j * dk - 0.5 * g1_rate) * t) - math.exp(-0.5 * g0_rate * t))
-            / denom_k
+            * (np.exp((1j * result._dk - 0.5 * g1_rate) * t) - math.exp(-0.5 * g0_rate * t))
+            / result._denom_k
         )
         norm1[i] = measure * float(np.sum(np.abs(b_k[i]) ** 2 * w_k))
         b_kp = result.two_phonon_amplitudes(t)

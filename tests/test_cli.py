@@ -1,12 +1,27 @@
 """End-to-end checks of the command-line entry point and its exit codes."""
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 import slowsound
 from slowsound.cli import main
 from slowsound.numerics import NumericsError
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # --threads sets the BLAS thread variables inside main(); that only
+    # works if importing the entry point (and the package) loads no numpy
+    src = os.path.dirname(os.path.dirname(slowsound.__file__))
+    probe = "import sys, slowsound.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def run(tmp_path, *argv):

@@ -150,6 +150,34 @@ def test_cascade_initial_state_and_norm_window():
     assert np.all(total[1:] > 0.98) and np.all(total[1:] < 1.005)
 
 
+def test_cascade_in_quadrature_mode():
+    quad = replace(REFERENCE, coupling_mode="quadrature")
+    rates = decay_rates(quad, route="integral")
+    res = cascade(quad, np.array([0.5, 1.0, 3.0]) / rates.gamma_1)
+    # validate's cascade_norm_conservation window, on the overlap-integral couplings
+    assert np.all(res.norm_total >= 0.98) and np.all(res.norm_total <= 1.005)
+    assert res.rates == rates
+
+
+def test_two_phonon_amplitudes_match_unfactored_form():
+    r = decay_rates(REFERENCE, route="integral")
+    res = cascade(REFERENCE, np.array([1.0]) / r.gamma_1)
+    t = 2.0 / r.gamma_1
+    g0, g1 = r.gamma_0, r.gamma_1
+    dk = np.asarray(dispersion(res.k_grid))[:, None] - r.omega_1
+    dp = np.asarray(dispersion(res.p_grid))[None, :] - r.omega_0
+    term_p = (np.exp((1j * dp - 0.5 * g0) * t) - 1.0) / (1j * dp - 0.5 * g0)
+    denom_eg = 1j * (dk + dp) - 0.5 * g1
+    term_eg = (1.0 - np.exp(denom_eg * t)) / denom_eg
+    direct = (
+        np.conj(res._g1_k)[:, None] / (1j * dk - 0.5 * (g1 - g0))
+        * np.conj(res._g0_p)[None, :] * (term_p + term_eg)
+    )
+    # the factored exponential differs from the joint one by roundoff, which
+    # is large relative to b_kp only where its two terms nearly cancel
+    np.testing.assert_allclose(res.two_phonon_amplitudes(t), direct, rtol=1e-10, atol=0)
+
+
 def test_cascade_survival_is_exponential():
     r = decay_rates(REFERENCE, route="integral")
     times = np.linspace(0.0, 3.0, 7) / r.gamma_1

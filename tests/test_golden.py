@@ -56,7 +56,8 @@ def _parse_float(text):
 def _csv_digest(path):
     with open(path, newline="") as fh:
         header, *rows = list(csv.reader(fh))
-    picks = sorted(set(np.linspace(0, len(rows) - 1, min(len(rows), MAX_ROWS)).round().astype(int)))
+    picks = np.linspace(0, len(rows) - 1, min(len(rows), MAX_ROWS)).round().astype(int)
+    picks = sorted(set(picks))
     columns = {}
     for j, name in enumerate(header):
         values = [_parse_float(row[j]) for row in rows]
