@@ -73,10 +73,13 @@ class BogoliubovMode:
         kk = np.reshape(self.k, shape)
         eps = np.reshape(self.energy, shape)
         pref = math.sqrt(1.0 / (4.0 * math.pi)) / eps
-        envelope = (
-            (kk * kk + sign * 2.0 * eps) * (0.5 * kk + 1j * np.tanh(x)) + kk / np.cosh(x) ** 2
-        )
-        return pref * envelope * np.exp(1j * kk * x)
+        # pref * envelope * carrier, built in one array of shape k.shape + x.shape
+        amplitude = 0.5 * kk + 1j * np.tanh(x)
+        amplitude *= kk * kk + sign * 2.0 * eps
+        amplitude += kk / np.cosh(x) ** 2
+        amplitude *= pref
+        amplitude *= np.exp(1j * kk * x)
+        return amplitude
 
     def u(self, x):
         """Particle amplitude u_k(x)."""

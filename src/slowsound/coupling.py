@@ -135,7 +135,8 @@ def g_quadrature(l, lp, k, params: Params, states: ImpurityStates = None):
     coarse[::2] = 2.0 * h
     coarse[[0, -1]] = h
     mode = mode_profiles(k)
-    kernel = mode.u(x) + mode.v(x)
+    kernel = mode.u(x)
+    kernel += mode.v(x)
     total = kernel @ (weight * fine)
     scale = np.abs(kernel) @ np.abs(weight * fine)
     miss = np.maximum(

@@ -296,11 +296,13 @@ class CascadeResult:
         """
         g0, g1 = self.rates.gamma_0, self.rates.gamma_1
         term_p = (np.exp((1j * self._dp - 0.5 * g0) * t) - 1.0) / self._denom_p
-        phase = np.multiply.outer(
-            np.exp((1j * self._dk - 0.5 * g1) * t), np.exp(1j * self._dp * t)
-        )
-        term_eg = (1.0 - phase) * self._inv_denom_eg
-        return self._pref_kp * (term_p[None, :] + term_eg)
+        # b_kp = pref_kp (term_p + (1 - phase) / denom_eg), built in place
+        b = np.multiply.outer(np.exp((1j * self._dk - 0.5 * g1) * t), np.exp(1j * self._dp * t))
+        np.subtract(1.0, b, out=b)
+        b *= self._inv_denom_eg
+        b += term_p[None, :]
+        b *= self._pref_kp
+        return b
 
     def first_line_spectrum(self):
         """Asymptotic first-emission spectrum: marginal of |b_kp(inf)|^2 over p.
