@@ -48,10 +48,11 @@ _CSCH_ARG_MAX = 700.0
 # The overlap integrands are analytic in the strip |Im x| < pi/2 and decay
 # like sech^(2 alpha), so the uniform trapezoid rule converges geometrically
 # in 1/h (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)) and the cut at
-# |x| = 40 costs nothing.  What h must resolve is the carrier e^{ikx}: with
-# k h <= _MAX_KH the 2h sum that estimates the error still samples the
-# carrier well below its Nyquist limit.  A fixed h cannot catch its own
-# aliasing: at k h = 2 pi the h and 2h sums agree on a wrong value.
+# |x| = 40 loses nothing measurable (the edge samples are checked).  What h
+# must resolve is the carrier e^{ikx}: with k h <= _MAX_KH the 2h sum that
+# estimates the error still samples the carrier well below its Nyquist
+# limit.  A fixed h cannot catch its own aliasing: at k h = 2 pi the h and
+# 2h sums agree on a wrong value.
 _STEP = 0.05
 _HALF_WIDTH = 40.0
 _MAX_KH = 0.6
@@ -69,7 +70,7 @@ def _wavevectors(k):
 
 
 def csch(x):
-    """Hyperbolic cosecant with graceful underflow for large arguments."""
+    """Hyperbolic cosecant, elementwise, with graceful underflow for large arguments."""
     x = np.asarray(x, dtype=float)
     if np.any(x == 0.0):
         raise ValueError("csch(0) is singular")
@@ -129,6 +130,7 @@ def g_quadrature(l, lp, k, params: Params, states: ImpurityStates = None):
     n = 2 * math.ceil(_HALF_WIDTH / (2.0 * h))  # even, so the 2h grid keeps both ends
     x = h * np.arange(-n, n + 1)
     weight = states[l](x) * states[lp](x) * math.sqrt(params.density_xi) * np.tanh(x)
+    # trapezoid weights at step h and, on the even samples, at step 2h
     fine = np.full(x.shape, h)
     fine[[0, -1]] = 0.5 * h
     coarse = np.zeros(x.shape)
@@ -137,10 +139,11 @@ def g_quadrature(l, lp, k, params: Params, states: ImpurityStates = None):
     mode = mode_profiles(k)
     kernel = mode.u(x)
     kernel += mode.v(x)
-    total = kernel @ (weight * fine)
-    scale = np.abs(kernel) @ np.abs(weight * fine)
+    fine *= weight
+    total = kernel @ fine
+    scale = np.abs(kernel) @ np.abs(fine)
     miss = np.maximum(
-        np.abs(total - kernel @ (weight * coarse)),
+        np.abs(total - kernel @ (coarse * weight)),
         np.max(np.abs(kernel[..., [0, -1]] * weight[[0, -1]]), axis=-1),
     )
     bad = ~(miss <= _REL_TOL * scale)
