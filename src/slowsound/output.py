@@ -1,20 +1,34 @@
 """Deterministic file output: CSV tables, JSON reports, run manifests.
 
-Numbers are printed with repr-faithful %.12g so reruns of the same
-configuration produce byte-identical tables.  The manifest carries the
-fully resolved parameter set and the list of written files; its
-generated_at stamp is the only line expected to differ between
-identical reruns.
+CSV cells are written by format_number: floats as %.12g (NaN of either
+sign as "nan", infinities as "inf"/"-inf", negative zero as "-0"), bools
+as "true"/"false", integers in full, and strings with newlines turned
+into spaces and, when they hold a comma or a double quote, wrapped in
+double quotes with inner quotes doubled.  Tables are formatted a block
+of rows at a time, one column per pass; a column of the block whose
+cells are all Python or numpy float64 floats is printed with %.12g
+directly, any other column cell by cell through format_number, so the
+bytes are the same either way.  Reruns of the same configuration produce
+byte-identical tables.  The manifest carries the fully resolved
+parameter set and the list of written files; its generated_at stamp is
+the only line expected to differ between identical reruns.
 """
 
 import dataclasses
 import datetime
+import itertools
 import json
 import os
 
 import numpy as np
 
 __all__ = ["OutputSink", "format_number", "write_csv", "write_json", "write_manifest"]
+
+# Rows formatted per pass of write_csv.  Blocks of 32 to 1024 rows format
+# equally fast, but the block's strings add to peak memory: about 1 MB on
+# a 2001-row table at 512 rows, about 0.3 MB at 128.
+_BLOCK_ROWS = 128
+_FLOAT_TYPES = frozenset({float, np.float64})
 
 
 def format_number(value):
@@ -33,16 +47,25 @@ def format_number(value):
     return f"{v:.12g}"
 
 
+def _format_column(cells):
+    # "%.12g" % v is the routine behind f"{v:.12g}" and prints NaN as "nan"
+    if set(map(type, cells)) <= _FLOAT_TYPES:
+        return ["%.12g" % v for v in cells]
+    return [format_number(v) for v in cells]
+
+
 def write_csv(path, columns, rows):
     """rows: iterable of sequences matching columns; LF newlines."""
+    width = len(columns)
+    rows = iter(rows)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            if len(row) != len(columns):
-                raise ValueError(
-                    f"row of width {len(row)} does not match {len(columns)} columns"
-                )
-            fh.write(",".join(format_number(v) for v in row) + "\n")
+        while block := list(itertools.islice(rows, _BLOCK_ROWS)):
+            for row in block:
+                if len(row) != width:
+                    raise ValueError(f"row of width {len(row)} does not match {width} columns")
+            cells = zip(*map(_format_column, zip(*block)))
+            fh.write("".join(",".join(line) + "\n" for line in cells))
 
 
 def _jsonable(value):

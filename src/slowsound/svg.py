@@ -40,6 +40,15 @@ def _fmt(v):
     return f"{v:.4g}"
 
 
+def _polyline_chunks(xs, ys, finite):
+    """Split "x,y" pixel pairs into runs of consecutive finite samples."""
+    points = ["%.2f,%.2f" % p for p in zip(xs[finite], ys[finite])]
+    edges = np.diff(np.concatenate(([0], finite.astype(np.int8), [0])))
+    lengths = np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)
+    ends = np.cumsum(lengths).tolist()
+    return [points[end - n : end] for end, n in zip(ends, lengths.tolist())]
+
+
 def line_plot(path, x, series, title="", xlabel="", ylabel=""):
     """Write an SVG with the given series.
 
@@ -48,7 +57,7 @@ def line_plot(path, x, series, title="", xlabel="", ylabel=""):
     """
     x = np.asarray(x, dtype=float)
     ys = [(label, np.asarray(y, dtype=float)) for label, y in series]
-    finite = np.concatenate([y[np.isfinite(y)] for _, y in ys if np.any(np.isfinite(y))])
+    finite = np.concatenate([np.empty(0)] + [y[np.isfinite(y)] for _, y in ys])
     ylo, yhi = (float(np.min(finite)), float(np.max(finite))) if len(finite) else (0.0, 1.0)
     if yhi == ylo:
         yhi = ylo + 1.0
@@ -103,19 +112,10 @@ def line_plot(path, x, series, title="", xlabel="", ylabel=""):
         f'transform="rotate(-90 20 {(_MT + _H - _MB) / 2})">{ylabel}</text>'
     )
 
+    x_px = px(x)
     for i, (label, y) in enumerate(ys):
         color = _PALETTE[i % len(_PALETTE)]
-        points = []
-        chunks = []
-        for xi, yi in zip(x, y):
-            if math.isfinite(yi):
-                points.append(f"{px(xi):.2f},{py(yi):.2f}")
-            elif points:
-                chunks.append(points)
-                points = []
-        if points:
-            chunks.append(points)
-        for chunk in chunks:
+        for chunk in _polyline_chunks(x_px, py(y), np.isfinite(y)):
             if len(chunk) == 1:
                 cx, cy = chunk[0].split(",")
                 parts.append(f'<circle cx="{cx}" cy="{cy}" r="2" fill="{color}"/>')

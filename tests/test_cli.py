@@ -114,7 +114,9 @@ def test_validate_reports_and_exits_four(tmp_path, capsys):
     assert (out / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("scenario", ["spectrum", "eigenstates"])
+@pytest.mark.parametrize(
+    "scenario", ["spectrum", "eigenstates", "susceptibility", "dispersion", "groupvel", "pulse"]
+)
 def test_reruns_byte_identical_except_timestamp(tmp_path, scenario):
     _, first = run(tmp_path / "a", scenario)
     _, second = run(tmp_path / "b", scenario)
