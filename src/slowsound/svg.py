@@ -43,10 +43,11 @@ def _fmt(v):
 def _polyline_chunks(xs, ys, finite):
     """Split "x,y" pixel pairs into runs of consecutive finite samples."""
     points = ["%.2f,%.2f" % p for p in zip(xs[finite], ys[finite])]
-    edges = np.diff(np.concatenate(([0], finite.astype(np.int8), [0])))
-    lengths = np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)
-    ends = np.cumsum(lengths).tolist()
-    return [points[end - n : end] for end, n in zip(ends, lengths.tolist())]
+    # each run starts where `finite` turns on and stops where it turns off;
+    # the runs lie end to end in `points`
+    edges = np.flatnonzero(np.diff(finite, prepend=False, append=False))
+    ends = np.cumsum(edges[1::2] - edges[::2]).tolist()
+    return [points[start:stop] for start, stop in zip([0] + ends, ends)]
 
 
 def line_plot(path, x, series, title="", xlabel="", ylabel=""):
