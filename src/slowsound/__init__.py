@@ -7,8 +7,9 @@ trapped-impurity level structure, :mod:`slowsound.coupling` and
 :mod:`slowsound.decay` connect those levels to the phonon bath,
 :mod:`slowsound.bloch` drives the resulting three-level system, and
 :mod:`slowsound.response` turns the steady state into susceptibility,
-dispersion, and pulse observables.  :mod:`slowsound.gpe` provides the
-independent mean-field solver used for cross-validation.
+dispersion, and pulse observables.  :mod:`slowsound.gpe` holds the
+frozen-well eigensolve and the imaginary-time coupled ground state used
+for cross-validation.
 """
 
 import importlib

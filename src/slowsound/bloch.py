@@ -27,7 +27,7 @@ algebra, so their agreement is the master-equation cross-check.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,9 +66,6 @@ class DriveConfig:
 
     def two_photon_detuning(self, probe_detuning):
         return probe_detuning if self.delta_mode == "track" else 0.0
-
-    def with_probe(self, probe_rabi):
-        return replace(self, probe_rabi=probe_rabi)
 
 
 def drive_from_params(params: Params, rates: DecayRates = None):

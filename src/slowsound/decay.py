@@ -127,7 +127,7 @@ def gamma_integral(params: Params, omega, which, states: ImpurityStates = None):
 
 @dataclass(frozen=True)
 class DecayRates:
-    """Decay rates with their RWA bookkeeping (reduced units)."""
+    """Decay rates, their transitions and the route that gave them (reduced units)."""
 
     gamma_0: float
     gamma_1: float
@@ -138,14 +138,6 @@ class DecayRates:
     route: str  # "closed" or "integral"
     degenerate_0: bool = False
     degenerate_1: bool = False
-
-    @property
-    def rwa_ok_0(self):
-        return self.degenerate_0 or self.gamma_0 / self.omega_0 < 0.1
-
-    @property
-    def rwa_ok_1(self):
-        return self.degenerate_1 or self.gamma_1 / self.omega_1 < 0.1
 
 
 def decay_rates(params: Params, route="closed", states: ImpurityStates = None):

@@ -1,13 +1,13 @@
-"""Split-step field evolution: condensate solitons and trapped impurities.
+"""Mean-field fields on a periodic grid: the soliton pair and its well.
 
 The condensate obeys the reduced nonlinear field equation
 
     i dpsi/dt = [-1/2 d^2/dx^2 + g11 |psi|^2 - 1] psi
 
 (chemical potential 1 subtracted so the uniform background is static),
-and an impurity field of relative mass mass_ratio sees the soliton notch
-as an attractive well.  For spectral checks the impurity runs in the
-frozen saturated well
+whose standing dark soliton is the tanh notch of soliton_pair.  An
+impurity of relative mass mass_ratio sees the notch as an attractive
+well.  For spectral checks the impurity sits in the frozen saturated well
 
     V(x) = -nu (nu + 1) / (2 mass_ratio) sech^2 x,
 
@@ -16,15 +16,10 @@ raw product g12 |psi_soliton|^2 is twice that deep, a tension kept
 visible here by naming the two potentials separately rather than
 blending them.  The frozen well is linear, so its eigenstates come from
 one dense eigensolve of the Fourier-grid Hamiltonian, not from a
-relaxation.  The coupled mode evolves both fields with the raw mutual
-terms and is used for backreaction estimates, not spectral checks; its
-ground state, a nonlinear problem, is the one relaxed in imaginary time.
-
-All propagators are Strang-split FFT steps (exactly norm-preserving per
-factor), guarded by the accuracy condition dt <= 0.1 dx^2 — at that step
-the fastest kinetic phase advances about half a radian per step — and a
-norm-drift detector that aborts if the total norm moves by more than
-1e-4 relative.
+relaxation.  The coupled pair, with the raw mutual terms, is used for
+backreaction estimates, not spectral checks; its ground state, a
+nonlinear problem, is relaxed in imaginary time by Strang-split FFT
+steps.
 """
 
 import math
@@ -41,9 +36,6 @@ __all__ = [
     "soliton_pair",
     "gaussian_packet",
     "frozen_well",
-    "evolve_condensate",
-    "evolve_impurity",
-    "evolve_coupled",
     "EigenstateReport",
     "well_eigenstates",
     "CoupledGroundState",
@@ -51,8 +43,6 @@ __all__ = [
 ]
 
 MIN_BOX = 40.0
-_NORM_DRIFT_TOL = 1e-4
-_CHECK_EVERY = 50
 
 
 @dataclass
@@ -76,9 +66,6 @@ class Field1D:
     @property
     def norm(self):
         return float(np.sum(self.density) * self.grid.dx)
-
-    def copy(self):
-        return Field1D(self.grid, self.psi.copy())
 
 
 def _require_box(grid: Grid1D):
@@ -105,7 +92,7 @@ def soliton_pair(params: Params, grid: Grid1D):
 
 
 def gaussian_packet(grid: Grid1D, center=0.0, width=1.0, momentum=0.0):
-    """Unit-norm Gaussian, handy as a free-spreading reference state."""
+    """Unit-norm Gaussian, the impurity seed of coupled_ground_state."""
     x = grid.x
     psi = np.exp(-((x - center) ** 2) / (4.0 * width ** 2) + 1j * momentum * x)
     psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2) * grid.dx))
@@ -115,124 +102,6 @@ def gaussian_packet(grid: Grid1D, center=0.0, width=1.0, momentum=0.0):
 def frozen_well(grid: Grid1D, nu, mass_ratio, center=0.0):
     """The saturated soliton well with the analytic bound ladder."""
     return -nu * (nu + 1.0) / (2.0 * mass_ratio) / np.cosh(grid.x - center) ** 2
-
-
-def _dt_default(grid: Grid1D):
-    return 0.1 * grid.dx ** 2
-
-
-def _check_dt(dt, grid: Grid1D):
-    limit = 0.1 * grid.dx ** 2
-    if dt > limit * (1.0 + 1e-12):
-        raise ValueError(f"dt = {dt} exceeds the accuracy guard 0.1 dx^2 = {limit:.3e}")
-    return dt
-
-
-def _split_step_evolve(field: Field1D, t_final, dt, kinetic_of, potential_of, observer=None):
-    """Strang propagator: half kinetic, full potential, half kinetic.
-
-    kinetic_of: callable dt -> exp(-i eps_kin(k) dt / 2) array, invoked
-    only after dt has been trimmed to tile t_final exactly (a phase
-    array precomputed at the requested dt would silently evolve the
-    kinetic part for a different total time than the potential part).
-    potential_of: callable psi -> real potential array (may depend on
-    |psi|^2 for the nonlinear field).
-    """
-    psi = field.psi.copy()
-    n_steps = int(round(t_final / dt))
-    if abs(n_steps * dt - t_final) > 1e-9 * max(t_final, 1.0):
-        n_steps = int(math.ceil(t_final / dt))
-        dt = t_final / n_steps
-    kinetic_phase = kinetic_of(dt)
-    norm0 = float(np.sum(np.abs(psi) ** 2))
-    for step in range(n_steps):
-        psi = ifft(kinetic_phase * fft(psi))
-        psi *= np.exp(-1j * dt * potential_of(psi))
-        psi = ifft(kinetic_phase * fft(psi))
-        if step % _CHECK_EVERY == 0:
-            norm = float(np.sum(np.abs(psi) ** 2))
-            if abs(norm / norm0 - 1.0) > _NORM_DRIFT_TOL:
-                raise NumericsError(
-                    f"norm drifted by {abs(norm / norm0 - 1.0):.2e} after "
-                    f"{step + 1} steps; the propagator has gone bad"
-                )
-        if observer is not None:
-            observer((step + 1) * dt, psi)
-    return Field1D(field.grid, psi)
-
-
-def evolve_condensate(field: Field1D, params: Params, t_final, dt=None, observer=None):
-    """Real-time nonlinear evolution of the condensate field."""
-    grid = field.grid
-    dt = _check_dt(dt if dt is not None else _dt_default(grid), grid)
-    g11 = params.g11
-
-    def potential(psi):
-        return g11 * np.abs(psi) ** 2 - 1.0
-
-    def kinetic(h):
-        return np.exp(-0.25j * h * grid.k ** 2)
-
-    return _split_step_evolve(field, t_final, dt, kinetic, potential, observer)
-
-
-def evolve_impurity(field: Field1D, params: Params, t_final, dt=None, potential=None, observer=None):
-    """Impurity field in a frozen external potential (default: the
-    saturated soliton well centered at the origin)."""
-    grid = field.grid
-    dt = _check_dt(dt if dt is not None else _dt_default(grid), grid)
-    if potential is None:
-        potential = frozen_well(grid, params.nu, params.mass_ratio)
-    potential = np.asarray(potential, dtype=float)
-
-    def potential_of(_psi):
-        return potential
-
-    def kinetic(h):
-        return np.exp(-0.25j * h * grid.k ** 2 / params.mass_ratio)
-
-    return _split_step_evolve(field, t_final, dt, kinetic, potential_of, observer)
-
-
-def evolve_coupled(condensate: Field1D, impurity: Field1D, params: Params, t_final, dt=None):
-    """Two-field evolution with the raw mutual density terms.
-
-    The impurity density enters the condensate equation weighted by the
-    impurity atom number, and the impurity sees g12 |psi|^2 directly —
-    the physical (unsaturated) well.
-    """
-    if condensate.grid is not impurity.grid and (
-        condensate.grid.npoints != impurity.grid.npoints
-        or condensate.grid.length != impurity.grid.length
-    ):
-        raise ValueError("condensate and impurity must share a grid")
-    grid = condensate.grid
-    dt = _check_dt(dt if dt is not None else _dt_default(grid), grid)
-    g11, g12, n_imp = params.g11, params.g12, params.impurity_norm
-
-    psi = condensate.psi.copy()
-    chi = impurity.psi.copy()
-    n_steps = int(math.ceil(t_final / dt))
-    dt = t_final / n_steps
-    kin_c = np.exp(-0.25j * dt * grid.k ** 2)
-    kin_i = np.exp(-0.25j * dt * grid.k ** 2 / params.mass_ratio)
-    norm0_c = float(np.sum(np.abs(psi) ** 2))
-    norm0_i = float(np.sum(np.abs(chi) ** 2))
-    for step in range(n_steps):
-        psi = ifft(kin_c * fft(psi))
-        chi = ifft(kin_i * fft(chi))
-        v_c = g11 * np.abs(psi) ** 2 + g12 * n_imp * np.abs(chi) ** 2 - 1.0
-        v_i = g12 * np.abs(psi) ** 2
-        psi *= np.exp(-1j * dt * v_c)
-        chi *= np.exp(-1j * dt * v_i)
-        psi = ifft(kin_c * fft(psi))
-        chi = ifft(kin_i * fft(chi))
-        if step % _CHECK_EVERY == 0:
-            for norm0, f in ((norm0_c, psi), (norm0_i, chi)):
-                norm = float(np.sum(np.abs(f) ** 2))
-                if abs(norm / norm0 - 1.0) > _NORM_DRIFT_TOL:
-                    raise NumericsError("norm drifted in coupled evolution")
-    return Field1D(grid, psi), Field1D(grid, chi)
 
 
 # ----------------------------------------------------------------------

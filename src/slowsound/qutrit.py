@@ -25,7 +25,8 @@ Two wavefunction families are exposed:
   quadrature value is authoritative, the closed value is retained for
   cross-check reporting;
 * the exact eigenfunctions of the Poschl-Teller well itself
-  (poschl_teller_state), used by the field-simulation oracle.
+  (poschl_teller_state), the closed-form shapes the frozen-well
+  eigensolve is compared against.
 
 The ansatz phi_2 is not analytically orthogonal to phi_0 (the overlap is
 O(0.1) for window exponents); when the measured overlap exceeds 1e-3 the
@@ -52,7 +53,6 @@ __all__ = [
     "NotAQutrit",
     "spectrum",
     "ImpurityStates",
-    "wavefunctions",
     "poschl_teller_state",
 ]
 
@@ -68,7 +68,7 @@ def bound_state_count(nu):
     frozen well -nu(nu+1)/(2 r_m) sech^2 that gpe solves, which binds only
     the states n < nu: one for nu <= 1 and two above, never three on the
     window.  PAPER.md holds only the abstract and does not settle which
-    count is the paper's; the field simulation follows the well.
+    count is the paper's; well_eigenstates follows the well.
 
     The floor argument is exactly integral at the rational window edges
     (3 at nu = 4/5, 4 at nu = 9/7), so a 1e-12 epsilon guards against the
@@ -190,41 +190,25 @@ def _closed_norm_constants(alpha):
 class ImpurityStates:
     """Normalized impurity wavefunctions phi_0, phi_1, phi_2 over x (in xi).
 
-    Parameters
-    ----------
-    params : Params
-    exponent_convention : "sech-alpha" uses alpha = sqrt(2 r_g r_m) (the
-        ansatz family the coupling closed forms descend from); "well-exact"
-        uses the well parameter nu instead, for direct comparison with the
-        Poschl-Teller eigenbasis.
-    quad_tol : absolute tolerance of the normalization quadratures.
-
-    The instances are callable containers: states[l] evaluates phi_l on
-    scalar or array x.  Quadrature normalization is authoritative;
+    The exponent is alpha = sqrt(2 r_g r_m), the ansatz family the
+    coupling closed forms descend from.  The instances are callable
+    containers: states[l] evaluates phi_l on scalar or array x.
+    Quadrature normalization (absolute tolerance 1e-12) is authoritative;
     closed-form constants are retained in `closed_constants` with relative
     deviations in normalization_report().  phi_2 is Gram-Schmidt
     orthogonalized against phi_0 when their raw overlap exceeds 1e-3 (it
     always does for window exponents) and `orthogonalized` records it.
     """
 
-    def __init__(self, params: Params, exponent_convention="sech-alpha", quad_tol=1e-12):
-        if exponent_convention == "sech-alpha":
-            alpha = math.sqrt(2.0 * params.coupling_ratio * params.mass_ratio)
-        elif exponent_convention == "well-exact":
-            alpha = params.nu
-        else:
-            raise ValueError(
-                f"exponent_convention must be 'sech-alpha' or 'well-exact', "
-                f"got {exponent_convention!r}"
-            )
+    def __init__(self, params: Params):
+        alpha = math.sqrt(2.0 * params.coupling_ratio * params.mass_ratio)
         self.exponent = alpha
-        self.exponent_convention = exponent_convention
 
         # Moments of sech powers: In = integral of sech^(2 alpha) tanh^(2m).
         def sech_moment(m):
             return integrate_line(
                 lambda x: math.cosh(x) ** (-2.0 * alpha) * math.tanh(x) ** (2 * m),
-                tol=quad_tol,
+                tol=1e-12,
             )
 
         i0 = sech_moment(0)
@@ -300,16 +284,10 @@ class ImpurityStates:
             )
         return {
             "exponent": self.exponent,
-            "exponent_convention": self.exponent_convention,
             "constants": rows,
             "overlap_raw_02": self.overlap_raw_02,
             "orthogonalized": self.orthogonalized,
         }
-
-
-def wavefunctions(params: Params, exponent_convention="sech-alpha"):
-    """ImpurityStates for the given parameters (quadrature-normalized)."""
-    return ImpurityStates(params, exponent_convention=exponent_convention)
 
 
 def _sech_moment(a):

@@ -40,6 +40,13 @@ def _fmt(v):
     return f"{v:.4g}"
 
 
+def _span(values):
+    """(min, max) of the values, widened to unit width when they coincide;
+    (0, 1) when there are none."""
+    lo, hi = (float(np.min(values)), float(np.max(values))) if len(values) else (0.0, 1.0)
+    return lo, (lo + 1.0 if hi == lo else hi)
+
+
 def _polyline_chunks(xs, ys, finite):
     """Split "x,y" pixel pairs into runs of consecutive finite samples."""
     points = ["%.2f,%.2f" % p for p in zip(xs[finite], ys[finite])]
@@ -59,14 +66,10 @@ def line_plot(path, x, series, title="", xlabel="", ylabel=""):
     x = np.asarray(x, dtype=float)
     ys = [(label, np.asarray(y, dtype=float)) for label, y in series]
     finite = np.concatenate([np.empty(0)] + [y[np.isfinite(y)] for _, y in ys])
-    ylo, yhi = (float(np.min(finite)), float(np.max(finite))) if len(finite) else (0.0, 1.0)
-    if yhi == ylo:
-        yhi = ylo + 1.0
+    ylo, yhi = _span(finite)
     pad = 0.05 * (yhi - ylo)
     ylo, yhi = ylo - pad, yhi + pad
-    xlo, xhi = float(np.min(x)), float(np.max(x))
-    if xhi == xlo:
-        xhi = xlo + 1.0
+    xlo, xhi = _span(x)
 
     def px(v):
         return _ML + (v - xlo) / (xhi - xlo) * (_W - _ML - _MR)

@@ -24,9 +24,9 @@ from slowsound.coupling import (
 )
 from slowsound.numerics import NumericsError, integrate_line
 from slowsound.params import REFERENCE
-from slowsound.qutrit import wavefunctions
+from slowsound.qutrit import ImpurityStates
 
-STATES = wavefunctions(REFERENCE)
+STATES = ImpurityStates(REFERENCE)
 
 
 def trapezoid_element(l, lp, k, n=400001, span=60.0):

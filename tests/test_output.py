@@ -188,6 +188,11 @@ def test_all_non_finite_series_draw_nothing(tmp_path):
     assert ">0.2</text>" in text and ">1</text>" in text
     line_plot(path, np.arange(3.0), [])
     assert drawn_marks(path) == []
+    # an empty x takes the same (0, 1) fallback
+    line_plot(path, [], [])
+    assert drawn_marks(path) == []
+    line_plot(path, [], [("a", [])])
+    assert drawn_marks(path) == []
 
 
 # -- whole scenarios -----------------------------------------------------------

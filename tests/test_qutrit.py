@@ -15,6 +15,7 @@ from slowsound.params import REFERENCE, coupling_ratio_for_nu
 from slowsound.qutrit import (
     QUTRIT_NU_MAX,
     QUTRIT_NU_MIN,
+    ImpurityStates,
     NotAQutrit,
     QutritSpectrum,
     bound_state_count,
@@ -22,7 +23,6 @@ from slowsound.qutrit import (
     poschl_teller_state,
     qutrit_window_in_coupling_ratio,
     spectrum,
-    wavefunctions,
 )
 
 X = np.linspace(-60.0, 60.0, 240001)
@@ -146,13 +146,13 @@ def test_poschl_teller_solves_schroedinger():
 # -- assembled state family ------------------------------------------------
 
 def test_wavefunctions_orthonormal():
-    states = wavefunctions(REFERENCE)
+    states = ImpurityStates(REFERENCE)
     gram = np.array([[overlap(states[i], states[j]) for j in range(3)] for i in range(3)])
     assert np.allclose(gram, np.eye(3), atol=1e-7)
 
 
 def test_wavefunctions_parity():
-    states = wavefunctions(REFERENCE)
+    states = ImpurityStates(REFERENCE)
     assert np.allclose(states[0](X), states[0](-X), atol=1e-10)
     assert np.allclose(states[1](X), -states[1](-X), atol=1e-10)
     assert np.allclose(states[2](X), states[2](-X), atol=1e-10)
@@ -161,7 +161,7 @@ def test_wavefunctions_parity():
 def test_normalization_report_structure():
     """The even ground state's closed-form constant is trusted; the others
     are recorded with their quadrature replacements."""
-    report = wavefunctions(REFERENCE).normalization_report()
+    report = ImpurityStates(REFERENCE).normalization_report()
     consts = {row["state"]: row for row in report["constants"]}
     assert consts[0]["relative_deviation"] < 1e-8
     # states 1 and 2 carry known closed-form/quadrature disagreements;
@@ -173,7 +173,7 @@ def test_normalization_report_structure():
 
 
 def test_wavefunctions_localized():
-    states = wavefunctions(REFERENCE)
+    states = ImpurityStates(REFERENCE)
     for n in range(3):
         tail = abs(states[n](25.0))
         core = abs(states[n](0.0)) + abs(states[n](0.7))
