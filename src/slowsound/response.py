@@ -21,6 +21,13 @@ advection at u.
 Routes: "analytic" uses the weak-probe closed form, "lindblad" divides
 the full 9x9 steady-state coherence by the probe Rabi frequency — an
 independent check that also captures saturation at finite probe power.
+On the analytic route d chi / d Delta_p is closed form too, exact on any
+grid; the lindblad route takes central differences on a uniform grid.
+
+The default sweep spans +-max(20 gamma_0, 3 Omega_c) on a grid sized by
+the poles and zero of chi: dense across the transparency window and the
+dressed lines near +-Omega_c/2, graded geometrically between and beyond
+them (379 points at REFERENCE, at most 4 001 for any drive).
 """
 
 import math
@@ -96,11 +103,69 @@ class SusceptibilityCurve:
         return np.sqrt(1.0 + self.chi)
 
 
+# Default-grid step as a fraction of the distance to the nearest pole or
+# zero of chi: about 20 points per half width at each feature.
+_GRID_RESOLUTION = 1.0 / 20.0
+
+
+def _features(rates: DecayRates, drive: DriveConfig):
+    """Complex detunings of the poles and zero of chi, the sweep's features.
+
+    chi is proportional to 1/D.  Tracking the control (dlt = Delta), D = 0
+    is a quadratic whose roots are the dressed lines: a pair near
+    +-Omega_c/2, half width (gamma_0 + gamma_1)/4, once the control
+    exceeds |gamma_0 - gamma_1|/2, and two lines at zero below that.  The
+    pole of D at -i gamma_1/2 is the zero of chi at the centre of the
+    transparency window.  With the two-photon detuning pinned, D is linear
+    and chi one power-broadened line.  The bare probe line, half width
+    gamma_0/2, is added in both cases, so that a weaker control's chi on
+    the same grid is resolved too.
+    """
+    g0, g1, oc = rates.gamma_0, rates.gamma_1, drive.control_rabi
+    bare = -0.5j * g0
+    if drive.delta_mode == "fixed":
+        return [-0.5j * (g0 + oc**2 / g1), bare]
+    split = np.sqrt(complex(0.25 * (g0 - g1) ** 2 - oc**2))
+    return [
+        0.5j * (split - 0.5 * (g0 + g1)),
+        -0.5j * (split + 0.5 * (g0 + g1)),
+        -0.5j * g1,
+        bare,
+    ]
+
+
 def _default_detunings(rates: DecayRates, drive: DriveConfig):
+    """Symmetric detuning grid over +-max(20 gamma_0, 3 Omega_c), sized by chi.
+
+    The step at Delta is _GRID_RESOLUTION times the distance from Delta to
+    the nearest feature of chi in the complex plane (_features): uniform
+    across each line and across the transparency window, and growing
+    geometrically away from them, like the core and tails of
+    decay.emission_grid.  Delta = 0 and both ends are grid points.
+
+    The floor on the step bounds the grid whatever the line widths: each
+    of at most four features adds no more than
+    (1 + r)(2/r)(1 + ln(r span/floor)) < 500 steps to a side (r the
+    resolution), so the grid never exceeds 4 001 points.  The floor binds
+    only where a feature is narrower than 2e-5 span: at REFERENCE, above a
+    control of about 2 500 gamma_0.
+    """
     span = max(20.0 * rates.gamma_0, 3.0 * drive.control_rabi)
-    step = rates.gamma_0 / 50.0
-    n = min(int(math.ceil(span / step)), 12000)
-    return span / n * np.arange(-n, n + 1)
+    features = [(f.real, f.imag**2) for f in _features(rates, drive)]
+    floor = 1e-6 * span
+    side = []
+    x = 0.0
+    while True:
+        nearest = math.sqrt(min([(x - re) ** 2 + im2 for re, im2 in features]))
+        step = max(floor, _GRID_RESOLUTION * nearest)
+        # the last step may stretch to 1.5 steps rather than leave a sliver
+        if x + 1.5 * step >= span:
+            break
+        x += step
+        side.append(x)
+    side.append(span)
+    side = np.asarray(side)
+    return np.concatenate([-side[::-1], [0.0], side])
 
 
 def susceptibility_curve(
@@ -234,6 +299,24 @@ class GroupVelocityCurve:
         return float(self.vg_over_cs[ic])
 
 
+def _chi_slope(curve: SusceptibilityCurve):
+    """d chi / d Delta of an analytic-route sweep, in closed form.
+
+    chi is proportional to 1/D with D = (gamma_0 - 2i Delta) +
+    Omega_c^2/(gamma_1 - 2i dlt) (bloch.weak_probe_coherences), so
+    chi' = -chi D'/D with D' = -2i + 2i Omega_c^2 (d dlt/d Delta) /
+    (gamma_1 - 2i dlt)^2, where d dlt/d Delta is 1 tracking the control
+    and 0 with the two-photon detuning pinned.
+    """
+    rates, drive, dp = curve.rates, curve.drive, curve.detunings
+    dlt_slope = 1.0 if drive.delta_mode == "track" else 0.0
+    inner = rates.gamma_1 - 2j * dlt_slope * dp
+    dressing = drive.control_rabi**2 / inner
+    denom = (rates.gamma_0 - 2j * dp) + dressing
+    d_denom = -2j + 2j * dlt_slope * dressing / inner
+    return -curve.chi * d_denom / denom
+
+
 def group_velocity_curve(
     params: Params,
     detunings=None,
@@ -242,10 +325,13 @@ def group_velocity_curve(
     route="analytic",
     states=None,
 ):
-    """Group velocity over the sweep, by central differences on Re chi.
+    """Group velocity over the sweep, from the slope of Re chi.
 
-    The detuning grid must be uniform with spacing <= gamma_0/50 so the
-    finite difference resolves the transparency feature.
+    On the analytic route the slope is exact at every detuning of any
+    grid (_chi_slope).  The lindblad route has no closed form: it takes
+    central differences, which need a uniform grid with spacing <=
+    gamma_0/50 to resolve the transparency feature, and drops the two end
+    points.
     """
     if rates is None:
         rates = decay_rates(params)
@@ -253,24 +339,27 @@ def group_velocity_curve(
         params, detunings=detunings, drive=drive, rates=rates, route=route, states=states
     )
     d = curve.detunings
-    steps = np.diff(d)
-    if np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
-        raise ValueError("group velocity sweep needs a uniform detuning grid")
-    if steps[0] > rates.gamma_0 / 50.0 * (1.0 + 1e-9):
-        raise ValueError(
-            f"detuning spacing {steps[0]:.3e} too coarse; need <= gamma_0/50 = "
-            f"{rates.gamma_0 / 50.0:.3e}"
-        )
     chi_r = curve.refraction
-    slope = (chi_r[2:] - chi_r[:-2]) / (d[2:] - d[:-2])
-    omega_p = rates.omega_0 + d[1:-1]
-    denom = 1.0 + 0.5 * chi_r[1:-1] + 0.5 * omega_p * slope
+    if route == "analytic":
+        slope = np.real(_chi_slope(curve))
+    else:
+        steps = np.diff(d)
+        if np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
+            raise ValueError("group velocity sweep needs a uniform detuning grid")
+        if steps[0] > rates.gamma_0 / 50.0 * (1.0 + 1e-9):
+            raise ValueError(
+                f"detuning spacing {steps[0]:.3e} too coarse; need <= gamma_0/50 = "
+                f"{rates.gamma_0 / 50.0:.3e}"
+            )
+        slope = (chi_r[2:] - chi_r[:-2]) / (d[2:] - d[:-2])
+        d, chi_r = d[1:-1], chi_r[1:-1]
+    omega_p = rates.omega_0 + d
+    denom = 1.0 + 0.5 * chi_r + 0.5 * omega_p * slope
     vg = np.full_like(denom, np.nan)
     ok = denom > 1e-12
     vg[ok] = (curve.carrier_velocity / SOUND_SPEED) / denom[ok]
-    inner = curve.detunings[1:-1]
     return GroupVelocityCurve(
-        detunings=inner,
+        detunings=d,
         vg_over_cs=vg,
         refraction_slope=slope,
         curve=curve,
@@ -375,7 +464,9 @@ def propagate_envelope(
         raise ValueError("bandwidth must be positive")
     warn = bandwidth > window.width / 3.0
 
-    vg_center = group_velocity_curve(params, drive=drive, rates=rates, states=states).at_center
+    vg_center = group_velocity_curve(
+        params, detunings=np.array([0.0]), drive=drive, rates=rates, states=states
+    ).at_center
     u = base.carrier_velocity
     free_transit = distance / u
     predicted = distance / (vg_center * SOUND_SPEED) - free_transit

@@ -528,7 +528,9 @@ def scenario_dispersion(params: Params, sink, formats):
     lo = max(ic - 2, 0)
     hi = min(ic + 2, len(curve.q) - 1)
     slope = (curve.omega_p[hi] - curve.omega_p[lo]) / (curve.q[hi] - curve.q[lo])
-    vg_center = group_velocity_curve(params).at_center * SOUND_SPEED
+    vg_center = group_velocity_curve(
+        params, detunings=np.array([0.0]), rates=curve.curve.rates, drive=curve.curve.drive
+    ).at_center * SOUND_SPEED
     summary = {
         "edge_relative_deviation": edge,
         "merges_with_bare_branch": edge < 0.01,

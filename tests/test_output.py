@@ -200,9 +200,9 @@ def test_all_non_finite_series_draw_nothing(tmp_path):
 SWEEPS = ("susceptibility", "dispersion", "groupvel", "pulse")
 
 
-# REFERENCE, then stronger controls whose detuning grids run to 6 001 and
-# 24 001 points
-@pytest.mark.parametrize("control", [None, "20", "80"])
+# REFERENCE, then stronger controls; the default detuning grids run from
+# 379 points at REFERENCE to 735 at control 100, each past one 128-row block
+@pytest.mark.parametrize("control", [None, "20", "80", "100"])
 @pytest.mark.parametrize("scenario", SWEEPS)
 def test_scenario_tables_match_oracle(tmp_path, monkeypatch, scenario, control):
     tables = []

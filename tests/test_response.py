@@ -149,11 +149,84 @@ def test_group_velocity_matches_refraction_slope():
 
 def test_flagged_counts_the_nan_points():
     # vg is nan where anomalous dispersion makes it meaningless; the
-    # flagged field is the tally of those points
-    gv = group_velocity_curve(REFERENCE, rates=RATES, drive=DRIVE)
+    # flagged field is the tally of those points.  A share of points means
+    # a share of the sweep only on a uniform grid: this one has step
+    # gamma_0/50 over +-20 gamma_0.
+    uniform = RATES.gamma_0 / 50.0 * np.arange(-1000, 1001)
+    gv = group_velocity_curve(REFERENCE, detunings=uniform, rates=RATES, drive=DRIVE)
     n_nan = int(np.sum(~np.isfinite(gv.vg_over_cs)))
     assert gv.flagged == n_nan
     assert n_nan < 0.1 * len(gv.detunings)
+
+
+def test_flagged_share_of_the_default_sweep():
+    # the default grid crowds points onto the dressed lines, where the
+    # flagged band lies, so the share is weighted by detuning span
+    gv = group_velocity_curve(REFERENCE, rates=RATES, drive=DRIVE)
+    d = gv.detunings
+    weights = np.zeros_like(d)
+    weights[1:] += 0.5 * np.diff(d)
+    weights[:-1] += 0.5 * np.diff(d)
+    flagged = ~np.isfinite(gv.vg_over_cs)
+    assert gv.flagged == int(np.sum(flagged)) > 0
+    assert np.sum(weights[flagged]) < 0.1 * np.sum(weights)
+
+
+@pytest.mark.parametrize("mode", ["track", "fixed"])
+@pytest.mark.parametrize("control_over_gamma0", [0.5, REFERENCE.control_rabi_gamma0, 20.0, 100.0])
+def test_closed_slope_matches_central_differences(mode, control_over_gamma0):
+    """The closed-form d Re chi / d Delta against central differences of
+    chi on a uniform stencil of step 1e-5 gamma_0 about every default
+    sweep point; the stencil's truncation error is (h / line width)^2."""
+    control = control_over_gamma0 * RATES.gamma_0
+    drive = DriveConfig(probe_rabi=0.01 * control, control_rabi=control, delta_mode=mode)
+    gv = group_velocity_curve(REFERENCE, rates=RATES, drive=drive)
+    h = 1e-5 * RATES.gamma_0
+    stencil = np.concatenate([gv.detunings - h, gv.detunings + h])
+    re_chi = susceptibility_curve(
+        REFERENCE, detunings=stencil, rates=RATES, drive=drive
+    ).refraction.reshape(2, -1)
+    central = (re_chi[1] - re_chi[0]) / (2.0 * h)
+    scale = np.max(np.abs(central))
+    np.testing.assert_allclose(gv.refraction_slope, central, rtol=1e-8, atol=1e-8 * scale)
+
+
+def test_lindblad_group_velocity_takes_central_differences():
+    """The lindblad route keeps central differences on a uniform grid of
+    step <= gamma_0/50, and agrees with the closed slope at the centre."""
+    uniform = RATES.gamma_0 / 50.0 * np.arange(-20, 21)
+    lind = group_velocity_curve(
+        REFERENCE, detunings=uniform, rates=RATES, drive=DRIVE, route="lindblad"
+    )
+    closed = group_velocity_curve(
+        REFERENCE, detunings=np.array([0.0]), rates=RATES, drive=DRIVE
+    )
+    assert len(lind.detunings) == len(uniform) - 2
+    assert lind.at_center == pytest.approx(closed.at_center, rel=0.01)
+    with pytest.raises(ValueError, match="uniform"):
+        group_velocity_curve(REFERENCE, rates=RATES, drive=DRIVE, route="lindblad")
+    with pytest.raises(ValueError, match="too coarse"):
+        group_velocity_curve(
+            REFERENCE, detunings=2.0 * uniform, rates=RATES, drive=DRIVE, route="lindblad"
+        )
+
+
+@pytest.mark.parametrize("mode", ["track", "fixed"])
+def test_default_grid_shape(mode):
+    """Over controls 0.1-100 gamma_0: strictly increasing, symmetric, holds
+    zero, keeps the ends +-max(20 gamma_0, 3 control), at most 4 001 points.
+    A control of 1e9 gamma_0 makes the dressed lines narrow enough against
+    the span for the step floor to bind."""
+    for control_over_gamma0 in [*np.geomspace(0.1, 100.0, 13), 1e9]:
+        control = control_over_gamma0 * RATES.gamma_0
+        drive = DriveConfig(probe_rabi=0.01 * control, control_rabi=control, delta_mode=mode)
+        d = susceptibility_curve(REFERENCE, rates=RATES, drive=drive).detunings
+        span = max(20.0 * RATES.gamma_0, 3.0 * control)
+        assert np.all(np.diff(d) > 0)
+        assert np.array_equal(d, -d[::-1])
+        assert 0.0 in d
+        assert d[0] == -span and d[-1] == span
+        assert len(d) <= 4001
 
 
 def test_dispersion_branches_merge_at_edges():
