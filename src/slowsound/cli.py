@@ -123,8 +123,8 @@ def main(argv=None):
 
     outdir = args.out if args.out is not None else os.path.join("out", args.scenario)
     try:
-        with OutputSink(outdir) as sink:
-            summary = SCENARIOS[args.scenario](params, sink, formats)
+        with OutputSink(outdir, formats) as sink:
+            summary = SCENARIOS[args.scenario](params, sink)
             produced = list(sink.written)
             write_manifest(
                 sink.path("manifest.json"), params, args.scenario, produced,

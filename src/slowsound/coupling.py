@@ -106,15 +106,14 @@ def g1_closed(k, params: Params):
     return 1j * pref * bracket * csch(math.pi * k / 2.0)
 
 
-def g_quadrature(l, lp, k, params: Params, states: ImpurityStates = None):
+def g_quadrature(l, lp, k, params: Params):
     """Overlap-integral coupling between impurity states l and l' at wavevector k.
 
     Evaluates g12 * integral phi_l(x) phi_l'(x) psi_sol(x) [u_k(x)+v_k(x)] dx
     with psi_sol = sqrt(n0) tanh(x), for every k at once, as one trapezoid
     sum over a uniform grid on |x| <= 40.  The step is 0.05, or smaller
-    when the largest k needs it.  The impurity states default to the
-    params' ansatz family; pass a prepared ImpurityStates to amortize the
-    normalization quadratures over calls.
+    when the largest k needs it.  The impurity states are the params'
+    ansatz family, whose normalization is closed form.
 
     Raises NumericsError, naming the pair and k, when the sum at step h
     and the one over its even samples (step 2h) differ, or the integrand
@@ -124,8 +123,7 @@ def g_quadrature(l, lp, k, params: Params, states: ImpurityStates = None):
     if l not in (0, 1, 2) or lp not in (0, 1, 2):
         raise ValueError(f"state indices must be in {{0,1,2}}, got ({l!r}, {lp!r})")
     k = _wavevectors(k)
-    if states is None:
-        states = ImpurityStates(params)
+    states = ImpurityStates(params)
     h = min(_STEP, _MAX_KH / float(np.max(k)))
     n = 2 * math.ceil(_HALF_WIDTH / (2.0 * h))  # even, so the 2h grid keeps both ends
     x = h * np.arange(-n, n + 1)
@@ -157,7 +155,7 @@ def g_quadrature(l, lp, k, params: Params, states: ImpurityStates = None):
     return params.g12 * total
 
 
-def interband_coupling(which, k, params: Params, states: ImpurityStates = None):
+def interband_coupling(which, k, params: Params):
     """Transition coupling for the lower (which=0) or upper (which=1) line.
 
     Dispatches on params.coupling_mode: "closed" uses the printed closed
@@ -168,7 +166,7 @@ def interband_coupling(which, k, params: Params, states: ImpurityStates = None):
     if params.coupling_mode == "closed":
         return g0_closed(k, params) if which == 0 else g1_closed(k, params)
     pair = (0, 1) if which == 0 else (1, 2)
-    return g_quadrature(pair[0], pair[1], k, params, states=states)
+    return g_quadrature(pair[0], pair[1], k, params)
 
 
 @dataclass(frozen=True)
@@ -186,29 +184,19 @@ class CouplingSet:
     intraband_source: str  # always "quadrature"
 
 
-def coupling_set(k, params: Params, states: ImpurityStates = None):
+def coupling_set(k, params: Params):
     """Interband and intraband amplitudes at k (a float or an array).
 
     Interband follows params.coupling_mode; the intraband amplitudes have
     no closed forms and always come from quadrature.
     """
-    if states is None:
-        states = ImpurityStates(params)
-    if params.coupling_mode == "closed":
-        g0 = g0_closed(k, params)
-        g1 = g1_closed(k, params)
-        source = "closed-form"
-    else:
-        g0 = g_quadrature(0, 1, k, params, states=states)
-        g1 = g_quadrature(1, 2, k, params, states=states)
-        source = "quadrature"
     return CouplingSet(
         k=k,
-        g0=g0,
-        g1=g1,
-        g00=g_quadrature(0, 0, k, params, states=states),
-        g11=g_quadrature(1, 1, k, params, states=states),
-        g22=g_quadrature(2, 2, k, params, states=states),
-        interband_source=source,
+        g0=interband_coupling(0, k, params),
+        g1=interband_coupling(1, k, params),
+        g00=g_quadrature(0, 0, k, params),
+        g11=g_quadrature(1, 1, k, params),
+        g22=g_quadrature(2, 2, k, params),
+        interband_source="closed-form" if params.coupling_mode == "closed" else "quadrature",
         intraband_source="quadrature",
     )

@@ -45,7 +45,7 @@ from .bogoliubov import dispersion, dispersion_derivative, resonant_wavevector
 from .coupling import csch, interband_coupling
 from .numerics import NumericsError
 from .params import Params
-from .qutrit import ImpurityStates, NotAQutrit, spectrum
+from .qutrit import NotAQutrit, spectrum
 
 __all__ = [
     "GAMMA1_DENOMINATOR",
@@ -105,7 +105,7 @@ def gamma_closed(params: Params, omega, which):
     )
 
 
-def gamma_integral(params: Params, omega, which, states: ImpurityStates = None):
+def gamma_integral(params: Params, omega, which):
     """Golden-rule decay rate: resonant coupling over the dispersion slope.
 
     Uses the coupling mode configured in params ("closed" or "quadrature").
@@ -120,7 +120,7 @@ def gamma_integral(params: Params, omega, which, states: ImpurityStates = None):
     if omega == 0.0:
         return 0.0
     k_res = resonant_wavevector(omega)
-    g = interband_coupling(which, k_res, params, states=states)
+    g = interband_coupling(which, k_res, params)
     weight = params.impurity_norm / params.density_xi
     return weight * abs(g) ** 2 / float(dispersion_derivative(k_res))
 
@@ -140,7 +140,7 @@ class DecayRates:
     degenerate_1: bool = False
 
 
-def decay_rates(params: Params, route="closed", states: ImpurityStates = None):
+def decay_rates(params: Params, route="closed"):
     """Both transition rates for the given parameters.
 
     route="closed" transcribed rate expressions; route="integral" golden
@@ -155,8 +155,8 @@ def decay_rates(params: Params, route="closed", states: ImpurityStates = None):
         g0 = gamma_closed(params, spec.omega_0, 0)
         g1 = gamma_closed(params, spec.omega_1, 1)
     elif route == "integral":
-        g0 = gamma_integral(params, spec.omega_0, 0, states=states)
-        g1 = gamma_integral(params, spec.omega_1, 1, states=states)
+        g0 = gamma_integral(params, spec.omega_0, 0)
+        g1 = gamma_integral(params, spec.omega_1, 1)
     else:
         raise ValueError(f"route must be 'closed' or 'integral', got {route!r}")
     return DecayRates(
@@ -180,32 +180,24 @@ def _k_of_omega(omega):
     return np.sqrt(-1.0 + np.sqrt(1.0 + np.square(omega)))
 
 
-def emission_grid(
-    center_omega,
-    line_width,
-    narrow_width,
-    core_halfwidth=15.0,
-    span_factor=100.0,
-    points_per_width=6.0,
-    tail_ratio=1.15,
-):
+def emission_grid(center_omega, line_width, narrow_width):
     """Wavevector grid resolving a Lorentzian emission line.
 
-    Dense uniform core of spacing narrow_width/points_per_width covering
-    center +- core_halfwidth*line_width, with geometrically stretched
-    tails out to +- span_factor*line_width (capturing the ~1/(pi*span)
-    Lorentzian tail mass).  Built in frequency, mapped to k through the
-    dispersion inversion; clipped at omega > 0.
+    Dense uniform core of spacing narrow_width/6 covering center +-
+    15 line_width, with tails stretched geometrically (ratio 1.15) out to
+    +- 100 line_width (capturing the ~1/(100 pi) Lorentzian tail mass).
+    Built in frequency, mapped to k through the dispersion inversion;
+    clipped at omega > 0.
     """
     if not (line_width > 0 and narrow_width > 0):
         raise ValueError("linewidths must be positive")
-    step = narrow_width / points_per_width
-    core_hw = core_halfwidth * line_width
+    step = narrow_width / 6.0
+    core_hw = 15.0 * line_width
     n_core = int(math.ceil(core_hw / step))
     core = center_omega + step * np.arange(-n_core, n_core + 1)
     tail = [core_hw]
-    while tail[-1] < span_factor * line_width:
-        tail.append(tail[-1] * tail_ratio)
+    while tail[-1] < 100.0 * line_width:
+        tail.append(tail[-1] * 1.15)
     tail = np.asarray(tail[1:])
     omegas = np.concatenate([center_omega - tail[::-1], core, center_omega + tail])
     omegas = omegas[omegas > 1e-12]
@@ -307,7 +299,7 @@ class CascadeResult:
         return self.k_grid, self.measure * np.sum(np.abs(b_inf) ** 2 * w_p[None, :], axis=1)
 
 
-def cascade(params: Params, times, k_grid=None, p_grid=None, states: ImpurityStates = None):
+def cascade(params: Params, times, k_grid=None, p_grid=None):
     """Closed-form cascade amplitudes at the requested times.
 
     Rates are computed by the golden-rule route with the params' coupling
@@ -322,9 +314,7 @@ def cascade(params: Params, times, k_grid=None, p_grid=None, states: ImpuritySta
     spec = spectrum(params)
     if isinstance(spec, NotAQutrit):
         raise ValueError(spec.reason)
-    if states is None and params.coupling_mode == "quadrature":
-        states = ImpurityStates(params)
-    rates = decay_rates(params, route="integral", states=states)
+    rates = decay_rates(params, route="integral")
     g0_rate, g1_rate = rates.gamma_0, rates.gamma_1
     narrow = min(g0_rate, g1_rate, abs(g0_rate - g1_rate) or math.inf)
 
@@ -343,8 +333,8 @@ def cascade(params: Params, times, k_grid=None, p_grid=None, states: ImpuritySta
     if np.any(times < 0):
         raise ValueError("times must be >= 0")
 
-    g1_k = interband_coupling(1, k_grid, params, states=states)
-    g0_p = interband_coupling(0, p_grid, params, states=states)
+    g1_k = interband_coupling(1, k_grid, params)
+    g0_p = interband_coupling(0, p_grid, params)
 
     measure = params.impurity_norm / (2.0 * math.pi * params.density_xi)
     w_k = _trapezoid_weights(k_grid)

@@ -119,11 +119,9 @@ def integrate_line(f, a=-math.inf, b=math.inf, tol=1e-10, max_depth=52):
 
     Returns a float, or complex when f returns complex values.
 
-    Its callers are the few scalar integrals that run once per parameter
-    set: the sech-power moments that normalize qutrit.ImpurityStates and
-    validate's phi_0-phi_2 orthogonality row.  The coupling overlap
-    integrals over arrays of k use coupling.g_quadrature's trapezoid sum,
-    and the tests use this routine as its independent oracle.
+    No module of the package calls it: the package integrates by uniform
+    trapezoid sums (coupling.g_quadrature, qutrit.ImpurityStates.overlap),
+    and the tests keep this routine as their independent oracle.
 
     Raises
     ------

@@ -22,6 +22,8 @@ import os
 
 import numpy as np
 
+from .svg import line_plot
+
 __all__ = ["OutputSink", "format_number", "write_csv", "write_json", "write_manifest"]
 
 # Rows formatted per pass of write_csv.  Blocks of 32 to 1024 rows format
@@ -110,14 +112,17 @@ def write_manifest(path, params, scenario, outputs, extra=None):
 
 
 class OutputSink:
-    """Tracks files written during a scenario so failures leave no debris.
+    """Writes a scenario's files in the selected formats and tracks them.
 
-    Use as a context manager: files registered through path() are removed
-    if the block raises, and kept on success.
+    formats is a subset of ("csv", "json", "svg"); csv(), json() and
+    svg() write their file only when their format is selected.  Use as a
+    context manager: files registered through path() are removed if the
+    block raises, and kept on success.
     """
 
-    def __init__(self, outdir):
+    def __init__(self, outdir, formats):
         self.outdir = outdir
+        self.formats = tuple(formats)
         self.written = []
 
     def path(self, name):
@@ -125,6 +130,18 @@ class OutputSink:
         full = os.path.join(self.outdir, name)
         self.written.append(full)
         return full
+
+    def csv(self, name, columns, rows):
+        if "csv" in self.formats:
+            write_csv(self.path(name), columns, rows)
+
+    def json(self, name, payload):
+        if "json" in self.formats:
+            write_json(self.path(name), payload)
+
+    def svg(self, name, x, series, **labels):
+        if "svg" in self.formats:
+            line_plot(self.path(name), x, series, **labels)
 
     def __enter__(self):
         return self

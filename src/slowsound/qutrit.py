@@ -20,10 +20,9 @@ Two wavefunction families are exposed:
 
 * the closed-form ansatz family phi_0 = A0 sech^alpha, phi_1 = 2 A1 tanh
   phi_0, phi_2 = sqrt(2) A2 (1 - (1+3 alpha) tanh^2) phi_0 with exponent
-  alpha = sqrt(2 r_g r_m) and normalization constants given both by their
-  closed expressions (gamma / hypergeometric) and by quadrature — the
-  quadrature value is authoritative, the closed value is retained for
-  cross-check reporting;
+  alpha = sqrt(2 r_g r_m), normalized through the gamma-function moments
+  of sech powers; the printed closed constants (gamma / hypergeometric)
+  and a trapezoid sum are kept for cross-check reporting;
 * the exact eigenfunctions of the Poschl-Teller well itself
   (poschl_teller_state), the closed-form shapes the frozen-well
   eigensolve is compared against.
@@ -40,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NumericsError, gamma_fn, hyp2f1, integrate_line
+from .numerics import NumericsError, gamma_fn, hyp2f1
 from .params import Params, nu_from_ratios
 
 __all__ = [
@@ -150,9 +149,10 @@ def _closed_norm_constants(alpha):
     """Closed-form normalization constants A0, A1, A2 of the ansatz family.
 
     Transcribed as printed (gamma and 2F1 evaluated at argument -1).  A1's
-    closed expression is known to disagree with the actual unit-norm
-    constant (the quadrature route below is authoritative); it is computed
-    anyway so the validation output can quantify the discrepancy.
+    and A2's closed expressions are known to disagree with the actual
+    unit-norm constants (the moments in ImpurityStates are authoritative);
+    they are computed anyway so the validation output can quantify the
+    discrepancy.
     """
     a0 = (math.sqrt(math.pi) * gamma_fn(alpha) / gamma_fn((1.0 + 2.0 * alpha) / 2.0)) ** -0.5
 
@@ -192,51 +192,37 @@ class ImpurityStates:
 
     The exponent is alpha = sqrt(2 r_g r_m), the ansatz family the
     coupling closed forms descend from.  The instances are callable
-    containers: states[l] evaluates phi_l on scalar or array x.
-    Quadrature normalization (absolute tolerance 1e-12) is authoritative;
-    closed-form constants are retained in `closed_constants` with relative
-    deviations in normalization_report().  phi_2 is Gram-Schmidt
-    orthogonalized against phi_0 when their raw overlap exceeds 1e-3 (it
-    always does for window exponents) and `orthogonalized` records it.
+    containers: states[l] evaluates phi_l on scalar or array x.  The
+    normalization constants come from the closed-form moments of sech
+    powers (_sech_moment, with tanh^2 = 1 - sech^2);
+    normalization_report() sets them against the printed closed-form
+    constants and a trapezoid sum.  phi_2 is Gram-Schmidt orthogonalized
+    against phi_0 when their raw overlap exceeds 1e-3 (it always does for
+    window exponents) and `orthogonalized` records it.
     """
 
     def __init__(self, params: Params):
         alpha = math.sqrt(2.0 * params.coupling_ratio * params.mass_ratio)
         self.exponent = alpha
 
-        # Moments of sech powers: In = integral of sech^(2 alpha) tanh^(2m).
-        def sech_moment(m):
-            return integrate_line(
-                lambda x: math.cosh(x) ** (-2.0 * alpha) * math.tanh(x) ** (2 * m),
-                tol=1e-12,
-            )
+        # Moments Im = integral of sech^(2 alpha) tanh^(2m), m = 0, 1, 2.
+        s0, s1, s2 = (_sech_moment(alpha + j) for j in range(3))
+        i0 = s0
+        i1 = s0 - s1
+        i2 = s0 - 2.0 * s1 + s2
 
-        i0 = sech_moment(0)
-        i1 = sech_moment(1)
-        i2 = sech_moment(2)
-
-        a0q = i0 ** -0.5
-        a1q = (4.0 * a0q ** 2 * i1) ** -0.5
+        a0 = i0 ** -0.5
+        a1 = (4.0 * a0 ** 2 * i1) ** -0.5
         c2 = 1.0 + 3.0 * alpha
         # |phi2_raw|^2 = 2 A2^2 A0^2 * integral (1 - c2 tanh^2)^2 sech^(2 alpha)
         w2 = i0 - 2.0 * c2 * i1 + c2 ** 2 * i2
-        a2q = (2.0 * a0q ** 2 * w2) ** -0.5
-
-        self.constants = (a0q, a1q, a2q)
-        try:
-            self.closed_constants = _closed_norm_constants(alpha)
-        except NumericsError:
-            self.closed_constants = (math.nan, math.nan, math.nan)
+        a2 = (2.0 * a0 ** 2 * w2) ** -0.5
 
         # Raw overlap <phi0|phi2> before orthogonalization (phi1 is odd, so
         # the other pairs vanish by parity).
-        overlap_raw = (
-            math.sqrt(2.0) * a2q * a0q ** 2 * (i0 - c2 * i1)
-        )
+        overlap_raw = math.sqrt(2.0) * a2 * a0 ** 2 * (i0 - c2 * i1)
         self.overlap_raw_02 = overlap_raw
         self.orthogonalized = abs(overlap_raw) > 1e-3
-
-        a0, a1, a2 = a0q, a1q, a2q
 
         def phi0(x):
             x = np.asarray(x, dtype=float)
@@ -252,7 +238,7 @@ class ImpurityStates:
 
         if self.orthogonalized:
             # phi2 <- (phi2 - phi0 <phi0|phi2>) / norm; the residual norm
-            # follows from the quadrature moments already in hand.
+            # follows from the moments already in hand.
             residual = math.sqrt(max(1.0 - overlap_raw ** 2, 1e-300))
 
             def phi2(x):
@@ -269,25 +255,56 @@ class ImpurityStates:
     def __iter__(self):
         return iter(self._profiles)
 
+    def overlap(self, l, lp):
+        """Trapezoid sum of phi_l phi_l' over |x| <= 40 at step 0.05."""
+        return _line_trapezoid(self[l](_LINE) * self[lp](_LINE))
+
     def normalization_report(self):
-        """Closed-form vs quadrature constants and the raw phi0-phi2 overlap."""
-        rows = []
-        for j, (quad, closed) in enumerate(zip(self.constants, self.closed_constants)):
-            rel = abs(closed - quad) / quad if math.isfinite(closed) else math.nan
-            rows.append(
-                {
-                    "state": j,
-                    "constant_quadrature": quad,
-                    "constant_closed_form": closed,
-                    "relative_deviation": rel,
-                }
-            )
+        """Closed-form vs trapezoid constants and the raw phi0-phi2 overlap.
+
+        constant_quadrature normalizes each raw profile (sech^alpha, then
+        phi_1 and phi_2 before their own constants, built on that A0) by a
+        trapezoid sum over |x| <= 40 at step 0.05: a route independent of
+        the gamma-function moments, which give the same A0 as the printed
+        closed form.  The sech-type profiles are analytic in a strip about
+        the real axis, so the sum converges geometrically in 1/step.
+        """
+        alpha = self.exponent
+        sech = np.cosh(_LINE) ** -alpha
+        tanh2 = np.tanh(_LINE) ** 2
+        a0 = _line_trapezoid(sech ** 2) ** -0.5
+        a1 = _line_trapezoid(4.0 * a0 ** 2 * tanh2 * sech ** 2) ** -0.5
+        raw2 = 2.0 * a0 ** 2 * (1.0 - (1.0 + 3.0 * alpha) * tanh2) ** 2 * sech ** 2
+        quadrature = (a0, a1, _line_trapezoid(raw2) ** -0.5)
+        try:
+            closed_constants = _closed_norm_constants(alpha)
+        except NumericsError:
+            closed_constants = (math.nan, math.nan, math.nan)
+        # a nan closed constant gives a nan deviation
+        rows = [
+            {
+                "state": j,
+                "constant_quadrature": quad,
+                "constant_closed_form": closed,
+                "relative_deviation": abs(closed - quad) / quad,
+            }
+            for j, (quad, closed) in enumerate(zip(quadrature, closed_constants))
+        ]
         return {
             "exponent": self.exponent,
             "constants": rows,
             "overlap_raw_02": self.overlap_raw_02,
             "orthogonalized": self.orthogonalized,
         }
+
+
+# Uniform grid of ImpurityStates.overlap and normalization_report: the
+# step and cut of coupling.g_quadrature's overlap integrals.
+_LINE = 0.05 * np.arange(-800, 801)
+
+
+def _line_trapezoid(y):
+    return float(0.05 * (np.sum(y) - 0.5 * (y[0] + y[-1])))
 
 
 def _sech_moment(a):

@@ -53,6 +53,7 @@ __all__ = [
     "susceptibility_curve",
     "TransparencyWindow",
     "NoTransparency",
+    "level_width",
     "transparency_width",
     "GroupVelocityCurve",
     "group_velocity_curve",
@@ -65,14 +66,14 @@ __all__ = [
 SOUND_SPEED = math.sqrt(2.0)  # reduced phonon slope
 
 
-def _carrier(params: Params, states=None):
+def _carrier(params: Params):
     """(k0, eps0, chi prefactor) for the probe carrier on the lower line."""
     spec = spectrum(params)
     if isinstance(spec, NotAQutrit):
         raise ValueError(spec.reason)
     k0 = resonant_wavevector(spec.omega_0)
     eps0 = float(dispersion(k0))
-    g0 = interband_coupling(0, k0, params, states=states)
+    g0 = interband_coupling(0, k0, params)
     prefactor = params.soliton_concentration * abs(g0) ** 2 / eps0
     return k0, eps0, prefactor
 
@@ -174,7 +175,6 @@ def susceptibility_curve(
     drive: DriveConfig = None,
     rates: DecayRates = None,
     route="analytic",
-    states=None,
 ):
     """Sweep chi over probe detunings by the requested route."""
     if rates is None:
@@ -184,7 +184,7 @@ def susceptibility_curve(
     if detunings is None:
         detunings = _default_detunings(rates, drive)
     detunings = np.asarray(detunings, dtype=float)
-    k0, eps0, prefactor = _carrier(params, states=states)
+    k0, eps0, prefactor = _carrier(params)
     if route == "analytic":
         rho_e1g, _ = weak_probe_coherences(rates, drive, detunings)
         coherence = rho_e1g
@@ -226,6 +226,28 @@ class NoTransparency:
     reason: str
 
 
+def level_width(x, y, i, level):
+    """Width between the first crossings of level on either side of sample i.
+
+    Walks outward from y[i] while y stays on its side of level and
+    interpolates linearly across the interval where it crosses: with
+    level = y[i]/2 at a peak this is the full width at half maximum, with
+    level halfway up from a dip the half-depth width.  A side that never
+    crosses ends on the grid's last interval.
+    """
+    side = 1.0 if y[i] > level else -1.0
+
+    def crossing(step):
+        j = i
+        while 0 < j < len(y) - 1 and (y[j] - level) * side > 0:
+            j += step
+        lo, hi = sorted((j, j - step))
+        frac = (level - y[lo]) / (y[hi] - y[lo]) if y[hi] != y[lo] else 0.5
+        return x[lo] + frac * (x[hi] - x[lo])
+
+    return crossing(+1) - crossing(-1)
+
+
 def transparency_width(curve: SusceptibilityCurve):
     """Locate the central absorption dip and measure its half-depth width.
 
@@ -257,19 +279,8 @@ def transparency_width(curve: SusceptibilityCurve):
             "control below the transparency threshold"
         )
     level = 0.5 * (dip + min(left_peak, right_peak))
-
-    def crossing(step):
-        i = ic
-        while 0 < i < len(d) - 1 and a[i] < level:
-            i += step
-        lo, hi = sorted((i, i - step))
-        frac = (level - a[lo]) / (a[hi] - a[lo]) if a[hi] != a[lo] else 0.5
-        return d[lo] + frac * (d[hi] - d[lo])
-
-    left = crossing(-1)
-    right = crossing(+1)
     return TransparencyWindow(
-        width=float(right - left),
+        width=float(level_width(d, a, ic, level)),
         dip_detuning=float(d[ic]),
         dip_absorption=dip,
         peak_left=left_peak,
@@ -323,7 +334,6 @@ def group_velocity_curve(
     drive: DriveConfig = None,
     rates: DecayRates = None,
     route="analytic",
-    states=None,
 ):
     """Group velocity over the sweep, from the slope of Re chi.
 
@@ -333,11 +343,10 @@ def group_velocity_curve(
     gamma_0/50 to resolve the transparency feature, and drops the two end
     points.
     """
-    if rates is None:
-        rates = decay_rates(params)
     curve = susceptibility_curve(
-        params, detunings=detunings, drive=drive, rates=rates, route=route, states=states
+        params, detunings=detunings, drive=drive, rates=rates, route=route
     )
+    rates = curve.rates
     d = curve.detunings
     chi_r = curve.refraction
     if route == "analytic":
@@ -377,17 +386,9 @@ class DispersionCurve:
     curve: SusceptibilityCurve
 
 
-def dispersion_curve(
-    params: Params,
-    detunings=None,
-    drive: DriveConfig = None,
-    rates: DecayRates = None,
-    route="analytic",
-    states=None,
-):
-    curve = susceptibility_curve(
-        params, detunings=detunings, drive=drive, rates=rates, route=route, states=states
-    )
+def dispersion_curve(params: Params, drive: DriveConfig = None, rates: DecayRates = None):
+    """Dressed probe wavenumber over the default analytic sweep."""
+    curve = susceptibility_curve(params, drive=drive, rates=rates)
     omega_p = curve.rates.omega_0 + curve.detunings
     q_free = omega_p / curve.carrier_velocity
     q = q_free * np.real(curve.index)
@@ -422,15 +423,16 @@ class PulseReport:
         return abs(self.measured_delay - self.predicted_delay) / self.predicted_delay
 
 
+# Time samples of the pulse, a power of two for the FFT.
+_PULSE_SAMPLES = 4096
+
+
 def propagate_envelope(
     params: Params,
     distance,
     drive: DriveConfig = None,
     rates: DecayRates = None,
-    bandwidth=None,
     window_fraction=0.1,
-    nsamples=4096,
-    states=None,
 ):
     """Propagate a Gaussian probe pulse a given distance through the gas.
 
@@ -442,30 +444,26 @@ def propagate_envelope(
     numpy's inverse FFT of the time samples and the synthesis is the
     forward FFT, and Im chi > 0 attenuates — the passivity check.
 
-    bandwidth is the full width at half maximum of the spectral
-    intensity; it defaults to window_fraction of the transparency width.
-    Pulses wider than a third of the window are flagged (absorption at
-    the window edges visibly distorts the envelope).  The measured delay
+    The bandwidth, the full width at half maximum of the spectral
+    intensity, is window_fraction of the transparency width.  Pulses
+    wider than a third of the window are flagged (absorption at the
+    window edges visibly distorts the envelope).  The measured delay
     is the quadratically interpolated peak shift of |envelope|^2.
     """
     if distance <= 0:
         raise ValueError("distance must be positive")
-    if rates is None:
-        rates = decay_rates(params)
-    if drive is None:
-        drive = drive_from_params(params, rates)
-    base = susceptibility_curve(params, drive=drive, rates=rates, states=states)
+    if not window_fraction > 0:
+        raise ValueError("window_fraction must be positive")
+    base = susceptibility_curve(params, drive=drive, rates=rates)
+    rates, drive = base.rates, base.drive
     window = transparency_width(base)
     if isinstance(window, NoTransparency):
         raise ValueError(f"cannot propagate through opaque medium: {window.reason}")
-    if bandwidth is None:
-        bandwidth = window_fraction * window.width
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
+    bandwidth = window_fraction * window.width
     warn = bandwidth > window.width / 3.0
 
     vg_center = group_velocity_curve(
-        params, detunings=np.array([0.0]), drive=drive, rates=rates, states=states
+        params, detunings=np.array([0.0]), drive=drive, rates=rates
     ).at_center
     u = base.carrier_velocity
     free_transit = distance / u
@@ -473,17 +471,13 @@ def propagate_envelope(
 
     # Gaussian with spectral intensity FWHM = bandwidth.
     sigma_t = 2.0 * math.sqrt(math.log(2.0)) / bandwidth
-    if not (nsamples >= 16 and (nsamples & (nsamples - 1)) == 0):
-        raise ValueError("nsamples must be a power of two, at least 16")
     span = 2.0 * (abs(predicted) + 10.0 * sigma_t)
-    dt = span / nsamples
-    t = dt * (np.arange(nsamples) - nsamples // 4)  # input peak at t = 0
+    dt = span / _PULSE_SAMPLES
+    t = dt * (np.arange(_PULSE_SAMPLES) - _PULSE_SAMPLES // 4)  # input peak at t = 0
     envelope_in = np.exp(-0.5 * (t / sigma_t) ** 2)
 
-    freqs = 2.0 * math.pi * np.fft.fftfreq(nsamples, d=dt)
-    chi_f = susceptibility_curve(
-        params, detunings=freqs, drive=drive, rates=rates, states=states
-    ).chi
+    freqs = 2.0 * math.pi * np.fft.fftfreq(_PULSE_SAMPLES, d=dt)
+    chi_f = susceptibility_curve(params, detunings=freqs, drive=drive, rates=rates).chi
     transfer = np.exp(0.5j * base.carrier_k * chi_f * distance)
     envelope_out = fft(ifft(envelope_in) * transfer)
 

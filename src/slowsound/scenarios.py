@@ -2,8 +2,9 @@
 
 Each scenario computes one physics deliverable, writes its tables and
 figures through an OutputSink, and returns a JSON-ready summary dict.
-The CLI owns argument parsing, format selection, exit codes, and the
-manifest; the functions here own the physics and the file contents.
+The CLI owns argument parsing, exit codes and the manifest, and hands
+each scenario a sink that writes only the selected formats; the
+functions here own the physics and the file contents.
 
 Every scenario is deterministic for a fixed parameter set: sweep grids
 are hard-coded or derived from the parameters, iteration orders are
@@ -30,8 +31,7 @@ from slowsound.bogoliubov import dispersion, resonant_wavevector
 from slowsound.coupling import coupling_set, g0_closed, g1_closed, g_quadrature
 from slowsound.decay import cascade, decay_rates
 from slowsound.gpe import frozen_well, well_eigenstates
-from slowsound.numerics import hilbert_transform, integrate_line
-from slowsound.output import write_csv, write_json
+from slowsound.numerics import hilbert_transform
 from slowsound.params import Params, coupling_ratio_for_nu
 from slowsound.qutrit import (
     QUTRIT_NU_MAX,
@@ -48,62 +48,35 @@ from slowsound.response import (
     NoTransparency,
     dispersion_curve,
     group_velocity_curve,
+    level_width,
     propagate_envelope,
     susceptibility_curve,
     transparency_width,
 )
-from slowsound.svg import line_plot
 
-__all__ = ["SCENARIOS", "run_scenario"]
+__all__ = ["SCENARIOS"]
 
 # External reference estimate for the slow-pulse regime (k ~ 1/d), kept
 # for side-by-side reporting with the computed narrowband group velocity.
 SLOW_PULSE_ESTIMATE_UM_PER_S = 5.0
 
 
-def _emit_csv(sink, formats, name, columns, rows):
-    if "csv" in formats:
-        write_csv(sink.path(name), columns, rows)
-
-
-def _emit_json(sink, formats, name, payload):
-    if "json" in formats:
-        write_json(sink.path(name), payload)
-
-
-def _emit_svg(sink, formats, name, x, series, **labels):
-    if "svg" in formats:
-        line_plot(sink.path(name), x, series, **labels)
-
-
-def _fwhm(x, y):
-    """Full width at half maximum by linear interpolation around the peak."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    i = int(np.argmax(y))
-    half = 0.5 * y[i]
-
-    def cross(step):
-        j = i
-        while 0 < j < len(y) - 1 and y[j] > half:
-            j += step
-        lo, hi = sorted((j, j - step))
-        if y[hi] == y[lo]:
-            return x[j]
-        frac = (half - y[lo]) / (y[hi] - y[lo])
-        return x[lo] + frac * (x[hi] - x[lo])
-
-    return cross(+1) - cross(-1)
-
-
-def _doublet_separation(curve):
-    """Detuning distance between the two absorption maxima."""
+def _autler_townes(params, rates):
+    """(control, doublet separation): the distance between the two
+    absorption maxima at a strong control of 10 gamma_1."""
+    control = 10.0 * rates.gamma_1
+    drive = DriveConfig(
+        probe_rabi=params.probe_fraction * control,
+        control_rabi=control,
+        delta_mode=params.delta_mode,
+    )
+    curve = susceptibility_curve(params, rates=rates, drive=drive)
     a = curve.absorption
     d = curve.detunings
     ic = int(np.argmin(np.abs(d)))
     left = int(np.argmax(a[:ic]))
     right = ic + 1 + int(np.argmax(a[ic + 1 :]))
-    return float(d[right] - d[left])
+    return control, float(d[right] - d[left])
 
 
 def _golden_max(f, lo, hi, tol):
@@ -138,7 +111,7 @@ def _peak_location(f, ks, tol=0.005):
 # spectrum
 # ----------------------------------------------------------------------
 
-def scenario_spectrum(params: Params, sink, formats):
+def scenario_spectrum(params: Params, sink):
     """Level structure across the coupling-ratio sweep, window marked."""
     lo_rg, hi_rg = qutrit_window_in_coupling_ratio(params.mass_ratio)
     ratios = np.linspace(0.9, 1.9, 201)
@@ -169,7 +142,7 @@ def scenario_spectrum(params: Params, sink, formats):
         "window_lower_coupling_ratio",
         "window_upper_coupling_ratio",
     ]
-    _emit_csv(sink, formats, "spectrum.csv", columns, rows)
+    sink.csv("spectrum.csv", columns, rows)
 
     configured = spectrum(params)
     if isinstance(configured, QutritSpectrum):
@@ -190,9 +163,9 @@ def scenario_spectrum(params: Params, sink, formats):
         "window_coupling_ratio": [lo_rg, hi_rg],
         "sweep": {"coupling_ratio_min": 0.9, "coupling_ratio_max": 1.9, "points": len(ratios)},
     }
-    _emit_json(sink, formats, "spectrum.json", summary)
-    _emit_svg(
-        sink, formats, "spectrum.svg",
+    sink.json("spectrum.json", summary)
+    sink.svg(
+        "spectrum.svg",
         ratios,
         [("omega_0", np.array([r[4] for r in rows])),
          ("omega_1", np.array([r[5] for r in rows]))],
@@ -207,7 +180,7 @@ def scenario_spectrum(params: Params, sink, formats):
 # decay
 # ----------------------------------------------------------------------
 
-def scenario_decay(params: Params, sink, formats):
+def scenario_decay(params: Params, sink):
     """Phonon decay rates over the window plus the emission cascade."""
     lo_rg, hi_rg = qutrit_window_in_coupling_ratio(params.mass_ratio)
     ratios = np.linspace(lo_rg, hi_rg, 122)[1:-1]
@@ -228,32 +201,29 @@ def scenario_decay(params: Params, sink, formats):
         "gamma_0_over_omega_0",
         "gamma_1_over_omega_1",
     ]
-    _emit_csv(sink, formats, "decay.csv", columns, rows)
+    sink.csv("decay.csv", columns, rows)
     worst_rwa = max(max(r[6], r[7]) for r in rows if math.isfinite(r[6]) and math.isfinite(r[7]))
 
     closed = decay_rates(params, route="closed")
     integral = decay_rates(params, route="integral")
     times = np.linspace(0.0, 5.0 / integral.gamma_1, 26)
     casc = cascade(params, times)
-    cascade_rows = [
-        [t, abs(casc.a[i]) ** 2, casc.norm_one_phonon[i], casc.norm_two_phonon[i],
-         casc.norm_total[i]]
-        for i, t in enumerate(times)
-    ]
-    _emit_csv(
-        sink, formats, "cascade.csv",
+    sectors = [np.abs(casc.a) ** 2, casc.norm_one_phonon, casc.norm_two_phonon, casc.norm_total]
+    sink.csv(
+        "cascade.csv",
         ["time", "survival", "one_phonon", "two_phonon", "total_norm"],
-        cascade_rows,
+        list(zip(times, *sectors)),
     )
 
     k_line, density = casc.first_line_spectrum()
     omega_line = np.asarray(dispersion(k_line))
-    _emit_csv(
-        sink, formats, "first_line.csv",
+    sink.csv(
+        "first_line.csv",
         ["k", "omega", "spectral_density"],
         list(zip(k_line, omega_line, density)),
     )
-    fwhm = _fwhm(omega_line, density)
+    peak = int(np.argmax(density))
+    fwhm = level_width(omega_line, density, peak, 0.5 * density[peak])
     gamma_sum = integral.gamma_0 + integral.gamma_1
 
     summary = {
@@ -286,9 +256,9 @@ def scenario_decay(params: Params, sink, formats):
             "lower": params.time_ms(1.0 / closed.gamma_0),
         },
     }
-    _emit_json(sink, formats, "decay.json", summary)
-    _emit_svg(
-        sink, formats, "decay.svg",
+    sink.json("decay.json", summary)
+    sink.svg(
+        "decay.svg",
         ratios,
         [("gamma_0/omega_0", np.array([r[6] for r in rows])),
          ("gamma_1/omega_1", np.array([r[7] for r in rows]))],
@@ -296,13 +266,10 @@ def scenario_decay(params: Params, sink, formats):
         xlabel="g12/g11",
         ylabel="gamma/omega",
     )
-    _emit_svg(
-        sink, formats, "cascade.svg",
+    sink.svg(
+        "cascade.svg",
         times,
-        [("survival", np.array([r[1] for r in cascade_rows])),
-         ("one-phonon", np.array([r[2] for r in cascade_rows])),
-         ("two-phonon", np.array([r[3] for r in cascade_rows])),
-         ("total", np.array([r[4] for r in cascade_rows]))],
+        list(zip(["survival", "one-phonon", "two-phonon", "total"], sectors)),
         title="Cascade sector populations",
         xlabel="time (reduced)",
         ylabel="population",
@@ -314,11 +281,10 @@ def scenario_decay(params: Params, sink, formats):
 # couplings
 # ----------------------------------------------------------------------
 
-def scenario_couplings(params: Params, sink, formats):
+def scenario_couplings(params: Params, sink):
     """Interband and intraband coupling amplitudes over a k sweep."""
-    states = ImpurityStates(params)
     ks = np.arange(0.05, 4.0 + 1e-9, 0.05)
-    cs = coupling_set(ks, params, states=states)
+    cs = coupling_set(ks, params)
     curves = np.abs(
         [cs.g0, cs.g1, cs.g00, cs.g11, cs.g22, g0_closed(ks, params), g1_closed(ks, params)]
     )
@@ -334,7 +300,7 @@ def scenario_couplings(params: Params, sink, formats):
         "abs_g0_closed",
         "abs_g1_closed",
     ]
-    _emit_csv(sink, formats, "couplings.csv", columns, rows)
+    sink.csv("couplings.csv", columns, rows)
 
     spec = spectrum(params)
     if isinstance(spec, NotAQutrit):
@@ -343,8 +309,8 @@ def scenario_couplings(params: Params, sink, formats):
     k1 = resonant_wavevector(spec.omega_1)
     g0_c = abs(g0_closed(k0, params))
     g1_c = abs(g1_closed(k1, params))
-    g0_q = abs(g_quadrature(0, 1, k0, params, states=states))
-    g1_q = abs(g_quadrature(1, 2, k1, params, states=states))
+    g0_q = abs(g_quadrature(0, 1, k0, params))
+    g1_q = abs(g_quadrature(1, 2, k1, params))
 
     arr = curves[[0, 1, 5, 6]].T
     summary = {
@@ -360,9 +326,9 @@ def scenario_couplings(params: Params, sink, formats):
         },
         "interband_source": params.coupling_mode,
     }
-    _emit_json(sink, formats, "couplings.json", summary)
-    _emit_svg(
-        sink, formats, "couplings.svg",
+    sink.json("couplings.json", summary)
+    sink.svg(
+        "couplings.svg",
         ks,
         [("abs_g0", arr[:, 0]), ("abs_g1", arr[:, 1]),
          ("abs_g0_closed", arr[:, 2]), ("abs_g1_closed", arr[:, 3])],
@@ -377,20 +343,16 @@ def scenario_couplings(params: Params, sink, formats):
 # susceptibility
 # ----------------------------------------------------------------------
 
-def scenario_susceptibility(params: Params, sink, formats):
+def scenario_susceptibility(params: Params, sink):
     """Acoustic susceptibility of the probe transition with drive families."""
-    rates = decay_rates(params)
-    drive = drive_from_params(params, rates)
-    curve = susceptibility_curve(params, rates=rates, drive=drive)
-    d = curve.detunings
+    curve = susceptibility_curve(params)
+    rates, drive, d = curve.rates, curve.drive, curve.detunings
 
     family = {}
     for rg in (1.1, 1.85):
         for mult in (0.2, 2.0):
             p = replace(params, coupling_ratio=rg, control_rabi_gamma0=mult)
-            rt = decay_rates(p)
-            dv = drive_from_params(p, rt)
-            family[(rg, mult)] = susceptibility_curve(p, detunings=d, rates=rt, drive=dv).chi
+            family[(rg, mult)] = susceptibility_curve(p, detunings=d).chi
 
     columns = ["detuning", "detuning_over_gamma0", "re_chi", "im_chi"]
     cols_data = [d, d / rates.gamma_0, curve.refraction, curve.absorption]
@@ -398,7 +360,7 @@ def scenario_susceptibility(params: Params, sink, formats):
         tag = f"rg{rg:g}_oc{mult:g}".replace(".", "p")
         columns += [f"re_chi_{tag}", f"im_chi_{tag}"]
         cols_data += [np.real(chi), np.imag(chi)]
-    _emit_csv(sink, formats, "susceptibility.csv", columns, list(zip(*cols_data)))
+    sink.csv("susceptibility.csv", columns, list(zip(*cols_data)))
 
     window = transparency_width(curve)
     if isinstance(window, NoTransparency):
@@ -416,9 +378,7 @@ def scenario_susceptibility(params: Params, sink, formats):
     # Weak-vs-strong control contrast at the configured coupling ratio.
     def chi0(mult):
         p = replace(params, control_rabi_gamma0=mult)
-        rt = decay_rates(p)
-        dv = drive_from_params(p, rt)
-        return complex(susceptibility_curve(p, detunings=np.array([0.0]), rates=rt, drive=dv).chi[0])
+        return complex(susceptibility_curve(p, detunings=np.array([0.0])).chi[0])
 
     im_weak = chi0(0.2).imag
     im_strong = chi0(2.0).imag
@@ -426,10 +386,7 @@ def scenario_susceptibility(params: Params, sink, formats):
     # Transparency width growth with the control power.
     widths = []
     for mult in (1.0, 2.0, 4.0):
-        p = replace(params, control_rabi_gamma0=mult)
-        rt = decay_rates(p)
-        dv = drive_from_params(p, rt)
-        w = transparency_width(susceptibility_curve(p, rates=rt, drive=dv))
+        w = transparency_width(susceptibility_curve(replace(params, control_rabi_gamma0=mult)))
         widths.append({"control_over_gamma0": mult,
                        "width": None if isinstance(w, NoTransparency) else w.width})
     width_vals = [w["width"] for w in widths if w["width"] is not None]
@@ -441,24 +398,14 @@ def scenario_susceptibility(params: Params, sink, formats):
     scaling_widths = []
     for mult in scaling_mults:
         p = replace(params, control_rabi_gamma0=float(mult))
-        rt = decay_rates(p)
-        dv = drive_from_params(p, rt)
-        w = transparency_width(susceptibility_curve(p, rates=rt, drive=dv))
+        w = transparency_width(susceptibility_curve(p))
         scaling_widths.append(math.nan if isinstance(w, NoTransparency) else w.width)
     mask = np.isfinite(scaling_widths)
     exponent = float(
         np.polyfit(np.log(scaling_mults[mask]), np.log(np.asarray(scaling_widths)[mask]), 1)[0]
     ) if np.sum(mask) >= 2 else math.nan
 
-    # Autler-Townes doublet at strong control.
-    at_control = 10.0 * rates.gamma_1
-    at_drive = DriveConfig(
-        probe_rabi=params.probe_fraction * at_control,
-        control_rabi=at_control,
-        delta_mode=params.delta_mode,
-    )
-    at_curve = susceptibility_curve(params, rates=rates, drive=at_drive)
-    at_sep = _doublet_separation(at_curve)
+    at_control, at_sep = _autler_townes(params, rates)
 
     summary = {
         "carrier": {
@@ -489,14 +436,14 @@ def scenario_susceptibility(params: Params, sink, formats):
             "separation_over_control": at_sep / at_control,
         },
     }
-    _emit_json(sink, formats, "susceptibility.json", summary)
+    sink.json("susceptibility.json", summary)
 
-    weak_chi = family[(params.coupling_ratio, 0.2)] if (params.coupling_ratio, 0.2) in family else None
+    weak_chi = family.get((params.coupling_ratio, 0.2))
     series = [("im_chi", curve.absorption), ("re_chi", curve.refraction)]
     if weak_chi is not None:
         series.append(("im_chi_weak_control", np.imag(weak_chi)))
-    _emit_svg(
-        sink, formats, "susceptibility.svg",
+    sink.svg(
+        "susceptibility.svg",
         d / rates.gamma_0,
         series,
         title="Acoustic susceptibility of the probe transition",
@@ -510,13 +457,13 @@ def scenario_susceptibility(params: Params, sink, formats):
 # dispersion
 # ----------------------------------------------------------------------
 
-def scenario_dispersion(params: Params, sink, formats):
+def scenario_dispersion(params: Params, sink):
     """Dressed probe dispersion against the bare phonon branch."""
     curve = dispersion_curve(params)
     bare = np.asarray(dispersion(curve.q))
     rows = list(zip(curve.q, curve.omega_p, bare, curve.q_free))
-    _emit_csv(
-        sink, formats, "dispersion.csv",
+    sink.csv(
+        "dispersion.csv",
         ["q", "omega_dressed", "epsilon_bare_at_q", "q_free"],
         rows,
     )
@@ -539,9 +486,9 @@ def scenario_dispersion(params: Params, sink, formats):
         "slope_ratio": float(slope) / vg_center,
         "carrier_velocity": curve.curve.carrier_velocity,
     }
-    _emit_json(sink, formats, "dispersion.json", summary)
-    _emit_svg(
-        sink, formats, "dispersion.svg",
+    sink.json("dispersion.json", summary)
+    sink.svg(
+        "dispersion.svg",
         curve.q,
         [("dressed", curve.omega_p), ("bare", bare)],
         title="Probe dispersion across the transparency window",
@@ -555,38 +502,46 @@ def scenario_dispersion(params: Params, sink, formats):
 # groupvel
 # ----------------------------------------------------------------------
 
-def _transparency_point_minimum(gv, window):
-    """Minimum v_g/c_s across the central fifth of the transparency window.
+def _transparency_point_minimum(gv):
+    """(minimum v_g/c_s, its detuning, where it was taken).
 
-    The full sweep's minimum sits on the steep absorption shoulders just
-    inside the dressed-line peaks, where a pulse would be absorbed rather
-    than slowed; the quotable slow-sound figure is the minimum over the
-    band the default pulse actually occupies (a tenth of the window to
-    either side of the two-photon resonance).
+    The minimum is taken across the central fifth of the transparency
+    window.  The full sweep's minimum sits on the steep absorption
+    shoulders just inside the dressed-line peaks, where a pulse would be
+    absorbed rather than slowed; the quotable slow-sound figure is the
+    minimum over the band the default pulse actually occupies (a tenth of
+    the window to either side of the two-photon resonance).  Without a
+    window it falls back to zero detuning, and the domain says why.
     """
+    window = transparency_width(gv.curve)
     if isinstance(window, NoTransparency):
-        return gv.at_center, 0.0
+        domain = f"zero detuning (no transparency window: {window.reason})"
+        if not math.isfinite(gv.at_center):
+            domain += (
+                "; v_g at zero detuning is flagged (dispersion denominator not "
+                "positive), so no minimum is quoted"
+            )
+        return gv.at_center, 0.0, domain
     band = np.abs(gv.detunings) <= window.width / 10.0
     vg_band = gv.vg_over_cs[band]
     d_band = gv.detunings[band]
     ok = np.isfinite(vg_band) & (vg_band > 0)
     i = int(np.argmin(vg_band[ok]))
-    return float(vg_band[ok][i]), float(d_band[ok][i])
+    return float(vg_band[ok][i]), float(d_band[ok][i]), "central fifth of the transparency window"
 
 
-def scenario_groupvel(params: Params, sink, formats):
+def scenario_groupvel(params: Params, sink):
     """Group velocity across the probe line; headline minimum in the JSON."""
     gv = group_velocity_curve(params)
     rows = list(zip(gv.detunings, gv.detunings / gv.curve.rates.gamma_0,
                     gv.vg_over_cs, gv.refraction_slope))
-    _emit_csv(
-        sink, formats, "groupvel.csv",
+    sink.csv(
+        "groupvel.csv",
         ["detuning", "detuning_over_gamma0", "vg_over_cs", "refraction_slope"],
         rows,
     )
 
-    window = transparency_width(gv.curve)
-    min_vg, min_at = _transparency_point_minimum(gv, window)
+    min_vg, min_at, domain = _transparency_point_minimum(gv)
     valid = np.isfinite(gv.vg_over_cs) & (gv.vg_over_cs > 0)
     vg_valid = gv.vg_over_cs[valid]
     d_valid = gv.detunings[valid]
@@ -597,9 +552,7 @@ def scenario_groupvel(params: Params, sink, formats):
         "min_vg_over_cs": min_vg,
         "min_at_detuning": min_at,
         "min_at_detuning_over_gamma0": min_at / rates.gamma_0,
-        "minimum_domain": "central fifth of the transparency window"
-        if not isinstance(window, NoTransparency)
-        else "zero detuning (no transparency window)",
+        "minimum_domain": domain,
         "vg_over_cs_at_zero_detuning": gv.at_center,
         "full_sweep_min_vg_over_cs": float(vg_valid[isweep]),
         "full_sweep_min_at_detuning_over_gamma0": float(d_valid[isweep] / rates.gamma_0),
@@ -614,9 +567,9 @@ def scenario_groupvel(params: Params, sink, formats):
         "validity_control_sq_over_gamma_product":
             drive.control_rabi ** 2 / (rates.gamma_0 * rates.gamma_1),
     }
-    _emit_json(sink, formats, "groupvel.json", summary)
-    _emit_svg(
-        sink, formats, "groupvel.svg",
+    sink.json("groupvel.json", summary)
+    sink.svg(
+        "groupvel.svg",
         gv.detunings / rates.gamma_0,
         [("vg/cs", gv.vg_over_cs)],
         title="Group velocity across the probe line",
@@ -630,7 +583,7 @@ def scenario_groupvel(params: Params, sink, formats):
 # eigenstates
 # ----------------------------------------------------------------------
 
-def scenario_eigenstates(params: Params, sink, formats):
+def scenario_eigenstates(params: Params, sink):
     """Eigenstates of the frozen soliton well vs closed forms."""
     report = well_eigenstates(params, 3)
     x = report.grid.x
@@ -642,7 +595,7 @@ def scenario_eigenstates(params: Params, sink, formats):
         columns += [f"re_psi_{n}", f"im_psi_{n}", f"density_{n}"]
         cols_data += [np.real(report.states[n]), np.imag(report.states[n]),
                       np.abs(report.states[n]) ** 2]
-    _emit_csv(sink, formats, "eigenstates.csv", columns, list(zip(*cols_data)))
+    sink.csv("eigenstates.csv", columns, list(zip(*cols_data)))
 
     ladder = [-((report.nu - n) ** 2) / (2.0 * params.mass_ratio) for n in range(3)]
     states_payload = []
@@ -677,12 +630,12 @@ def scenario_eigenstates(params: Params, sink, formats):
             "every state solves the grid eigenproblem to its residual column"
         ),
     }
-    _emit_json(sink, formats, "eigenstates.json", summary)
+    sink.json("eigenstates.json", summary)
     series = [("potential", potential)]
     for n in range(report.states.shape[0]):
         series.append((f"density_{n}", np.abs(report.states[n]) ** 2))
-    _emit_svg(
-        sink, formats, "eigenstates.svg",
+    sink.svg(
+        "eigenstates.svg",
         x, series,
         title="Soliton-well impurity eigenstates",
         xlabel="x (xi)",
@@ -695,12 +648,12 @@ def scenario_eigenstates(params: Params, sink, formats):
 # pulse
 # ----------------------------------------------------------------------
 
-def scenario_pulse(params: Params, sink, formats):
+def scenario_pulse(params: Params, sink):
     """Gaussian probe pulse sent across the gas: delay and transmission."""
     report = propagate_envelope(params, distance=params.box_length_xi)
     rows = list(zip(report.times, np.abs(report.envelope_in), np.abs(report.envelope_out)))
-    _emit_csv(
-        sink, formats, "pulse.csv",
+    sink.csv(
+        "pulse.csv",
         ["time", "abs_envelope_in", "abs_envelope_out"],
         rows,
     )
@@ -720,9 +673,9 @@ def scenario_pulse(params: Params, sink, formats):
         "free_transit_ms": params.time_ms(report.free_transit),
         "bandwidth_warning": report.bandwidth_warning,
     }
-    _emit_json(sink, formats, "pulse.json", summary)
-    _emit_svg(
-        sink, formats, "pulse.svg",
+    sink.json("pulse.json", summary)
+    sink.svg(
+        "pulse.svg",
         report.times,
         [("input", np.abs(report.envelope_in)), ("output", np.abs(report.envelope_out))],
         title="Probe envelope before and after the gas",
@@ -741,7 +694,7 @@ def _row(check, status, measured, target, detail=""):
             "target": target, "detail": detail}
 
 
-def scenario_validate(params: Params, sink, formats):
+def scenario_validate(params: Params, sink):
     """Cross-check battery: closed forms vs numerical oracles.
 
     Each row is PASS/FAIL against a stated criterion, or REPORT for
@@ -799,7 +752,7 @@ def scenario_validate(params: Params, sink, formats):
         "recorded (removed by explicit orthogonalization)",
     ))
 
-    ortho = integrate_line(lambda x: float(states[0](x) * states[2](x)), tol=1e-11)
+    ortho = states.overlap(0, 2)
     rows.append(_row(
         "orthogonality_after_projection",
         "PASS" if abs(ortho) < 1e-6 else "FAIL",
@@ -809,9 +762,9 @@ def scenario_validate(params: Params, sink, formats):
 
     # --- coupling family --------------------------------------------------
     k_probe = 0.9
-    q01 = g_quadrature(0, 1, k_probe, params, states=states)
-    q12 = g_quadrature(1, 2, k_probe, params, states=states)
-    q00 = g_quadrature(0, 0, k_probe, params, states=states)
+    q01 = g_quadrature(0, 1, k_probe, params)
+    q12 = g_quadrature(1, 2, k_probe, params)
+    q00 = g_quadrature(0, 0, k_probe, params)
     parity_dev = max(
         abs(q01.imag) / abs(q01), abs(q12.imag) / abs(q12), abs(q00.real) / abs(q00)
     )
@@ -822,7 +775,7 @@ def scenario_validate(params: Params, sink, formats):
         "interband real, intraband imaginary, < 1e-6",
     ))
 
-    g0_sym = g_quadrature(1, 0, k_probe, params, states=states)
+    g0_sym = g_quadrature(1, 0, k_probe, params)
     sym_dev = abs(q01 - g0_sym) / abs(q01)
     rows.append(_row(
         "coupling_index_symmetry",
@@ -845,7 +798,7 @@ def scenario_validate(params: Params, sink, formats):
     tail0 = abs(g0_closed(12.0, params)) / peak0
     tail1 = abs(g1_closed(12.0, params)) / peak1
     quad_curve = np.abs(
-        g_quadrature(0, 1, np.append(np.arange(0.1, 4.0, 0.1), 12.0), params, states=states)
+        g_quadrature(0, 1, np.append(np.arange(0.1, 4.0, 0.1), 12.0), params)
     )
     quad_tail1 = quad_curve[-1] / np.max(quad_curve[:-1])
     tail = max(tail0, tail1)
@@ -865,8 +818,8 @@ def scenario_validate(params: Params, sink, formats):
     for label, f in (
         ("g0_closed", lambda k: np.abs(g0_closed(k, params))),
         ("g1_closed", lambda k: np.abs(g1_closed(k, params))),
-        ("g0_quadrature", lambda k: np.abs(g_quadrature(0, 1, k, params, states=states))),
-        ("g1_quadrature", lambda k: np.abs(g_quadrature(1, 2, k, params, states=states))),
+        ("g0_quadrature", lambda k: np.abs(g_quadrature(0, 1, k, params))),
+        ("g1_quadrature", lambda k: np.abs(g_quadrature(1, 2, k, params))),
     ):
         loc[label] = _peak_location(f, coarse)
     d0 = abs(loc["g0_closed"] - loc["g0_quadrature"])
@@ -885,8 +838,8 @@ def scenario_validate(params: Params, sink, formats):
 
     k0 = resonant_wavevector(spec.omega_0)
     k1 = resonant_wavevector(spec.omega_1)
-    r0 = abs(g0_closed(k0, params)) / abs(g_quadrature(0, 1, k0, params, states=states))
-    r1 = abs(g1_closed(k1, params)) / abs(g_quadrature(1, 2, k1, params, states=states))
+    r0 = abs(g0_closed(k0, params)) / abs(g_quadrature(0, 1, k0, params))
+    r1 = abs(g1_closed(k1, params)) / abs(g_quadrature(1, 2, k1, params))
     rows.append(_row(
         "resonant_amplitude_ratio",
         "REPORT",
@@ -896,11 +849,11 @@ def scenario_validate(params: Params, sink, formats):
 
     dom_ks = np.arange(0.6, 1.1 + 1e-9, 0.1)
     intra = np.max(
-        [np.abs(g_quadrature(l, l, dom_ks, params, states=states)) for l in (0, 1, 2)], axis=0
+        [np.abs(g_quadrature(l, l, dom_ks, params)) for l in (0, 1, 2)], axis=0
     )
     inter = np.maximum(
-        np.abs(g_quadrature(0, 1, dom_ks, params, states=states)),
-        np.abs(g_quadrature(1, 2, dom_ks, params, states=states)),
+        np.abs(g_quadrature(0, 1, dom_ks, params)),
+        np.abs(g_quadrature(1, 2, dom_ks, params)),
     )
     worst = int(np.argmax(intra / inter))
     dom = float(intra[worst] / inter[worst])
@@ -914,7 +867,6 @@ def scenario_validate(params: Params, sink, formats):
     ))
 
     # --- decay rates and cascade -------------------------------------------
-    lo_rg, hi_rg = qutrit_window_in_coupling_ratio(params.mass_ratio)
     nus = np.linspace(QUTRIT_NU_MIN + 0.01, QUTRIT_NU_MAX - 0.01, 10)
     worst_rate = 0.0
     for nu in nus:
@@ -945,7 +897,8 @@ def scenario_validate(params: Params, sink, formats):
     ))
 
     k_line, density = casc.first_line_spectrum()
-    fwhm = _fwhm(np.asarray(dispersion(k_line)), density)
+    peak = int(np.argmax(density))
+    fwhm = level_width(np.asarray(dispersion(k_line)), density, peak, 0.5 * density[peak])
     gamma_sum = rates.gamma_0 + rates.gamma_1
     rows.append(_row(
         "first_line_width",
@@ -957,11 +910,9 @@ def scenario_validate(params: Params, sink, formats):
     # --- driven three-level dynamics ----------------------------------------
     drive = drive_from_params(params, rates)
     sweep = np.linspace(-20.0 * rates.gamma_0, 20.0 * rates.gamma_0, 200)
-    ana = susceptibility_curve(
-        params, detunings=sweep, rates=rates, drive=drive, states=states
-    ).chi
+    ana = susceptibility_curve(params, detunings=sweep, rates=rates, drive=drive).chi
     lind = susceptibility_curve(
-        params, detunings=sweep, rates=rates, drive=drive, route="lindblad", states=states
+        params, detunings=sweep, rates=rates, drive=drive, route="lindblad"
     ).chi
     lind_states = [steady_state_lindblad(rates, drive, float(dd)) for dd in sweep[::4]]
     route_dev = float(np.max(np.abs(lind - ana)) / np.max(np.abs(ana)))
@@ -1016,13 +967,8 @@ def scenario_validate(params: Params, sink, formats):
     ))
 
     # --- transparency and slow sound ----------------------------------------
-    def curve_at(mult):
-        p = replace(params, control_rabi_gamma0=mult)
-        rt = decay_rates(p)
-        return susceptibility_curve(p, rates=rt, drive=drive_from_params(p, rt))
-
-    weak_curve = curve_at(0.2)
-    strong_curve = curve_at(2.0)
+    weak_curve = susceptibility_curve(replace(params, control_rabi_gamma0=0.2))
+    strong_curve = susceptibility_curve(replace(params, control_rabi_gamma0=2.0))
     ic_w = int(np.argmin(np.abs(weak_curve.detunings)))
     ic_s = int(np.argmin(np.abs(strong_curve.detunings)))
     contrast = float(strong_curve.absorption[ic_s] / weak_curve.absorption[ic_w])
@@ -1046,13 +992,7 @@ def scenario_validate(params: Params, sink, formats):
         "single peak at weak control, dip at strong control",
     ))
 
-    at_control = 10.0 * rates.gamma_1
-    at_drive = DriveConfig(
-        probe_rabi=params.probe_fraction * at_control,
-        control_rabi=at_control,
-        delta_mode=params.delta_mode,
-    )
-    at_sep = _doublet_separation(susceptibility_curve(params, rates=rates, drive=at_drive))
+    at_control, at_sep = _autler_townes(params, rates)
     rows.append(_row(
         "autler_townes_separation",
         "PASS" if abs(at_sep / at_control - 1.0) < 0.1 else "FAIL",
@@ -1061,7 +1001,7 @@ def scenario_validate(params: Params, sink, formats):
     ))
 
     gv = group_velocity_curve(params, rates=rates, drive=drive)
-    min_vg, min_at = _transparency_point_minimum(gv, transparency_width(gv.curve))
+    min_vg, min_at, _ = _transparency_point_minimum(gv)
     rows.append(_row(
         "group_velocity_minimum",
         "PASS" if 0.03 <= min_vg <= 0.12 else "FAIL",
@@ -1126,12 +1066,12 @@ def scenario_validate(params: Params, sink, formats):
             "contradict; they are retained deliberately rather than weakened"
         ) if n_fail else "",
     }
-    _emit_csv(
-        sink, formats, "validate.csv",
+    sink.csv(
+        "validate.csv",
         ["check", "status", "measured", "target", "detail"],
         [[r["check"], r["status"], r["measured"], r["target"], r["detail"]] for r in rows],
     )
-    _emit_json(sink, formats, "validate.json", summary)
+    sink.json("validate.json", summary)
     return summary
 
 
@@ -1147,9 +1087,3 @@ SCENARIOS = {
     "validate": scenario_validate,
 }
 
-
-def run_scenario(name, params: Params, sink, formats=("csv", "json", "svg")):
-    """Dispatch a named scenario; returns its summary dict."""
-    if name not in SCENARIOS:
-        raise ValueError(f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
-    return SCENARIOS[name](params, sink, formats)

@@ -222,8 +222,8 @@ def test_criterion_06_transparency_phenomenology():
 
 
 def test_criterion_07_slow_sound_headline(tmp_path):
-    with OutputSink(str(tmp_path / "groupvel")) as sink:
-        summary = SCENARIOS["groupvel"](REFERENCE, sink, ("json",))
+    with OutputSink(str(tmp_path / "groupvel"), ("json",)) as sink:
+        summary = SCENARIOS["groupvel"](REFERENCE, sink)
     minimum = summary["min_vg_over_cs"]
     ok = 0.03 <= minimum <= 0.12
     computed = summary["vg_um_per_s_computed"]

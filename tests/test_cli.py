@@ -39,10 +39,12 @@ def test_spectrum_writes_all_formats(tmp_path, capsys):
 
 
 def test_format_subset_respected(tmp_path):
-    code, out = run(tmp_path, "spectrum", "--format", "json")
-    assert code == 0
-    names = sorted(os.listdir(out))
-    assert names == ["manifest.json", "spectrum.json"]
+    from slowsound.scenarios import SCENARIOS
+
+    for scenario in SCENARIOS:
+        code, out = run(tmp_path / scenario, scenario, "--format", "json")
+        assert code == (4 if scenario == "validate" else 0), scenario
+        assert sorted(os.listdir(out)) == sorted(["manifest.json", f"{scenario}.json"])
 
 
 def test_unknown_scenario_is_usage_error(tmp_path):
@@ -89,7 +91,7 @@ def test_domain_violation_maps_to_config_error(tmp_path, capsys):
 def test_numerics_failure_cleans_partial_outputs(tmp_path, monkeypatch, capsys):
     from slowsound import scenarios
 
-    def exploding(params, sink, formats):
+    def exploding(params, sink):
         path = sink.path("partial.csv")
         with open(path, "w") as fh:
             fh.write("half a table\n")
@@ -156,3 +158,22 @@ def test_manifest_contents(tmp_path):
     assert manifest["notes"]["formats"] == ["csv", "json", "svg"]
     on_disk = sorted(n for n in os.listdir(out) if n != "manifest.json")
     assert manifest["outputs"] == on_disk
+
+
+@pytest.mark.parametrize("delta_mode", ["track", "fixed"])
+def test_groupvel_below_threshold_says_why(tmp_path, delta_mode):
+    # with no transparency window the quoted minimum falls back to zero
+    # detuning, where v_g is flagged: the JSON must say so, not just null
+    summaries = []
+    for name, extra in (("ref", []), ("low", ["--set", "control_rabi_gamma0=0.1"])):
+        code, out = run(tmp_path / name, "groupvel", "--format", "json",
+                        "--delta-mode", delta_mode, *extra)
+        assert code == 0
+        with open(out / "groupvel.json") as fh:
+            summaries.append(json.load(fh))
+    ref, low = summaries
+    assert sorted(low) == sorted(ref)
+    assert low["min_vg_over_cs"] is None
+    assert low["vg_um_per_s_computed"] is None
+    assert "no induced transparency" in low["minimum_domain"]
+    assert "zero detuning is flagged" in low["minimum_domain"]

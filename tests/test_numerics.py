@@ -6,11 +6,14 @@ a slow, obviously-correct reference implementation (O(N^2) Fourier sum,
 dense trapezoid quadrature, analytic Rabi flopping).
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import slowsound
 from slowsound.numerics import (
     Grid1D,
     NumericsError,
@@ -78,6 +81,19 @@ def test_integrate_line_oscillatory_against_trapezoid():
 
 def test_integrate_line_finite_interval():
     assert integrate_line(np.sin, 0.0, np.pi) == pytest.approx(2.0, rel=1e-9)
+
+
+def test_only_numerics_refers_to_integrate_line():
+    # one integration rule in the package: the adaptive quadrature is kept
+    # only as the tests' oracle, so no other module may name it
+    users = []
+    for path in sorted(Path(slowsound.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            # names, attributes, imports (and their aliases) and definitions
+            keys = ("id", "attr", "name", "asname")
+            if "integrate_line" in {getattr(node, key, None) for key in keys}:
+                users.append(path.stem)
+    assert set(users) == {"numerics"}
 
 
 # -- special functions ----------------------------------------------------

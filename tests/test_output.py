@@ -10,7 +10,6 @@ import math
 import numpy as np
 import pytest
 
-import slowsound.scenarios
 from slowsound import output
 from slowsound.cli import main
 from slowsound.output import format_number, write_csv
@@ -213,7 +212,7 @@ def test_scenario_tables_match_oracle(tmp_path, monkeypatch, scenario, control):
         assert written(path) == reference_csv(columns, rows), path
         tables.append(len(rows))
 
-    monkeypatch.setattr(slowsound.scenarios, "write_csv", checked_write_csv)
+    monkeypatch.setattr(output, "write_csv", checked_write_csv)
     extra = ["--set", f"control_rabi_gamma0={control}"] if control else []
     assert main([scenario, *extra, "--out", str(tmp_path / "out")]) == 0
     assert tables and max(tables) > output._BLOCK_ROWS

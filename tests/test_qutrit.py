@@ -159,8 +159,8 @@ def test_wavefunctions_parity():
 
 
 def test_normalization_report_structure():
-    """The even ground state's closed-form constant is trusted; the others
-    are recorded with their quadrature replacements."""
+    """The printed closed-form constants against a trapezoid sum of the raw
+    profiles: A0 agrees, A1 and A2 are recorded with their disagreement."""
     report = ImpurityStates(REFERENCE).normalization_report()
     consts = {row["state"]: row for row in report["constants"]}
     assert consts[0]["relative_deviation"] < 1e-8

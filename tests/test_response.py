@@ -12,6 +12,7 @@ from slowsound.response import (
     TransparencyWindow,
     dispersion_curve,
     group_velocity_curve,
+    level_width,
     propagate_envelope,
     susceptibility_curve,
     transparency_width,
@@ -65,6 +66,23 @@ def test_transparency_gate_sequence():
     assert strong.width > 0
     assert abs(strong.dip_detuning) < 0.2 * RATES.gamma_0
     assert strong.dip_absorption < 0.5 * min(strong.peak_left, strong.peak_right)
+
+
+@pytest.mark.parametrize("shape", ["peak", "dip"])
+def test_level_width_of_sampled_lorentzian(shape):
+    # a Lorentzian of half width g crosses half its height (or half its
+    # depth) at +-g; linear interpolation misplaces each crossing by at
+    # most (h^2/8)|y''/y'| = h^2/(8 g) there
+    g, h = 0.7, 0.05
+    x = -20.0 + 0.013 + h * np.arange(800)  # offset: no sample on a crossing
+    lorentz = 1.0 / (1.0 + (x / g) ** 2)
+    centre = int(np.argmin(np.abs(x)))
+    if shape == "peak":
+        width = level_width(x, lorentz, centre, 0.5)
+    else:
+        width = level_width(x, 1.0 - 0.9 * lorentz, centre, 1.0 - 0.45)
+    assert abs(width - 2.0 * g) <= 1.01 * h**2 / (4.0 * g)
+    assert width != 2.0 * g
 
 
 def test_transparency_threshold_is_geometric_mean():
@@ -267,3 +285,9 @@ def test_pulse_is_actually_slow():
 def test_wideband_pulse_warns():
     rep = propagate_envelope(REFERENCE, distance=20.0, window_fraction=0.5)
     assert rep.bandwidth_warning
+
+
+@pytest.mark.parametrize("fraction", [0.0, -0.1])
+def test_pulse_rejects_nonpositive_window_fraction(fraction):
+    with pytest.raises(ValueError):
+        propagate_envelope(REFERENCE, distance=20.0, window_fraction=fraction)
