@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decay import DecayRates, decay_rates
+from .decay import DecayRates
 from .numerics import NumericsError, rk4_evolve, solve_dense
 from .params import Params
 
@@ -68,11 +68,9 @@ class DriveConfig:
         return probe_detuning if self.delta_mode == "track" else 0.0
 
 
-def drive_from_params(params: Params, rates: DecayRates = None):
+def drive_from_params(params: Params, rates: DecayRates):
     """Default drive: control at the configured multiple of gamma_0,
     probe at the configured fraction of the control."""
-    if rates is None:
-        rates = decay_rates(params)
     control = params.control_rabi_gamma0 * rates.gamma_0
     return DriveConfig(
         probe_rabi=params.probe_fraction * control,

@@ -14,15 +14,14 @@ corrections.  mode_profiles returns the standard closed-form amplitudes
 u_k, v_k: envelope brackets in tanh/sech times the plane-wave carrier
 e^{ikx}, so that far from the soliton they reduce to uniform-condensate
 Bogoliubov amplitudes.  The envelope normalization is per unit length
-(the 1/sqrt(4 pi) prefactor); asymptotic_mode_norm gives the resulting
-plane-wave value of |u|^2 - |v|^2 so bookkeeping factors stay explicit.
+(the 1/sqrt(4 pi) prefactor), so far from the soliton the plane-wave norm
+is |u|^2 - |v|^2 = k^2 (k^2 + 4) / (2 pi eps(k)), not 1; the decay-rate
+bookkeeping carries the corresponding length factor explicitly.
 """
 
 import math
 
 import numpy as np
-
-from .numerics import find_root
 
 __all__ = [
     "dispersion",
@@ -30,8 +29,6 @@ __all__ = [
     "BogoliubovMode",
     "mode_profiles",
     "resonant_wavevector",
-    "resonant_wavevector_closed",
-    "asymptotic_mode_norm",
 ]
 
 
@@ -99,37 +96,14 @@ def mode_profiles(k):
     return BogoliubovMode(k)
 
 
-def resonant_wavevector(omega, tol=1e-12):
-    """The positive k solving eps(k) = omega, by bracketed root finding.
+def resonant_wavevector(omega):
+    """The positive k solving eps(k) = omega, for a float or an array.
 
-    The quartic inversion also has the explicit radical form
-    k = sqrt(-1 + sqrt(1 + omega^2)) (see resonant_wavevector_closed);
-    the root-finder route is primary and the radical serves as an
-    independent cross-check in the validation suite.
+    The quartic k^4 + 2k^2 = omega^2 inverts to k^2 = sqrt(1 + omega^2) - 1,
+    written as omega^2 / (1 + sqrt(1 + omega^2)) so that nothing cancels:
+    k = omega / sqrt(1 + sqrt(1 + omega^2)) keeps full relative precision
+    down to the sound-slope limit k -> omega / sqrt(2).
     """
-    if not (omega > 0):
+    if not np.all(np.asarray(omega) > 0):
         raise ValueError(f"resonance requires omega > 0, got {omega!r}")
-    hi = 1.0 + omega
-    while dispersion(hi) < omega:
-        hi *= 2.0
-    return find_root(lambda k: float(dispersion(k)) - omega, 0.0, hi, tol=tol)
-
-
-def resonant_wavevector_closed(omega):
-    """Radical inversion of the dispersion: k^2 = -1 + sqrt(1 + omega^2)."""
-    if not (omega > 0):
-        raise ValueError(f"resonance requires omega > 0, got {omega!r}")
-    return math.sqrt(-1.0 + math.sqrt(1.0 + omega * omega))
-
-
-def asymptotic_mode_norm(k):
-    """Plane-wave limit of |u_k|^2 - |v_k|^2 far from the soliton.
-
-    With the per-unit-length envelope normalization this equals
-    k^2 (k^2 + 4) / (2 pi eps(k)), not 1; the decay-rate bookkeeping
-    carries the corresponding length factor explicitly.
-    """
-    if k == 0.0:
-        raise ValueError("k = 0 has no plane-wave limit")
-    k2 = k * k
-    return k2 * (k2 + 4.0) / (2.0 * math.pi * float(dispersion(k)))
+    return omega / np.sqrt(1.0 + np.sqrt(1.0 + np.square(omega)))

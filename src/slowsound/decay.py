@@ -11,10 +11,10 @@ gamma_1 (second transition):
   of the golden-rule factor 2, the 15 from the coupling's sqrt(n0 pi/15)
   normalization, and the squared 896 coupling denominator); a rounded
   2.4e7 would shift the rate by 0.35% and break the route equivalence.
-* gamma_integral — golden rule evaluated honestly: root-find the resonant
-  wavevector, evaluate the coupling there, divide by the dispersion slope
-  (the 1D density of states), and scale by the per-site impurity
-  normalization N0/(n0 xi).  Equivalently (L_eff/sqrt(2)) *
+* gamma_integral — golden rule evaluated honestly: invert the dispersion
+  for the resonant wavevector, evaluate the coupling there, divide by the
+  dispersion slope (the 1D density of states), and scale by the per-site
+  impurity normalization N0/(n0 xi).  Equivalently (L_eff/sqrt(2)) *
   (sqrt(1+eta)/eta) * |g|^2 with L_eff = N0/(sqrt(2) n0), since
   d eps/d k = 2 eta / sqrt(1+eta) at resonance.
 
@@ -43,13 +43,11 @@ import numpy as np
 
 from .bogoliubov import dispersion, dispersion_derivative, resonant_wavevector
 from .coupling import csch, interband_coupling
-from .numerics import NumericsError
 from .params import Params
 from .qutrit import NotAQutrit, spectrum
 
 __all__ = [
     "GAMMA1_DENOMINATOR",
-    "SpectralResolutionError",
     "DecayRates",
     "gamma_closed",
     "gamma_integral",
@@ -60,10 +58,6 @@ __all__ = [
 ]
 
 GAMMA1_DENOMINATOR = 30 * 896 ** 2  # exact prefactor, = 24084480
-
-
-class SpectralResolutionError(NumericsError):
-    """Raised when an emission grid cannot resolve the narrowest linewidth."""
 
 
 def gamma_closed(params: Params, omega, which):
@@ -110,7 +104,7 @@ def gamma_integral(params: Params, omega, which):
 
     Uses the coupling mode configured in params ("closed" or "quadrature").
     Fully independent of gamma_closed's transcription: the resonant
-    wavevector comes from bracketed root finding, the coupling from the
+    wavevector comes from inverting the dispersion, the coupling from the
     coupling module, and the density of states from the dispersion slope.
     """
     if which not in (0, 1):
@@ -122,7 +116,7 @@ def gamma_integral(params: Params, omega, which):
     k_res = resonant_wavevector(omega)
     g = interband_coupling(which, k_res, params)
     weight = params.impurity_norm / params.density_xi
-    return weight * abs(g) ** 2 / float(dispersion_derivative(k_res))
+    return float(weight * abs(g) ** 2 / dispersion_derivative(k_res))
 
 
 @dataclass(frozen=True)
@@ -176,10 +170,6 @@ def decay_rates(params: Params, route="closed"):
 # Emission grids and the cascade amplitudes
 # ----------------------------------------------------------------------
 
-def _k_of_omega(omega):
-    return np.sqrt(-1.0 + np.sqrt(1.0 + np.square(omega)))
-
-
 def emission_grid(center_omega, line_width, narrow_width):
     """Wavevector grid resolving a Lorentzian emission line.
 
@@ -201,28 +191,7 @@ def emission_grid(center_omega, line_width, narrow_width):
     tail = np.asarray(tail[1:])
     omegas = np.concatenate([center_omega - tail[::-1], core, center_omega + tail])
     omegas = omegas[omegas > 1e-12]
-    return _k_of_omega(omegas)
-
-
-def _check_resolution(k_grid, center_omega, narrow_width, label):
-    """Ensure spacing near the line center resolves the narrowest width."""
-    omegas = np.asarray(dispersion(k_grid))
-    core = np.abs(omegas - center_omega) < 3.0 * narrow_width
-    if core.sum() < 4:
-        idx = int(np.argmin(np.abs(omegas - center_omega)))
-        lo = max(idx - 2, 0)
-        core = np.zeros_like(core)
-        core[lo : lo + 5] = True
-    d_omega = np.diff(omegas[core])
-    worst = float(np.max(np.abs(d_omega))) if len(d_omega) else math.inf
-    if worst > narrow_width / 5.0:
-        slope = float(dispersion_derivative(_k_of_omega(np.asarray(center_omega))))
-        needed = narrow_width / 5.0 / slope
-        raise SpectralResolutionError(
-            f"{label} grid spacing {worst:.3e} (in frequency) cannot resolve "
-            f"linewidth {narrow_width:.3e}; need grid spacing "
-            f"dk <= {needed:.3e} near k = {float(_k_of_omega(np.asarray(center_omega))):.4f}"
-        )
+    return resonant_wavevector(omegas)
 
 
 def _trapezoid_weights(x):
@@ -299,35 +268,21 @@ class CascadeResult:
         return self.k_grid, self.measure * np.sum(np.abs(b_inf) ** 2 * w_p[None, :], axis=1)
 
 
-def cascade(params: Params, times, k_grid=None, p_grid=None):
+def cascade(params: Params, times):
     """Closed-form cascade amplitudes at the requested times.
 
     Rates are computed by the golden-rule route with the params' coupling
     mode, so that couplings, rates, and the continuum measure are mutually
     consistent and the total norm is conserved (up to the Lorentzian tail
-    mass outside the finite grids and trapezoid error).
-
-    k_grid / p_grid default to emission_grid around the upper / lower
-    transition lines; custom grids are resolution-checked against the
-    narrowest linewidth and rejected with the needed spacing if too coarse.
+    mass outside the finite grids and trapezoid error).  The k and p grids
+    are emission_grid around the upper and lower transition lines, stepped
+    at a sixth of the narrowest linewidth.
     """
-    spec = spectrum(params)
-    if isinstance(spec, NotAQutrit):
-        raise ValueError(spec.reason)
     rates = decay_rates(params, route="integral")
     g0_rate, g1_rate = rates.gamma_0, rates.gamma_1
     narrow = min(g0_rate, g1_rate, abs(g0_rate - g1_rate) or math.inf)
-
-    if k_grid is None:
-        k_grid = emission_grid(spec.omega_1, g0_rate + g1_rate, narrow)
-    else:
-        k_grid = np.asarray(k_grid, dtype=float)
-    if p_grid is None:
-        p_grid = emission_grid(spec.omega_0, g0_rate, narrow)
-    else:
-        p_grid = np.asarray(p_grid, dtype=float)
-    _check_resolution(k_grid, spec.omega_1, narrow, "one-phonon (k)")
-    _check_resolution(p_grid, spec.omega_0, narrow, "two-phonon (p)")
+    k_grid = emission_grid(rates.omega_1, g0_rate + g1_rate, narrow)
+    p_grid = emission_grid(rates.omega_0, g0_rate, narrow)
 
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
@@ -355,7 +310,7 @@ def cascade(params: Params, times, k_grid=None, p_grid=None):
         norm_two_phonon=norm2,
         measure=measure,
         rates=rates,
-        omega_eg=spec.omega_0 + spec.omega_1,
+        omega_eg=rates.omega_0 + rates.omega_1,
         _g1_k=g1_k,
         _g0_p=g0_p,
     )

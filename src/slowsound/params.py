@@ -143,11 +143,6 @@ class Params:
         """Resolved impurity normalization N0 (defaults to n0 xi)."""
         return self.density_xi if self.impurity_number is None else self.impurity_number
 
-    @property
-    def intersoliton_distance_xi(self):
-        """Mean distance between solitons, d/xi = 1/(N xi)."""
-        return 1.0 / self.soliton_concentration
-
     # -- physical restoration --------------------------------------------
 
     def velocity_um_per_s(self, v_over_cs):

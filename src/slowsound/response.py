@@ -21,8 +21,11 @@ advection at u.
 Routes: "analytic" uses the weak-probe closed form, "lindblad" divides
 the full 9x9 steady-state coherence by the probe Rabi frequency — an
 independent check that also captures saturation at finite probe power.
-On the analytic route d chi / d Delta_p is closed form too, exact on any
-grid; the lindblad route takes central differences on a uniform grid.
+Group velocity, dispersion and pulse take the analytic route, where
+d chi / d Delta_p is closed form too, exact on any grid; a central
+difference of the lindblad chi at the window centre checks that slope.
+Params is the only physics input: each sweep resolves its own rates and
+drive, so a scan is susceptibility_curve(replace(params, ...)).
 
 The default sweep spans +-max(20 gamma_0, 3 Omega_c) on a grid sized by
 the poles and zero of chi: dense across the transparency window and the
@@ -46,7 +49,6 @@ from .decay import DecayRates, decay_rates
 from .coupling import interband_coupling
 from .numerics import fft, ifft
 from .params import Params
-from .qutrit import NotAQutrit, spectrum
 
 __all__ = [
     "SusceptibilityCurve",
@@ -66,12 +68,9 @@ __all__ = [
 SOUND_SPEED = math.sqrt(2.0)  # reduced phonon slope
 
 
-def _carrier(params: Params):
+def _carrier(params: Params, rates: DecayRates):
     """(k0, eps0, chi prefactor) for the probe carrier on the lower line."""
-    spec = spectrum(params)
-    if isinstance(spec, NotAQutrit):
-        raise ValueError(spec.reason)
-    k0 = resonant_wavevector(spec.omega_0)
+    k0 = float(resonant_wavevector(rates.omega_0))
     eps0 = float(dispersion(k0))
     g0 = interband_coupling(0, k0, params)
     prefactor = params.soliton_concentration * abs(g0) ** 2 / eps0
@@ -169,22 +168,23 @@ def _default_detunings(rates: DecayRates, drive: DriveConfig):
     return np.concatenate([-side[::-1], [0.0], side])
 
 
-def susceptibility_curve(
-    params: Params,
-    detunings=None,
-    drive: DriveConfig = None,
-    rates: DecayRates = None,
-    route="analytic",
-):
-    """Sweep chi over probe detunings by the requested route."""
-    if rates is None:
-        rates = decay_rates(params)
-    if drive is None:
-        drive = drive_from_params(params, rates)
+def susceptibility_curve(params: Params, detunings=None, route="analytic"):
+    """Sweep chi over probe detunings by the requested route.
+
+    The decay rates are the golden-rule rates of params.coupling_mode
+    (decay_rates route="integral"), the ones cascade uses: gamma_0 and
+    gamma_1 in the denominator and |g0|^2 in the prefactor then come from
+    one coupling.  With closed couplings they equal the closed-form rates
+    to rounding.  The drive follows from params and gamma_0
+    (drive_from_params), and parameters outside the qutrit window raise
+    ValueError from decay_rates.
+    """
+    rates = decay_rates(params, route="integral")
+    drive = drive_from_params(params, rates)
     if detunings is None:
         detunings = _default_detunings(rates, drive)
     detunings = np.asarray(detunings, dtype=float)
-    k0, eps0, prefactor = _carrier(params)
+    k0, eps0, prefactor = _carrier(params, rates)
     if route == "analytic":
         rho_e1g, _ = weak_probe_coherences(rates, drive, detunings)
         coherence = rho_e1g
@@ -291,11 +291,13 @@ def transparency_width(curve: SusceptibilityCurve):
 
 @dataclass
 class GroupVelocityCurve:
-    """v_g across the probe line, from the refraction slope.
+    """v_g across the probe line, from the closed-form refraction slope.
 
-    vg_over_cs is nan wherever the dispersion denominator is not
-    positive (steep anomalous dispersion near the absorption peaks,
-    where a group velocity is not meaningful); flagged counts them.
+    refraction_slope is d Re chi / d Delta of the analytic route, exact at
+    every detuning (_chi_slope).  vg_over_cs is nan wherever the
+    dispersion denominator is not positive (steep anomalous dispersion
+    near the absorption peaks, where a group velocity is not meaningful);
+    flagged counts them.
     """
 
     detunings: np.ndarray
@@ -328,42 +330,13 @@ def _chi_slope(curve: SusceptibilityCurve):
     return -curve.chi * d_denom / denom
 
 
-def group_velocity_curve(
-    params: Params,
-    detunings=None,
-    drive: DriveConfig = None,
-    rates: DecayRates = None,
-    route="analytic",
-):
-    """Group velocity over the sweep, from the slope of Re chi.
-
-    On the analytic route the slope is exact at every detuning of any
-    grid (_chi_slope).  The lindblad route has no closed form: it takes
-    central differences, which need a uniform grid with spacing <=
-    gamma_0/50 to resolve the transparency feature, and drops the two end
-    points.
-    """
-    curve = susceptibility_curve(
-        params, detunings=detunings, drive=drive, rates=rates, route=route
-    )
-    rates = curve.rates
+def group_velocity_curve(params: Params, detunings=None):
+    """Group velocity over the analytic sweep, from the slope of Re chi."""
+    curve = susceptibility_curve(params, detunings=detunings)
     d = curve.detunings
-    chi_r = curve.refraction
-    if route == "analytic":
-        slope = np.real(_chi_slope(curve))
-    else:
-        steps = np.diff(d)
-        if np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
-            raise ValueError("group velocity sweep needs a uniform detuning grid")
-        if steps[0] > rates.gamma_0 / 50.0 * (1.0 + 1e-9):
-            raise ValueError(
-                f"detuning spacing {steps[0]:.3e} too coarse; need <= gamma_0/50 = "
-                f"{rates.gamma_0 / 50.0:.3e}"
-            )
-        slope = (chi_r[2:] - chi_r[:-2]) / (d[2:] - d[:-2])
-        d, chi_r = d[1:-1], chi_r[1:-1]
-    omega_p = rates.omega_0 + d
-    denom = 1.0 + 0.5 * chi_r + 0.5 * omega_p * slope
+    slope = np.real(_chi_slope(curve))
+    omega_p = curve.rates.omega_0 + d
+    denom = 1.0 + 0.5 * curve.refraction + 0.5 * omega_p * slope
     vg = np.full_like(denom, np.nan)
     ok = denom > 1e-12
     vg[ok] = (curve.carrier_velocity / SOUND_SPEED) / denom[ok]
@@ -386,9 +359,9 @@ class DispersionCurve:
     curve: SusceptibilityCurve
 
 
-def dispersion_curve(params: Params, drive: DriveConfig = None, rates: DecayRates = None):
+def dispersion_curve(params: Params):
     """Dressed probe wavenumber over the default analytic sweep."""
-    curve = susceptibility_curve(params, drive=drive, rates=rates)
+    curve = susceptibility_curve(params)
     omega_p = curve.rates.omega_0 + curve.detunings
     q_free = omega_p / curve.carrier_velocity
     q = q_free * np.real(curve.index)
@@ -427,13 +400,7 @@ class PulseReport:
 _PULSE_SAMPLES = 4096
 
 
-def propagate_envelope(
-    params: Params,
-    distance,
-    drive: DriveConfig = None,
-    rates: DecayRates = None,
-    window_fraction=0.1,
-):
+def propagate_envelope(params: Params, distance, window_fraction=0.1):
     """Propagate a Gaussian probe pulse a given distance through the gas.
 
     A carrier-frame envelope component A(Delta) e^{-i Delta t} acquires
@@ -454,17 +421,14 @@ def propagate_envelope(
         raise ValueError("distance must be positive")
     if not window_fraction > 0:
         raise ValueError("window_fraction must be positive")
-    base = susceptibility_curve(params, drive=drive, rates=rates)
-    rates, drive = base.rates, base.drive
+    base = susceptibility_curve(params)
     window = transparency_width(base)
     if isinstance(window, NoTransparency):
         raise ValueError(f"cannot propagate through opaque medium: {window.reason}")
     bandwidth = window_fraction * window.width
     warn = bandwidth > window.width / 3.0
 
-    vg_center = group_velocity_curve(
-        params, detunings=np.array([0.0]), drive=drive, rates=rates
-    ).at_center
+    vg_center = group_velocity_curve(params, detunings=np.array([0.0])).at_center
     u = base.carrier_velocity
     free_transit = distance / u
     predicted = distance / (vg_center * SOUND_SPEED) - free_transit
@@ -477,7 +441,7 @@ def propagate_envelope(
     envelope_in = np.exp(-0.5 * (t / sigma_t) ** 2)
 
     freqs = 2.0 * math.pi * np.fft.fftfreq(_PULSE_SAMPLES, d=dt)
-    chi_f = susceptibility_curve(params, detunings=freqs, drive=drive, rates=rates).chi
+    chi_f = susceptibility_curve(params, detunings=freqs).chi
     transfer = np.exp(0.5j * base.carrier_k * chi_f * distance)
     envelope_out = fft(ifft(envelope_in) * transfer)
 

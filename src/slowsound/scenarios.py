@@ -20,7 +20,6 @@ import numpy as np
 
 from slowsound.bloch import (
     DriveConfig,
-    drive_from_params,
     evolve_master_equation,
     ground_projector,
     steady_state_lindblad,
@@ -64,13 +63,9 @@ SLOW_PULSE_ESTIMATE_UM_PER_S = 5.0
 def _autler_townes(params, rates):
     """(control, doublet separation): the distance between the two
     absorption maxima at a strong control of 10 gamma_1."""
-    control = 10.0 * rates.gamma_1
-    drive = DriveConfig(
-        probe_rabi=params.probe_fraction * control,
-        control_rabi=control,
-        delta_mode=params.delta_mode,
-    )
-    curve = susceptibility_curve(params, rates=rates, drive=drive)
+    strong = replace(params, control_rabi_gamma0=10.0 * rates.gamma_1 / rates.gamma_0)
+    curve = susceptibility_curve(strong)
+    control = curve.drive.control_rabi
     a = curve.absorption
     d = curve.detunings
     ic = int(np.argmin(np.abs(d)))
@@ -475,9 +470,7 @@ def scenario_dispersion(params: Params, sink):
     lo = max(ic - 2, 0)
     hi = min(ic + 2, len(curve.q) - 1)
     slope = (curve.omega_p[hi] - curve.omega_p[lo]) / (curve.q[hi] - curve.q[lo])
-    vg_center = group_velocity_curve(
-        params, detunings=np.array([0.0]), rates=curve.curve.rates, drive=curve.curve.drive
-    ).at_center * SOUND_SPEED
+    vg_center = group_velocity_curve(params, detunings=np.array([0.0])).at_center * SOUND_SPEED
     summary = {
         "edge_relative_deviation": edge,
         "merges_with_bare_branch": edge < 0.01,
@@ -908,12 +901,10 @@ def scenario_validate(params: Params, sink):
     ))
 
     # --- driven three-level dynamics ----------------------------------------
-    drive = drive_from_params(params, rates)
     sweep = np.linspace(-20.0 * rates.gamma_0, 20.0 * rates.gamma_0, 200)
-    ana = susceptibility_curve(params, detunings=sweep, rates=rates, drive=drive).chi
-    lind = susceptibility_curve(
-        params, detunings=sweep, rates=rates, drive=drive, route="lindblad"
-    ).chi
+    analytic = susceptibility_curve(params, detunings=sweep)
+    rates, drive, ana = analytic.rates, analytic.drive, analytic.chi
+    lind = susceptibility_curve(params, detunings=sweep, route="lindblad").chi
     lind_states = [steady_state_lindblad(rates, drive, float(dd)) for dd in sweep[::4]]
     route_dev = float(np.max(np.abs(lind - ana)) / np.max(np.abs(ana)))
     rows.append(_row(
@@ -1000,7 +991,7 @@ def scenario_validate(params: Params, sink):
         "within 10% of the control Rabi frequency at control = 10 gamma_1",
     ))
 
-    gv = group_velocity_curve(params, rates=rates, drive=drive)
+    gv = group_velocity_curve(params)
     min_vg, min_at, _ = _transparency_point_minimum(gv)
     rows.append(_row(
         "group_velocity_minimum",
@@ -1011,7 +1002,7 @@ def scenario_validate(params: Params, sink):
         "within [0.03, 0.12] across the transparency-point band",
     ))
 
-    disp = dispersion_curve(params, rates=rates, drive=drive)
+    disp = dispersion_curve(params)
     rel = np.abs(disp.q - disp.q_free) / disp.q_free
     edge = max(float(rel[0]), float(rel[-1]))
     rows.append(_row(
@@ -1021,7 +1012,7 @@ def scenario_validate(params: Params, sink):
         "dressed branch within 1% of free branch at the sweep edges",
     ))
 
-    pulse = propagate_envelope(params, distance=params.box_length_xi, rates=rates, drive=drive)
+    pulse = propagate_envelope(params, distance=params.box_length_xi)
     rows.append(_row(
         "pulse_delay_consistency",
         "PASS" if pulse.relative_delay_error < 0.1 else "FAIL",
@@ -1038,7 +1029,7 @@ def scenario_validate(params: Params, sink):
     span = max(20.0 * rates.gamma_0, 3.0 * drive.control_rabi)
     n_kk = 1 << 15
     kk_grid = 15.0 * span * (2.0 * np.arange(n_kk) / n_kk - 1.0)
-    kk_curve = susceptibility_curve(params, detunings=kk_grid, rates=rates, drive=drive)
+    kk_curve = susceptibility_curve(params, detunings=kk_grid)
     re_rec = -hilbert_transform(kk_curve.absorption)
     core = np.abs(kk_grid) <= span
     kk_err = re_rec[core] - kk_curve.refraction[core]

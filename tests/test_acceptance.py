@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from slowsound.bloch import (
-    DriveConfig,
     drive_from_params,
     evolve_master_equation,
     ground_projector,
@@ -44,19 +43,15 @@ from slowsound.response import (
 from slowsound.scenarios import SCENARIOS
 
 
-RATES = decay_rates(REFERENCE)
+RATES = decay_rates(REFERENCE, route="integral")
 
 
 def report(number, ok, detail):
     print(f"{'PASS' if ok else 'FAIL'} — criterion {number}: {detail}")
 
 
-def control_drive(control_rabi):
-    return DriveConfig(
-        probe_rabi=0.01 * control_rabi,
-        control_rabi=control_rabi,
-        delta_mode=REFERENCE.delta_mode,
-    )
+def at_control(control_over_gamma0):
+    return dataclasses.replace(REFERENCE, control_rabi_gamma0=control_over_gamma0)
 
 
 def test_criterion_01_qutrit_window_exactness():
@@ -190,28 +185,20 @@ def test_criterion_05_steady_state_equivalence():
 
 def test_criterion_06_transparency_phenomenology():
     at_zero = np.array([0.0])
-    weak = susceptibility_curve(
-        REFERENCE, detunings=at_zero, rates=RATES, drive=control_drive(0.2 * RATES.gamma_0)
-    ).absorption[0]
-    strong = susceptibility_curve(
-        REFERENCE, detunings=at_zero, rates=RATES, drive=control_drive(2.0 * RATES.gamma_0)
-    ).absorption[0]
+    weak = susceptibility_curve(at_control(0.2), detunings=at_zero).absorption[0]
+    strong = susceptibility_curve(at_control(2.0), detunings=at_zero).absorption[0]
     ok = strong < 0.5 * weak
 
     # the dip must switch on as the control crosses the threshold scale
-    threshold = math.sqrt(RATES.gamma_0 * RATES.gamma_1)
-    below = transparency_width(
-        susceptibility_curve(REFERENCE, rates=RATES, drive=control_drive(0.8 * threshold))
-    )
-    above = transparency_width(
-        susceptibility_curve(REFERENCE, rates=RATES, drive=control_drive(1.25 * threshold))
-    )
+    threshold = math.sqrt(RATES.gamma_1 / RATES.gamma_0)  # sqrt(gamma_0 gamma_1) / gamma_0
+    below = transparency_width(susceptibility_curve(at_control(0.8 * threshold)))
+    above = transparency_width(susceptibility_curve(at_control(1.25 * threshold)))
     ok = ok and isinstance(below, NoTransparency) and isinstance(above, TransparencyWindow)
 
-    control = 10.0 * RATES.gamma_1
-    drive = control_drive(control)
-    dets = np.linspace(-3.0 * control, 3.0 * control, 4001)
-    a = susceptibility_curve(REFERENCE, detunings=dets, rates=RATES, drive=drive).absorption
+    dets = np.linspace(-30.0 * RATES.gamma_1, 30.0 * RATES.gamma_1, 4001)
+    curve = susceptibility_curve(at_control(10.0 * RATES.gamma_1 / RATES.gamma_0), detunings=dets)
+    control = curve.drive.control_rabi
+    a = curve.absorption
     ic = len(dets) // 2
     separation = dets[ic + 1 + int(np.argmax(a[ic + 1:]))] - dets[int(np.argmax(a[:ic]))]
     ok = ok and abs(separation / control - 1.0) < 0.10
@@ -316,7 +303,7 @@ def test_criterion_10_kramers_kronig():
     span = max(20.0 * RATES.gamma_0, 3.0 * drive.control_rabi)
     n = 1 << 15
     wide = 15.0 * span * (2.0 * np.arange(n) / n - 1.0)
-    curve = susceptibility_curve(REFERENCE, detunings=wide, rates=RATES, drive=drive)
+    curve = susceptibility_curve(REFERENCE, detunings=wide)
     reconstructed = -hilbert_transform(curve.absorption)
     core = np.abs(wide) <= span
     err = reconstructed[core] - curve.refraction[core]

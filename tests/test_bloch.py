@@ -18,7 +18,7 @@ from slowsound.decay import decay_rates
 from slowsound.params import REFERENCE
 
 RATES = decay_rates(REFERENCE)
-DRIVE = drive_from_params(REFERENCE, rates=RATES)
+DRIVE = drive_from_params(REFERENCE, RATES)
 
 
 def random_density_matrix(rng):

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from slowsound.bogoliubov import (
-    asymptotic_mode_norm,
     dispersion,
     dispersion_derivative,
     mode_profiles,
     resonant_wavevector,
-    resonant_wavevector_closed,
 )
 from slowsound.numerics import NumericsError
 
@@ -36,11 +34,17 @@ def test_dispersion_derivative_matches_finite_difference():
 
 
 def test_resonant_wavevector_roundtrip():
-    for omega in (0.01, 0.33, 0.494, 2.0, 11.0):
+    # relative tolerances only: pytest.approx's absolute floor of 1e-12
+    # would pass anything at omega = 1e-10
+    omegas = (1e-10, 1e-6, 1e-3, 0.01, 0.33, 0.494, 2.0, 11.0, 1e3)
+    for omega in omegas:
         k = resonant_wavevector(omega)
-        assert dispersion(k) == pytest.approx(omega, rel=1e-10)
-        # the quartic closed form and the bracketing root agree
-        assert resonant_wavevector_closed(omega) == pytest.approx(k, rel=1e-12)
+        assert dispersion(k) == pytest.approx(omega, rel=1e-14, abs=0.0)
+    # sound-slope limit: eps ~ sqrt(2) k, so k -> omega / sqrt(2)
+    assert resonant_wavevector(1e-10) == pytest.approx(1e-10 / np.sqrt(2.0), rel=1e-14, abs=0.0)
+    # an array inverts elementwise
+    ks = resonant_wavevector(np.array(omegas))
+    np.testing.assert_allclose(dispersion(ks), omegas, rtol=1e-14, atol=0.0)
 
 
 def test_resonant_wavevector_rejects_nonpositive():
@@ -60,7 +64,6 @@ def test_mode_profiles_far_field():
         norm = abs(u30) ** 2 - abs(v30) ** 2
         eps = dispersion(k)
         assert norm == pytest.approx(k ** 2 * (k ** 2 + 4.0) / (2.0 * np.pi * eps), rel=1e-9)
-        assert asymptotic_mode_norm(k) == pytest.approx(norm, rel=1e-9)
 
 
 def test_mode_profiles_deform_near_soliton():

@@ -16,7 +16,6 @@ import pytest
 from slowsound.bogoliubov import dispersion, dispersion_derivative, resonant_wavevector
 from slowsound.decay import (
     DecayRates,
-    SpectralResolutionError,
     cascade,
     decay_rates,
     emission_grid,
@@ -213,13 +212,6 @@ def test_first_line_peaks_at_resonance():
     k_peak = res.k_grid[int(np.argmax(np.abs(res.b_k[-1]) ** 2))]
     k_res = resonant_wavevector(r.omega_1)
     assert k_peak == pytest.approx(k_res, abs=5.0 * (r.gamma_0 + r.gamma_1))
-
-
-def test_cascade_rejects_coarse_grid():
-    r = decay_rates(REFERENCE, route="integral")
-    coarse = np.linspace(0.05, 0.2, 40)  # spacing far above the linewidth
-    with pytest.raises(SpectralResolutionError):
-        cascade(REFERENCE, np.array([1.0]), k_grid=coarse)
 
 
 def test_cascade_rejects_negative_times():

@@ -35,7 +35,6 @@ def test_reference_derived_quantities():
     p = REFERENCE
     assert p.g11 == pytest.approx(1.0 / p.density_xi)
     assert p.g12 == pytest.approx(p.coupling_ratio * p.g11)
-    assert p.intersoliton_distance_xi == pytest.approx(1.0 / p.soliton_concentration)
     assert p.box_length_xi == pytest.approx(100.0 / 0.7)
     # nu(nu+1) = r_g r_m for the resolved reference point
     assert p.nu * (p.nu + 1.0) == pytest.approx(p.coupling_ratio * p.mass_ratio, rel=1e-14)

@@ -1,9 +1,12 @@
 """Acoustic susceptibility, transparency window, slow group velocity, pulses."""
 
+import inspect
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from slowsound.bloch import DriveConfig, drive_from_params
+from slowsound.bloch import drive_from_params
 from slowsound.decay import decay_rates
 from slowsound.numerics import hilbert_transform
 from slowsound.params import REFERENCE
@@ -18,50 +21,57 @@ from slowsound.response import (
     transparency_width,
 )
 
-RATES = decay_rates(REFERENCE)
-DRIVE = drive_from_params(REFERENCE, rates=RATES)
+RATES = decay_rates(REFERENCE, route="integral")
+DRIVE = drive_from_params(REFERENCE, RATES)
 
 
-def drive_at(control_over_gamma0, probe_fraction=0.01):
-    control = control_over_gamma0 * RATES.gamma_0
-    return DriveConfig(probe_rabi=probe_fraction * control if control else 1e-6,
-                       control_rabi=control, delta_mode=REFERENCE.delta_mode)
+def at_control(control_over_gamma0, delta_mode=REFERENCE.delta_mode):
+    return replace(REFERENCE, control_rabi_gamma0=control_over_gamma0, delta_mode=delta_mode)
+
+
+# -- the response layer's inputs ----------------------------------------------
+
+@pytest.mark.parametrize("coupling_mode", ["closed", "quadrature"])
+def test_sweeps_use_the_golden_rule_rates_of_the_coupling_mode(coupling_mode):
+    params = replace(REFERENCE, coupling_mode=coupling_mode)
+    curve = susceptibility_curve(params, detunings=np.array([0.0]))
+    assert curve.rates == decay_rates(params, route="integral")
+    assert curve.drive == drive_from_params(params, curve.rates)
+
+
+def test_params_is_the_only_physics_input():
+    for fn in (susceptibility_curve, group_velocity_curve, dispersion_curve, propagate_envelope):
+        names = inspect.signature(fn).parameters
+        assert "rates" not in names and "drive" not in names, fn.__name__
+    assert "route" not in inspect.signature(group_velocity_curve).parameters
 
 
 # -- susceptibility ---------------------------------------------------------
 
 def test_absorption_nonnegative():
-    curve = susceptibility_curve(REFERENCE, rates=RATES, drive=DRIVE)
+    curve = susceptibility_curve(REFERENCE)
     assert np.all(curve.absorption >= -1e-12)
 
 
 def test_routes_agree_at_spot_detunings():
     dets = np.array([-2.0, -0.3, 0.0, 0.4, 1.7]) * RATES.gamma_0
-    analytic = susceptibility_curve(REFERENCE, detunings=dets, rates=RATES, drive=DRIVE)
-    lindblad = susceptibility_curve(
-        REFERENCE, detunings=dets, rates=RATES, drive=DRIVE, route="lindblad"
-    )
+    analytic = susceptibility_curve(REFERENCE, detunings=dets)
+    lindblad = susceptibility_curve(REFERENCE, detunings=dets, route="lindblad")
     for a, b in zip(analytic.chi, lindblad.chi):
         assert b == pytest.approx(a, rel=0.01)
 
 
 def test_transparency_gate_sequence():
-    """No control: single line.  Sub-threshold control: a notch that does
-    not count as transparency.  Strong control: a real window whose dip
-    sits at two-photon resonance."""
-    no_control = transparency_width(
-        susceptibility_curve(REFERENCE, rates=RATES, drive=drive_at(0.0))
-    )
+    """Vanishing control (1e-6 gamma_0; Params rejects 0): single line.
+    Sub-threshold control: a notch that does not count as transparency.
+    Strong control: a real window whose dip sits at two-photon resonance."""
+    no_control = transparency_width(susceptibility_curve(at_control(1e-6)))
     assert isinstance(no_control, NoTransparency)
 
-    weak = transparency_width(
-        susceptibility_curve(REFERENCE, rates=RATES, drive=drive_at(0.2))
-    )
+    weak = transparency_width(susceptibility_curve(at_control(0.2)))
     assert isinstance(weak, NoTransparency)
 
-    strong = transparency_width(
-        susceptibility_curve(REFERENCE, rates=RATES, drive=drive_at(2.0))
-    )
+    strong = transparency_width(susceptibility_curve(at_control(2.0)))
     assert isinstance(strong, TransparencyWindow)
     assert strong.width > 0
     assert abs(strong.dip_detuning) < 0.2 * RATES.gamma_0
@@ -88,32 +98,23 @@ def test_level_width_of_sampled_lorentzian(shape):
 def test_transparency_threshold_is_geometric_mean():
     """The half-peak gate puts the dip onset at sqrt(gamma_0 gamma_1)."""
     threshold = np.sqrt(RATES.gamma_0 * RATES.gamma_1) / RATES.gamma_0
-    below = transparency_width(
-        susceptibility_curve(REFERENCE, rates=RATES, drive=drive_at(0.8 * threshold))
-    )
-    above = transparency_width(
-        susceptibility_curve(REFERENCE, rates=RATES, drive=drive_at(1.25 * threshold))
-    )
+    below = transparency_width(susceptibility_curve(at_control(0.8 * threshold)))
+    above = transparency_width(susceptibility_curve(at_control(1.25 * threshold)))
     assert isinstance(below, NoTransparency)
     assert isinstance(above, TransparencyWindow)
 
 
 def test_window_width_grows_with_control():
-    w2 = transparency_width(
-        susceptibility_curve(REFERENCE, rates=RATES, drive=drive_at(2.0))
-    )
-    w4 = transparency_width(
-        susceptibility_curve(REFERENCE, rates=RATES, drive=drive_at(4.0))
-    )
+    w2 = transparency_width(susceptibility_curve(at_control(2.0)))
+    w4 = transparency_width(susceptibility_curve(at_control(4.0)))
     assert w4.width > w2.width
 
 
 def test_autler_townes_separation():
-    control = 10.0 * RATES.gamma_1
-    drive = DriveConfig(probe_rabi=0.01 * control, control_rabi=control,
-                        delta_mode=REFERENCE.delta_mode)
-    dets = np.linspace(-3.0 * control, 3.0 * control, 4001)
-    curve = susceptibility_curve(REFERENCE, detunings=dets, rates=RATES, drive=drive)
+    strong = at_control(10.0 * RATES.gamma_1 / RATES.gamma_0)
+    dets = np.linspace(-30.0 * RATES.gamma_1, 30.0 * RATES.gamma_1, 4001)
+    curve = susceptibility_curve(strong, detunings=dets)
+    control = curve.drive.control_rabi
     a = curve.absorption
     ic = len(dets) // 2
     left = int(np.argmax(a[:ic]))
@@ -123,10 +124,8 @@ def test_autler_townes_separation():
 
 
 def test_strong_control_suppresses_central_absorption():
-    weak = susceptibility_curve(REFERENCE, detunings=np.array([0.0]), rates=RATES,
-                                drive=drive_at(0.2))
-    strong = susceptibility_curve(REFERENCE, detunings=np.array([0.0]), rates=RATES,
-                                  drive=drive_at(2.0))
+    weak = susceptibility_curve(at_control(0.2), detunings=np.array([0.0]))
+    strong = susceptibility_curve(at_control(2.0), detunings=np.array([0.0]))
     assert strong.absorption[0] < 0.5 * weak.absorption[0]
 
 
@@ -135,7 +134,7 @@ def test_kramers_kronig_on_wide_grid():
     span = max(20.0 * RATES.gamma_0, 3.0 * DRIVE.control_rabi)
     n = 1 << 15
     grid = 15.0 * span * (2.0 * np.arange(n) / n - 1.0)
-    curve = susceptibility_curve(REFERENCE, detunings=grid, rates=RATES, drive=DRIVE)
+    curve = susceptibility_curve(REFERENCE, detunings=grid)
     re_rec = -hilbert_transform(curve.absorption)
     core = np.abs(grid) <= span
     rms = np.sqrt(np.mean((re_rec[core] - curve.refraction[core]) ** 2))
@@ -145,7 +144,7 @@ def test_kramers_kronig_on_wide_grid():
 # -- group velocity and dispersion -------------------------------------------
 
 def test_group_velocity_slow_at_center_fast_at_edges():
-    gv = group_velocity_curve(REFERENCE, rates=RATES, drive=DRIVE)
+    gv = group_velocity_curve(REFERENCE)
     ic = int(np.argmin(np.abs(gv.detunings)))
     center = gv.vg_over_cs[ic]
     edges = 0.5 * (gv.vg_over_cs[0] + gv.vg_over_cs[-1])
@@ -156,11 +155,11 @@ def test_group_velocity_slow_at_center_fast_at_edges():
 def test_group_velocity_matches_refraction_slope():
     """v_g comes from the refraction derivative; check one point by a
     finite difference of the susceptibility itself."""
-    gv = group_velocity_curve(REFERENCE, rates=RATES, drive=DRIVE)
+    gv = group_velocity_curve(REFERENCE)
     ic = int(np.argmin(np.abs(gv.detunings)))
     h = 1e-3 * RATES.gamma_0
     dets = np.array([-h, h])
-    curve = susceptibility_curve(REFERENCE, detunings=dets, rates=RATES, drive=DRIVE)
+    curve = susceptibility_curve(REFERENCE, detunings=dets)
     slope = (curve.refraction[1] - curve.refraction[0]) / (2.0 * h)
     assert gv.refraction_slope[ic] == pytest.approx(slope, rel=1e-3)
 
@@ -171,7 +170,7 @@ def test_flagged_counts_the_nan_points():
     # a share of the sweep only on a uniform grid: this one has step
     # gamma_0/50 over +-20 gamma_0.
     uniform = RATES.gamma_0 / 50.0 * np.arange(-1000, 1001)
-    gv = group_velocity_curve(REFERENCE, detunings=uniform, rates=RATES, drive=DRIVE)
+    gv = group_velocity_curve(REFERENCE, detunings=uniform)
     n_nan = int(np.sum(~np.isfinite(gv.vg_over_cs)))
     assert gv.flagged == n_nan
     assert n_nan < 0.1 * len(gv.detunings)
@@ -180,7 +179,7 @@ def test_flagged_counts_the_nan_points():
 def test_flagged_share_of_the_default_sweep():
     # the default grid crowds points onto the dressed lines, where the
     # flagged band lies, so the share is weighted by detuning span
-    gv = group_velocity_curve(REFERENCE, rates=RATES, drive=DRIVE)
+    gv = group_velocity_curve(REFERENCE)
     d = gv.detunings
     weights = np.zeros_like(d)
     weights[1:] += 0.5 * np.diff(d)
@@ -196,37 +195,25 @@ def test_closed_slope_matches_central_differences(mode, control_over_gamma0):
     """The closed-form d Re chi / d Delta against central differences of
     chi on a uniform stencil of step 1e-5 gamma_0 about every default
     sweep point; the stencil's truncation error is (h / line width)^2."""
-    control = control_over_gamma0 * RATES.gamma_0
-    drive = DriveConfig(probe_rabi=0.01 * control, control_rabi=control, delta_mode=mode)
-    gv = group_velocity_curve(REFERENCE, rates=RATES, drive=drive)
+    params = at_control(control_over_gamma0, mode)
+    gv = group_velocity_curve(params)
     h = 1e-5 * RATES.gamma_0
     stencil = np.concatenate([gv.detunings - h, gv.detunings + h])
-    re_chi = susceptibility_curve(
-        REFERENCE, detunings=stencil, rates=RATES, drive=drive
-    ).refraction.reshape(2, -1)
+    re_chi = susceptibility_curve(params, detunings=stencil).refraction.reshape(2, -1)
     central = (re_chi[1] - re_chi[0]) / (2.0 * h)
     scale = np.max(np.abs(central))
     np.testing.assert_allclose(gv.refraction_slope, central, rtol=1e-8, atol=1e-8 * scale)
 
 
-def test_lindblad_group_velocity_takes_central_differences():
-    """The lindblad route keeps central differences on a uniform grid of
-    step <= gamma_0/50, and agrees with the closed slope at the centre."""
-    uniform = RATES.gamma_0 / 50.0 * np.arange(-20, 21)
-    lind = group_velocity_curve(
-        REFERENCE, detunings=uniform, rates=RATES, drive=DRIVE, route="lindblad"
-    )
-    closed = group_velocity_curve(
-        REFERENCE, detunings=np.array([0.0]), rates=RATES, drive=DRIVE
-    )
-    assert len(lind.detunings) == len(uniform) - 2
-    assert lind.at_center == pytest.approx(closed.at_center, rel=0.01)
-    with pytest.raises(ValueError, match="uniform"):
-        group_velocity_curve(REFERENCE, rates=RATES, drive=DRIVE, route="lindblad")
-    with pytest.raises(ValueError, match="too coarse"):
-        group_velocity_curve(
-            REFERENCE, detunings=2.0 * uniform, rates=RATES, drive=DRIVE, route="lindblad"
-        )
+def test_lindblad_centre_slope_matches_closed_slope():
+    """The full master equation checks the closed slope: a central
+    difference of the lindblad route's Re chi, step gamma_0/50, about the
+    window centre agrees with the closed form there to 1%."""
+    h = RATES.gamma_0 / 50.0
+    lind = susceptibility_curve(REFERENCE, detunings=[-h, h], route="lindblad").refraction
+    central = (lind[1] - lind[0]) / (2.0 * h)
+    closed = group_velocity_curve(REFERENCE, detunings=[0.0]).refraction_slope[0]
+    assert central == pytest.approx(closed, rel=0.01)
 
 
 @pytest.mark.parametrize("mode", ["track", "fixed"])
@@ -237,8 +224,7 @@ def test_default_grid_shape(mode):
     the span for the step floor to bind."""
     for control_over_gamma0 in [*np.geomspace(0.1, 100.0, 13), 1e9]:
         control = control_over_gamma0 * RATES.gamma_0
-        drive = DriveConfig(probe_rabi=0.01 * control, control_rabi=control, delta_mode=mode)
-        d = susceptibility_curve(REFERENCE, rates=RATES, drive=drive).detunings
+        d = susceptibility_curve(at_control(control_over_gamma0, mode)).detunings
         span = max(20.0 * RATES.gamma_0, 3.0 * control)
         assert np.all(np.diff(d) > 0)
         assert np.array_equal(d, -d[::-1])
@@ -248,7 +234,7 @@ def test_default_grid_shape(mode):
 
 
 def test_dispersion_branches_merge_at_edges():
-    dc = dispersion_curve(REFERENCE, rates=RATES, drive=DRIVE)
+    dc = dispersion_curve(REFERENCE)
     for idx in (0, -1):
         assert dc.q[idx] == pytest.approx(dc.q_free[idx], rel=0.01)
     # inside the window the dressed branch departs from the free one
