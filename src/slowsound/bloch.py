@@ -174,22 +174,19 @@ def steady_state_lindblad(rates: DecayRates, drive: DriveConfig, probe_detuning)
     return _validate_state(rho)
 
 
-def evolve_master_equation(
-    rates: DecayRates, drive: DriveConfig, probe_detuning, rho0, times, max_step=None
-):
+def evolve_master_equation(rates: DecayRates, drive: DriveConfig, probe_detuning, rho0, times):
     """Integrate the master equation from rho0; returns (len(times), 3, 3).
 
-    max_step defaults to a tenth of the fastest Liouvillian timescale
-    (estimated from the row-sum norm), which keeps the fixed-step RK4
-    integrator's local error far below the validation tolerances.
+    The step is a tenth of the fastest Liouvillian timescale (estimated
+    from the row-sum norm), which keeps the fixed-step RK4 integrator's
+    local error far below the validation tolerances.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (_DIM, _DIM):
         raise ValueError(f"rho0 must be 3x3, got {rho0.shape}")
     lv = liouvillian(rates, drive, probe_detuning)
-    if max_step is None:
-        scale = float(np.max(np.sum(np.abs(lv), axis=1)))
-        max_step = 0.1 / max(scale, 1e-12)
+    scale = float(np.max(np.sum(np.abs(lv), axis=1)))
+    max_step = 0.1 / max(scale, 1e-12)
 
     def rhs(_t, y):
         return lv @ y

@@ -10,7 +10,7 @@ form this is eps = sqrt(eps0 (eps0 + 2 mu)) with eps0 = k^2 mu xi^2 for the
 healing-length convention used here, i.e. hbar^2/(2m) = mu xi^2.)
 
 On top of a dark soliton the scattering modes acquire localized envelope
-corrections.  mode_profiles returns the standard closed-form amplitudes
+corrections.  BogoliubovMode gives the standard closed-form amplitudes
 u_k, v_k: envelope brackets in tanh/sech times the plane-wave carrier
 e^{ikx}, so that far from the soliton they reduce to uniform-condensate
 Bogoliubov amplitudes.  The envelope normalization is per unit length
@@ -27,7 +27,6 @@ __all__ = [
     "dispersion",
     "dispersion_derivative",
     "BogoliubovMode",
-    "mode_profiles",
     "resonant_wavevector",
 ]
 
@@ -89,11 +88,6 @@ class BogoliubovMode:
     def __repr__(self):
         k = np.array2string(np.asarray(self.k), precision=6)
         return f"BogoliubovMode(k={k})"
-
-
-def mode_profiles(k):
-    """Closed-form soliton-frame mode amplitudes for wavevector(s) k (k != 0)."""
-    return BogoliubovMode(k)
 
 
 def resonant_wavevector(omega):

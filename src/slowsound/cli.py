@@ -85,7 +85,7 @@ def main(argv=None):
             "MKL_NUM_THREADS",
             "NUMEXPR_NUM_THREADS",
         ):
-            os.environ.setdefault(var, str(args.threads))
+            os.environ[var] = str(args.threads)
 
     from slowsound.numerics import NumericsError
     from slowsound.output import OutputSink, write_manifest
@@ -140,6 +140,10 @@ def main(argv=None):
         return 2
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except ArithmeticError as exc:
+        # overflow or division by zero inside the physics at extreme inputs
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
     if args.scenario == "validate":

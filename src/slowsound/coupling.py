@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bogoliubov import dispersion, mode_profiles
+from .bogoliubov import BogoliubovMode, dispersion
 from .numerics import NumericsError
 from .params import Params
 from .qutrit import ImpurityStates
@@ -134,7 +134,7 @@ def g_quadrature(l, lp, k, params: Params):
     coarse = np.zeros(x.shape)
     coarse[::2] = 2.0 * h
     coarse[[0, -1]] = h
-    mode = mode_profiles(k)
+    mode = BogoliubovMode(k)
     kernel = mode.u(x)
     kernel += mode.v(x)
     fine *= weight

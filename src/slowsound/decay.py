@@ -2,21 +2,23 @@
 
 Rates
 -----
-Two routes to the decay rates gamma_0 (first excited -> ground) and
-gamma_1 (second transition):
+decay_rates gives the decay rates gamma_0 (first excited -> ground) and
+gamma_1 (second transition) by the golden rule, evaluated honestly: invert
+the dispersion for the resonant wavevector, evaluate the coupling there in
+params.coupling_mode, divide by the dispersion slope (the 1D density of
+states), and scale by the per-site impurity normalization N0/(n0 xi).
+Equivalently (L_eff/sqrt(2)) * (sqrt(1+eta)/eta) * |g|^2 with
+L_eff = N0/(sqrt(2) n0), since d eps/d k = 2 eta / sqrt(1+eta) at
+resonance.  The lower line's resonant wavevector k0 and |g0(k0)|^2 ride
+along: they are the probe carrier of the response layer.
 
-* gamma_closed — verbatim closed forms, polynomial brackets in
-  eta = sqrt(1 + omega^2) times csch^2(pi k_res/2).  The upper-transition
-  denominator constant is the exact 24084480 = 2 * 15 * 896^2 (the product
-  of the golden-rule factor 2, the 15 from the coupling's sqrt(n0 pi/15)
-  normalization, and the squared 896 coupling denominator); a rounded
-  2.4e7 would shift the rate by 0.35% and break the route equivalence.
-* gamma_integral — golden rule evaluated honestly: invert the dispersion
-  for the resonant wavevector, evaluate the coupling there, divide by the
-  dispersion slope (the 1D density of states), and scale by the per-site
-  impurity normalization N0/(n0 xi).  Equivalently (L_eff/sqrt(2)) *
-  (sqrt(1+eta)/eta) * |g|^2 with L_eff = N0/(sqrt(2) n0), since
-  d eps/d k = 2 eta / sqrt(1+eta) at resonance.
+gamma_closed is the independent route, called directly by the checks: the
+verbatim closed forms, polynomial brackets in eta = sqrt(1 + omega^2)
+times csch^2(pi k_res/2).  The upper-transition denominator constant is
+the exact 24084480 = 2 * 15 * 896^2 (the product of the golden-rule
+factor 2, the 15 from the coupling's sqrt(n0 pi/15) normalization, and the
+squared 896 coupling denominator); a rounded 2.4e7 would shift the rate by
+0.35% and break the route equivalence.
 
 Cascade
 -------
@@ -50,7 +52,6 @@ __all__ = [
     "GAMMA1_DENOMINATOR",
     "DecayRates",
     "gamma_closed",
-    "gamma_integral",
     "decay_rates",
     "emission_grid",
     "CascadeResult",
@@ -99,70 +100,48 @@ def gamma_closed(params: Params, omega, which):
     )
 
 
-def gamma_integral(params: Params, omega, which):
-    """Golden-rule decay rate: resonant coupling over the dispersion slope.
-
-    Uses the coupling mode configured in params ("closed" or "quadrature").
-    Fully independent of gamma_closed's transcription: the resonant
-    wavevector comes from inverting the dispersion, the coupling from the
-    coupling module, and the density of states from the dispersion slope.
-    """
-    if which not in (0, 1):
-        raise ValueError(f"which must be 0 or 1, got {which!r}")
-    if omega < 0:
-        raise ValueError(f"omega must be >= 0, got {omega!r}")
-    if omega == 0.0:
-        return 0.0
-    k_res = resonant_wavevector(omega)
-    g = interband_coupling(which, k_res, params)
-    weight = params.impurity_norm / params.density_xi
-    return float(weight * abs(g) ** 2 / dispersion_derivative(k_res))
-
-
 @dataclass(frozen=True)
 class DecayRates:
-    """Decay rates, their transitions and the route that gave them (reduced units)."""
+    """Golden-rule decay rates, their transitions and the probe carrier.
+
+    carrier_k is the lower line's resonant wavevector k0 and
+    carrier_coupling the |g0(k0)|^2 that gamma_0 was taken from (reduced
+    units).
+    """
 
     gamma_0: float
     gamma_1: float
     omega_0: float
     omega_1: float
-    eta_0: float
-    eta_1: float
-    route: str  # "closed" or "integral"
-    degenerate_0: bool = False
-    degenerate_1: bool = False
+    carrier_k: float
+    carrier_coupling: float
 
 
-def decay_rates(params: Params, route="closed"):
-    """Both transition rates for the given parameters.
+def decay_rates(params: Params):
+    """Golden-rule rates of both transitions, with the coupling mode of params.
 
-    route="closed" transcribed rate expressions; route="integral" golden
-    rule with the coupling mode taken from params.coupling_mode.
-    Parameters outside the qutrit window raise ValueError (rates of a
-    two-level or scattering-dominated configuration are out of scope).
+    Each rate is the resonant coupling over the dispersion slope (the 1D
+    density of states), scaled by the per-site impurity normalization
+    N0/(n0 xi).  The lower line's resonant wavevector and |g0|^2 there are
+    returned with the rates, so a sweep's chi prefactor comes from the
+    same coupling as gamma_0.  Parameters outside the qutrit window raise
+    ValueError (rates of a two-level or scattering-dominated configuration
+    are out of scope).
     """
     spec = spectrum(params)
     if isinstance(spec, NotAQutrit):
         raise ValueError(spec.reason)
-    if route == "closed":
-        g0 = gamma_closed(params, spec.omega_0, 0)
-        g1 = gamma_closed(params, spec.omega_1, 1)
-    elif route == "integral":
-        g0 = gamma_integral(params, spec.omega_0, 0)
-        g1 = gamma_integral(params, spec.omega_1, 1)
-    else:
-        raise ValueError(f"route must be 'closed' or 'integral', got {route!r}")
+    weight = params.impurity_norm / params.density_xi
+    k0, k1 = (float(resonant_wavevector(w)) for w in (spec.omega_0, spec.omega_1))
+    g0_sq = abs(interband_coupling(0, k0, params)) ** 2
+    g1_sq = abs(interband_coupling(1, k1, params)) ** 2
     return DecayRates(
-        gamma_0=g0,
-        gamma_1=g1,
+        gamma_0=float(weight * g0_sq / dispersion_derivative(k0)),
+        gamma_1=float(weight * g1_sq / dispersion_derivative(k1)),
         omega_0=spec.omega_0,
         omega_1=spec.omega_1,
-        eta_0=math.sqrt(1.0 + spec.omega_0 ** 2),
-        eta_1=math.sqrt(1.0 + spec.omega_1 ** 2),
-        route=route,
-        degenerate_0=spec.omega_0 == 0.0,
-        degenerate_1=spec.omega_1 == 0.0,
+        carrier_k=k0,
+        carrier_coupling=float(g0_sq),
     )
 
 
@@ -271,14 +250,14 @@ class CascadeResult:
 def cascade(params: Params, times):
     """Closed-form cascade amplitudes at the requested times.
 
-    Rates are computed by the golden-rule route with the params' coupling
-    mode, so that couplings, rates, and the continuum measure are mutually
-    consistent and the total norm is conserved (up to the Lorentzian tail
-    mass outside the finite grids and trapezoid error).  The k and p grids
-    are emission_grid around the upper and lower transition lines, stepped
-    at a sixth of the narrowest linewidth.
+    Rates are the golden-rule rates of the params' coupling mode
+    (decay_rates), so that couplings, rates, and the continuum measure are
+    mutually consistent and the total norm is conserved (up to the
+    Lorentzian tail mass outside the finite grids and trapezoid error).
+    The k and p grids are emission_grid around the upper and lower
+    transition lines, stepped at a sixth of the narrowest linewidth.
     """
-    rates = decay_rates(params, route="integral")
+    rates = decay_rates(params)
     g0_rate, g1_rate = rates.gamma_0, rates.gamma_1
     narrow = min(g0_rate, g1_rate, abs(g0_rate - g1_rate) or math.inf)
     k_grid = emission_grid(rates.omega_1, g0_rate + g1_rate, narrow)

@@ -94,6 +94,9 @@ class Params:
     coupling_mode: str = "closed"
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         for name in (
             "mass_ratio",
             "coupling_ratio",

@@ -18,14 +18,15 @@ Re chi = 0 so the carrier-velocity choice does not move v_g), and pulse
 propagation through the transfer phase k0 chi(Delta) x / 2 on top of
 advection at u.
 
-Routes: "analytic" uses the weak-probe closed form, "lindblad" divides
-the full 9x9 steady-state coherence by the probe Rabi frequency — an
-independent check that also captures saturation at finite probe power.
-Group velocity, dispersion and pulse take the analytic route, where
-d chi / d Delta_p is closed form too, exact on any grid; a central
-difference of the lindblad chi at the window centre checks that slope.
-Params is the only physics input: each sweep resolves its own rates and
-drive, so a scan is susceptibility_curve(replace(params, ...)).
+chi is the weak-probe closed form, and so is d chi / d Delta_p, exact on
+any grid.  The full 9x9 Lindblad steady state (bloch) is the independent
+check: validate and the tests compare its probe coherence with
+weak_probe_coherences directly, and a central difference of it at the
+window centre checks the slope.  Params is the only physics input: each
+sweep resolves its rates, drive and carrier once (decay_rates, which
+also returns k0 and |g0(k0)|^2), so a scan is
+susceptibility_curve(replace(params, ...)), and propagate_envelope reads
+v_g(0) and chi on its FFT grid at the rates of its base sweep.
 
 The default sweep spans +-max(20 gamma_0, 3 Omega_c) on a grid sized by
 the poles and zero of chi: dense across the transparency window and the
@@ -38,15 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import (
-    DriveConfig,
-    drive_from_params,
-    steady_state_lindblad,
-    weak_probe_coherences,
-)
-from .bogoliubov import dispersion, resonant_wavevector
+from .bloch import DriveConfig, drive_from_params, weak_probe_coherences
+from .bogoliubov import dispersion
 from .decay import DecayRates, decay_rates
-from .coupling import interband_coupling
 from .numerics import fft, ifft
 from .params import Params
 
@@ -68,15 +63,6 @@ __all__ = [
 SOUND_SPEED = math.sqrt(2.0)  # reduced phonon slope
 
 
-def _carrier(params: Params, rates: DecayRates):
-    """(k0, eps0, chi prefactor) for the probe carrier on the lower line."""
-    k0 = float(resonant_wavevector(rates.omega_0))
-    eps0 = float(dispersion(k0))
-    g0 = interband_coupling(0, k0, params)
-    prefactor = params.soliton_concentration * abs(g0) ** 2 / eps0
-    return k0, eps0, prefactor
-
-
 @dataclass
 class SusceptibilityCurve:
     """chi sampled over probe detunings, with the carrier bookkeeping."""
@@ -86,7 +72,6 @@ class SusceptibilityCurve:
     carrier_k: float
     carrier_energy: float
     carrier_velocity: float  # eps(k0)/k0
-    route: str
     drive: DriveConfig
     rates: DecayRates
 
@@ -168,45 +153,40 @@ def _default_detunings(rates: DecayRates, drive: DriveConfig):
     return np.concatenate([-side[::-1], [0.0], side])
 
 
-def susceptibility_curve(params: Params, detunings=None, route="analytic"):
-    """Sweep chi over probe detunings by the requested route.
-
-    The decay rates are the golden-rule rates of params.coupling_mode
-    (decay_rates route="integral"), the ones cascade uses: gamma_0 and
-    gamma_1 in the denominator and |g0|^2 in the prefactor then come from
-    one coupling.  With closed couplings they equal the closed-form rates
-    to rounding.  The drive follows from params and gamma_0
-    (drive_from_params), and parameters outside the qutrit window raise
-    ValueError from decay_rates.
-    """
-    rates = decay_rates(params, route="integral")
-    drive = drive_from_params(params, rates)
-    if detunings is None:
-        detunings = _default_detunings(rates, drive)
+def _sweep(params: Params, rates: DecayRates, drive: DriveConfig, detunings):
+    """chi over detunings at resolved rates and drive, carrier from the rates."""
     detunings = np.asarray(detunings, dtype=float)
-    k0, eps0, prefactor = _carrier(params, rates)
-    if route == "analytic":
-        rho_e1g, _ = weak_probe_coherences(rates, drive, detunings)
-        coherence = rho_e1g
-    elif route == "lindblad":
-        if drive.probe_rabi == 0.0:
-            raise ValueError("lindblad route needs a finite probe to divide out")
-        coherence = np.array(
-            [steady_state_lindblad(rates, drive, d)[1, 0] for d in detunings]
-        )
-    else:
-        raise ValueError(f"route must be 'analytic' or 'lindblad', got {route!r}")
-    chi = prefactor * coherence / drive.probe_rabi
+    k0 = rates.carrier_k
+    eps0 = float(dispersion(k0))
+    prefactor = params.soliton_concentration * rates.carrier_coupling / eps0
+    rho_e1g, _ = weak_probe_coherences(rates, drive, detunings)
     return SusceptibilityCurve(
         detunings=detunings,
-        chi=chi,
+        chi=prefactor * rho_e1g / drive.probe_rabi,
         carrier_k=k0,
         carrier_energy=eps0,
         carrier_velocity=eps0 / k0,
-        route=route,
         drive=drive,
         rates=rates,
     )
+
+
+def susceptibility_curve(params: Params, detunings=None):
+    """Sweep the weak-probe chi over probe detunings.
+
+    The decay rates are the golden-rule rates of params.coupling_mode
+    (decay_rates), the ones cascade uses: gamma_0 and gamma_1 in the
+    denominator and |g0(k0)|^2 in the prefactor then come from one
+    coupling.  With closed couplings they equal the closed-form rates to
+    rounding.  The drive follows from params and gamma_0
+    (drive_from_params), and parameters outside the qutrit window raise
+    ValueError from decay_rates.
+    """
+    rates = decay_rates(params)
+    drive = drive_from_params(params, rates)
+    if detunings is None:
+        detunings = _default_detunings(rates, drive)
+    return _sweep(params, rates, drive, detunings)
 
 
 @dataclass(frozen=True)
@@ -293,11 +273,11 @@ def transparency_width(curve: SusceptibilityCurve):
 class GroupVelocityCurve:
     """v_g across the probe line, from the closed-form refraction slope.
 
-    refraction_slope is d Re chi / d Delta of the analytic route, exact at
-    every detuning (_chi_slope).  vg_over_cs is nan wherever the
-    dispersion denominator is not positive (steep anomalous dispersion
-    near the absorption peaks, where a group velocity is not meaningful);
-    flagged counts them.
+    refraction_slope is d Re chi / d Delta in closed form, exact at every
+    detuning (_chi_slope).  vg_over_cs is nan wherever the dispersion
+    denominator is not positive (steep anomalous dispersion near the
+    absorption peaks, where a group velocity is not meaningful); flagged
+    counts them.
     """
 
     detunings: np.ndarray
@@ -313,7 +293,7 @@ class GroupVelocityCurve:
 
 
 def _chi_slope(curve: SusceptibilityCurve):
-    """d chi / d Delta of an analytic-route sweep, in closed form.
+    """d chi / d Delta of a sweep, in closed form.
 
     chi is proportional to 1/D with D = (gamma_0 - 2i Delta) +
     Omega_c^2/(gamma_1 - 2i dlt) (bloch.weak_probe_coherences), so
@@ -330,9 +310,8 @@ def _chi_slope(curve: SusceptibilityCurve):
     return -curve.chi * d_denom / denom
 
 
-def group_velocity_curve(params: Params, detunings=None):
-    """Group velocity over the analytic sweep, from the slope of Re chi."""
-    curve = susceptibility_curve(params, detunings=detunings)
+def _group_velocity(curve: SusceptibilityCurve):
+    """Group velocity over a sweep, from the closed slope of Re chi."""
     d = curve.detunings
     slope = np.real(_chi_slope(curve))
     omega_p = curve.rates.omega_0 + d
@@ -349,6 +328,11 @@ def group_velocity_curve(params: Params, detunings=None):
     )
 
 
+def group_velocity_curve(params: Params, detunings=None):
+    """Group velocity over the sweep, from the slope of Re chi."""
+    return _group_velocity(susceptibility_curve(params, detunings=detunings))
+
+
 @dataclass
 class DispersionCurve:
     """Probe wavenumber q(omega_p) = (omega_p/u) Re n against the free line."""
@@ -360,7 +344,7 @@ class DispersionCurve:
 
 
 def dispersion_curve(params: Params):
-    """Dressed probe wavenumber over the default analytic sweep."""
+    """Dressed probe wavenumber over the default sweep."""
     curve = susceptibility_curve(params)
     omega_p = curve.rates.omega_0 + curve.detunings
     q_free = omega_p / curve.carrier_velocity
@@ -428,7 +412,10 @@ def propagate_envelope(params: Params, distance, window_fraction=0.1):
     bandwidth = window_fraction * window.width
     warn = bandwidth > window.width / 3.0
 
-    vg_center = group_velocity_curve(params, detunings=np.array([0.0])).at_center
+    # v_g at the centre and chi on the FFT grid, at the base sweep's rates
+    vg_center = _group_velocity(
+        _sweep(params, base.rates, base.drive, np.array([0.0]))
+    ).at_center
     u = base.carrier_velocity
     free_transit = distance / u
     predicted = distance / (vg_center * SOUND_SPEED) - free_transit
@@ -441,7 +428,7 @@ def propagate_envelope(params: Params, distance, window_fraction=0.1):
     envelope_in = np.exp(-0.5 * (t / sigma_t) ** 2)
 
     freqs = 2.0 * math.pi * np.fft.fftfreq(_PULSE_SAMPLES, d=dt)
-    chi_f = susceptibility_curve(params, detunings=freqs).chi
+    chi_f = _sweep(params, base.rates, base.drive, freqs).chi
     transfer = np.exp(0.5j * base.carrier_k * chi_f * distance)
     envelope_out = fft(ifft(envelope_in) * transfer)
 

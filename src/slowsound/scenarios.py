@@ -20,6 +20,7 @@ import numpy as np
 
 from slowsound.bloch import (
     DriveConfig,
+    drive_from_params,
     evolve_master_equation,
     ground_projector,
     steady_state_lindblad,
@@ -28,7 +29,7 @@ from slowsound.bloch import (
 )
 from slowsound.bogoliubov import dispersion, resonant_wavevector
 from slowsound.coupling import coupling_set, g0_closed, g1_closed, g_quadrature
-from slowsound.decay import cascade, decay_rates
+from slowsound.decay import cascade, decay_rates, gamma_closed
 from slowsound.gpe import frozen_well, well_eigenstates
 from slowsound.numerics import hilbert_transform
 from slowsound.params import Params, coupling_ratio_for_nu
@@ -175,6 +176,11 @@ def scenario_spectrum(params: Params, sink):
 # decay
 # ----------------------------------------------------------------------
 
+def _closed_rates(params: Params, lines):
+    """gamma_closed of both transitions at lines.omega_0 and lines.omega_1."""
+    return gamma_closed(params, lines.omega_0, 0), gamma_closed(params, lines.omega_1, 1)
+
+
 def scenario_decay(params: Params, sink):
     """Phonon decay rates over the window plus the emission cascade."""
     lo_rg, hi_rg = qutrit_window_in_coupling_ratio(params.mass_ratio)
@@ -182,10 +188,10 @@ def scenario_decay(params: Params, sink):
     rows = []
     for rg in ratios:
         p = replace(params, coupling_ratio=float(rg))
-        rt = decay_rates(p, route="closed")
-        ratio0 = rt.gamma_0 / rt.omega_0 if rt.omega_0 > 0 else math.nan
-        ratio1 = rt.gamma_1 / rt.omega_1 if rt.omega_1 > 0 else math.nan
-        rows.append([rg, p.nu, rt.omega_0, rt.omega_1, rt.gamma_0, rt.gamma_1, ratio0, ratio1])
+        spec = spectrum(p)
+        g0, g1 = _closed_rates(p, spec)
+        rows.append([rg, p.nu, spec.omega_0, spec.omega_1, g0, g1,
+                     g0 / spec.omega_0, g1 / spec.omega_1])
     columns = [
         "coupling_ratio",
         "nu",
@@ -197,10 +203,10 @@ def scenario_decay(params: Params, sink):
         "gamma_1_over_omega_1",
     ]
     sink.csv("decay.csv", columns, rows)
-    worst_rwa = max(max(r[6], r[7]) for r in rows if math.isfinite(r[6]) and math.isfinite(r[7]))
+    worst_rwa = max(max(r[6], r[7]) for r in rows)
 
-    closed = decay_rates(params, route="closed")
-    integral = decay_rates(params, route="integral")
+    integral = decay_rates(params)
+    closed = _closed_rates(params, integral)
     times = np.linspace(0.0, 5.0 / integral.gamma_1, 26)
     casc = cascade(params, times)
     sectors = [np.abs(casc.a) ** 2, casc.norm_one_phonon, casc.norm_two_phonon, casc.norm_total]
@@ -222,17 +228,17 @@ def scenario_decay(params: Params, sink):
     gamma_sum = integral.gamma_0 + integral.gamma_1
 
     summary = {
-        "rates_closed": {"gamma_0": closed.gamma_0, "gamma_1": closed.gamma_1},
+        "rates_closed": {"gamma_0": closed[0], "gamma_1": closed[1]},
         "rates_integral": {"gamma_0": integral.gamma_0, "gamma_1": integral.gamma_1},
         "route_relative_difference": {
-            "gamma_0": abs(closed.gamma_0 - integral.gamma_0) / closed.gamma_0,
-            "gamma_1": abs(closed.gamma_1 - integral.gamma_1) / closed.gamma_1,
+            "gamma_0": abs(closed[0] - integral.gamma_0) / closed[0],
+            "gamma_1": abs(closed[1] - integral.gamma_1) / closed[1],
         },
-        "omega_0": closed.omega_0,
-        "omega_1": closed.omega_1,
+        "omega_0": integral.omega_0,
+        "omega_1": integral.omega_1,
         "gamma_over_omega": {
-            "lower": closed.gamma_0 / closed.omega_0,
-            "upper": closed.gamma_1 / closed.omega_1,
+            "lower": closed[0] / integral.omega_0,
+            "upper": closed[1] / integral.omega_1,
             "worst_over_window": worst_rwa,
         },
         "rwa_valid_everywhere": worst_rwa < 0.1,
@@ -247,8 +253,8 @@ def scenario_decay(params: Params, sink):
             "fwhm_over_sum": fwhm / gamma_sum,
         },
         "lifetimes_ms": {
-            "upper": params.time_ms(1.0 / closed.gamma_1),
-            "lower": params.time_ms(1.0 / closed.gamma_0),
+            "upper": params.time_ms(1.0 / closed[1]),
+            "lower": params.time_ms(1.0 / closed[0]),
         },
     }
     sink.json("decay.json", summary)
@@ -864,12 +870,12 @@ def scenario_validate(params: Params, sink):
     worst_rate = 0.0
     for nu in nus:
         p = replace(params, coupling_ratio=coupling_ratio_for_nu(float(nu), params.mass_ratio))
-        closed = decay_rates(p, route="closed")
-        integral = decay_rates(p, route="integral")
+        integral = decay_rates(p)
+        closed = _closed_rates(p, integral)
         worst_rate = max(
             worst_rate,
-            abs(closed.gamma_0 - integral.gamma_0) / closed.gamma_0,
-            abs(closed.gamma_1 - integral.gamma_1) / closed.gamma_1,
+            abs(closed[0] - integral.gamma_0) / closed[0],
+            abs(closed[1] - integral.gamma_1) / closed[1],
         )
     rows.append(_row(
         "decay_route_agreement",
@@ -878,7 +884,7 @@ def scenario_validate(params: Params, sink):
         "closed vs golden-rule < 1e-3 at 10 window points",
     ))
 
-    rates = decay_rates(params, route="integral")
+    rates = decay_rates(params)
     times = np.array([0.5, 1.0, 3.0]) / rates.gamma_1
     casc = cascade(params, times)
     nmin, nmax = float(np.min(casc.norm_total)), float(np.max(casc.norm_total))
@@ -901,12 +907,12 @@ def scenario_validate(params: Params, sink):
     ))
 
     # --- driven three-level dynamics ----------------------------------------
+    drive = drive_from_params(params, rates)
     sweep = np.linspace(-20.0 * rates.gamma_0, 20.0 * rates.gamma_0, 200)
-    analytic = susceptibility_curve(params, detunings=sweep)
-    rates, drive, ana = analytic.rates, analytic.drive, analytic.chi
-    lind = susceptibility_curve(params, detunings=sweep, route="lindblad").chi
-    lind_states = [steady_state_lindblad(rates, drive, float(dd)) for dd in sweep[::4]]
-    route_dev = float(np.max(np.abs(lind - ana)) / np.max(np.abs(ana)))
+    lind_states = [steady_state_lindblad(rates, drive, float(dd)) for dd in sweep]
+    co_l = np.array([r[1, 0] for r in lind_states])
+    co_a = weak_probe_coherences(rates, drive, sweep)[0]
+    route_dev = float(np.max(np.abs(co_l - co_a)) / np.max(np.abs(co_a)))
     rows.append(_row(
         "steady_state_route_agreement",
         "PASS" if route_dev < 0.01 else "FAIL",
@@ -914,9 +920,12 @@ def scenario_validate(params: Params, sink):
         "weak-probe analytic vs full Lindblad < 1% over 200 points",
     ))
 
-    herm = max(float(np.max(np.abs(r - r.conj().T))) for r in lind_states)
-    tr = max(abs(float(np.trace(r).real) - 1.0) for r in lind_states)
-    mineig = min(float(np.min(np.linalg.eigvalsh(0.5 * (r + r.conj().T)))) for r in lind_states)
+    quality_states = lind_states[::4]
+    herm = max(float(np.max(np.abs(r - r.conj().T))) for r in quality_states)
+    tr = max(abs(float(np.trace(r).real) - 1.0) for r in quality_states)
+    mineig = min(
+        float(np.min(np.linalg.eigvalsh(0.5 * (r + r.conj().T)))) for r in quality_states
+    )
     state_ok = herm < 1e-10 and tr < 1e-10 and mineig > -1e-8
     rows.append(_row(
         "lindblad_state_quality",

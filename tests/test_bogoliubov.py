@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from slowsound.bogoliubov import (
+    BogoliubovMode,
     dispersion,
     dispersion_derivative,
-    mode_profiles,
     resonant_wavevector,
 )
 from slowsound.numerics import NumericsError
@@ -56,7 +56,7 @@ def test_mode_profiles_far_field():
     """Far from the soliton the mode is a plane wave: constant moduli and
     |u|^2 - |v|^2 equal to the stated per-length normalization."""
     for k in (0.35, 0.7, 1.4):
-        mode = mode_profiles(k)
+        mode = BogoliubovMode(k)
         u30, v30 = mode.u(30.0), mode.v(30.0)
         u35, v35 = mode.u(35.0), mode.v(35.0)
         assert abs(u30) == pytest.approx(abs(u35), rel=1e-9)
@@ -67,13 +67,13 @@ def test_mode_profiles_far_field():
 
 
 def test_mode_profiles_deform_near_soliton():
-    mode = mode_profiles(0.7)
+    mode = BogoliubovMode(0.7)
     # the soliton notch must actually imprint on the amplitudes
     assert abs(abs(mode.u(0.0)) - abs(mode.u(30.0))) > 1e-3
 
 
 def test_mode_energy_field():
-    mode = mode_profiles(0.52)
+    mode = BogoliubovMode(0.52)
     assert mode.energy == pytest.approx(dispersion(0.52), rel=1e-14)
     assert mode.k == 0.52
 
@@ -82,5 +82,5 @@ def test_hole_amplitude_strictly_subdominant():
     # positive mode norm requires |v| < |u| pointwise in the far field,
     # whatever the per-length normalization does with overall growth
     for k in np.linspace(0.2, 9.0, 23):
-        mode = mode_profiles(float(k))
+        mode = BogoliubovMode(float(k))
         assert abs(mode.v(25.0)) < abs(mode.u(25.0)), k

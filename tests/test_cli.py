@@ -105,6 +105,43 @@ def test_numerics_failure_cleans_partial_outputs(tmp_path, monkeypatch, capsys):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["groupvel", "--set", "density_xi=inf"],
+        ["pulse", "--set", "density_xi=inf"],
+        ["spectrum", "--set", "coupling_ratio=inf"],
+        ["spectrum", "--set", "mass_ratio=inf"],
+        ["pulse", "--set", "control_rabi_gamma0=inf"],
+    ],
+    ids=lambda argv: f"{argv[0]}-{argv[-1]}",
+)
+def test_infinite_parameter_is_config_error(tmp_path, capsys, argv):
+    code, out = run(tmp_path, *argv)
+    assert code == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override", ["density_xi=1e200", "impurity_number=1e300"])
+def test_arithmetic_failure_is_numerical_failure(tmp_path, capsys, override):
+    # ZeroDivisionError / OverflowError inside the physics at extreme finite inputs
+    code, out = run(tmp_path, "groupvel", "--set", override)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "Traceback" not in err
+    assert not out.exists() or os.listdir(out) == []
+
+
+def test_threads_flag_overrides_the_environment(tmp_path, monkeypatch):
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+    for name in names:
+        monkeypatch.setenv(name, "4")
+    code, _ = run(tmp_path, "spectrum", "--threads", "1", "--format", "json")
+    assert code == 0
+    assert [os.environ[name] for name in names] == ["1"] * 4
+
+
 def test_validate_reports_and_exits_four(tmp_path, capsys):
     code, out = run(tmp_path, "validate", "--format", "json")
     captured = capsys.readouterr().out

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from slowsound import coupling
-from slowsound.bogoliubov import mode_profiles
+from slowsound.bogoliubov import BogoliubovMode
 from slowsound.coupling import (
     coupling_set,
     g0_closed,
@@ -32,7 +32,7 @@ STATES = ImpurityStates(REFERENCE)
 def trapezoid_element(l, lp, k, n=400001, span=60.0):
     """Overlap integral by brute force on a uniform grid."""
     x = np.linspace(-span, span, n)
-    mode = mode_profiles(k)
+    mode = BogoliubovMode(k)
     weight = np.sqrt(REFERENCE.density_xi) * np.tanh(x) * (mode.u(x) + mode.v(x))
     integrand = STATES[l](x) * STATES[lp](x) * weight
     return REFERENCE.g12 * np.trapezoid(integrand, x)
@@ -40,7 +40,7 @@ def trapezoid_element(l, lp, k, n=400001, span=60.0):
 
 def adaptive_element(l, lp, k):
     """Overlap integral by adaptive Simpson on the compactified line."""
-    mode = mode_profiles(k)
+    mode = BogoliubovMode(k)
 
     def integrand(x):
         weight = np.sqrt(REFERENCE.density_xi) * np.tanh(x) * (mode.u(x) + mode.v(x))

@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 
 from slowsound.bogoliubov import dispersion, dispersion_derivative, resonant_wavevector
+from slowsound.coupling import interband_coupling
 from slowsound.decay import (
-    DecayRates,
     cascade,
     decay_rates,
     emission_grid,
+    gamma_closed,
 )
 from slowsound.params import REFERENCE
 from slowsound.qutrit import spectrum
@@ -72,12 +73,16 @@ def one_phonon_ode_oracle(result, gamma_0, gamma_1, t_final, nsteps):
 
 # -- rates ------------------------------------------------------------------
 
+def closed_rates(params, lines):
+    """The closed-form oracle at the transition frequencies of lines."""
+    return gamma_closed(params, lines.omega_0, 0), gamma_closed(params, lines.omega_1, 1)
+
+
 def test_route_agreement_at_reference():
-    closed = decay_rates(REFERENCE, route="closed")
-    integral = decay_rates(REFERENCE, route="integral")
-    assert closed.gamma_0 == pytest.approx(integral.gamma_0, rel=1e-3)
-    assert closed.gamma_1 == pytest.approx(integral.gamma_1, rel=1e-3)
-    assert closed.route == "closed" and integral.route == "integral"
+    integral = decay_rates(REFERENCE)
+    closed_0, closed_1 = closed_rates(REFERENCE, integral)
+    assert closed_0 == pytest.approx(integral.gamma_0, rel=1e-3)
+    assert closed_1 == pytest.approx(integral.gamma_1, rel=1e-3)
 
 
 def test_route_agreement_across_window():
@@ -86,10 +91,20 @@ def test_route_agreement_across_window():
     lo, hi = qutrit_window_in_coupling_ratio(REFERENCE.mass_ratio)
     for rg in np.linspace(lo * 1.02, hi * 0.98, 5):
         p = replace(REFERENCE, coupling_ratio=float(rg))
-        c = decay_rates(p, route="closed")
-        i = decay_rates(p, route="integral")
-        assert c.gamma_0 == pytest.approx(i.gamma_0, rel=1e-3), rg
-        assert c.gamma_1 == pytest.approx(i.gamma_1, rel=1e-3), rg
+        i = decay_rates(p)
+        c0, c1 = closed_rates(p, i)
+        assert c0 == pytest.approx(i.gamma_0, rel=1e-3), rg
+        assert c1 == pytest.approx(i.gamma_1, rel=1e-3), rg
+
+
+@pytest.mark.parametrize("coupling_mode", ["closed", "quadrature"])
+def test_rates_carry_the_carrier_coupling(coupling_mode):
+    """k0 is the lower line's resonant wavevector, and the carrier coupling
+    the |g0(k0)|^2 of the same coupling mode as the rates."""
+    params = replace(REFERENCE, coupling_mode=coupling_mode)
+    r = decay_rates(params)
+    assert r.carrier_k == resonant_wavevector(r.omega_0)
+    assert r.carrier_coupling == abs(interband_coupling(0, r.carrier_k, params)) ** 2
 
 
 def test_rates_positive_and_weak():
@@ -111,23 +126,23 @@ def test_eta_bookkeeping_ties_to_dispersion():
     """eta = sqrt(1 + omega^2) encodes the resonant wavevector and the
     phase-space slope: k_res^2 = eta - 1 and d eps/dk = 2 eta/sqrt(1+eta)."""
     r = decay_rates(REFERENCE)
-    for omega, eta in ((r.omega_0, r.eta_0), (r.omega_1, r.eta_1)):
-        assert eta == pytest.approx(math.sqrt(1.0 + omega ** 2), rel=1e-14)
+    for omega in (r.omega_0, r.omega_1):
+        eta = math.sqrt(1.0 + omega ** 2)
         k_res = resonant_wavevector(omega)
         assert k_res ** 2 == pytest.approx(eta - 1.0, rel=1e-10)
         assert dispersion_derivative(k_res) == pytest.approx(
             2.0 * eta / math.sqrt(1.0 + eta), rel=1e-10
         )
-    assert not r.degenerate_0 and not r.degenerate_1
 
 
 def test_rate_scales_inversely_with_density():
     # |g|^2 carries n0 g12^2 = r_g^2 / n0, and the default impurity norm
     # keeps the continuum measure density-independent, so gamma ~ 1/n0
-    r1 = decay_rates(REFERENCE, route="closed")
-    r2 = decay_rates(replace(REFERENCE, density_xi=100.0), route="closed")
-    assert r2.gamma_0 / r1.gamma_0 == pytest.approx(0.5, rel=1e-12)
-    assert r2.gamma_1 / r1.gamma_1 == pytest.approx(0.5, rel=1e-12)
+    dilute = replace(REFERENCE, density_xi=100.0)
+    r1 = closed_rates(REFERENCE, spectrum(REFERENCE))
+    r2 = closed_rates(dilute, spectrum(dilute))
+    assert r2[0] / r1[0] == pytest.approx(0.5, rel=1e-12)
+    assert r2[1] / r1[1] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_rates_outside_window_rejected():
@@ -138,7 +153,7 @@ def test_rates_outside_window_rejected():
 # -- cascade ----------------------------------------------------------------
 
 def test_cascade_initial_state_and_norm_window():
-    r = decay_rates(REFERENCE, route="integral")
+    r = decay_rates(REFERENCE)
     times = np.array([0.0, 0.5, 1.0, 3.0]) / r.gamma_1
     res = cascade(REFERENCE, times)
     total = np.abs(res.a) ** 2 + res.norm_one_phonon + res.norm_two_phonon
@@ -151,7 +166,7 @@ def test_cascade_initial_state_and_norm_window():
 
 def test_cascade_in_quadrature_mode():
     quad = replace(REFERENCE, coupling_mode="quadrature")
-    rates = decay_rates(quad, route="integral")
+    rates = decay_rates(quad)
     res = cascade(quad, np.array([0.5, 1.0, 3.0]) / rates.gamma_1)
     # validate's cascade_norm_conservation window, on the overlap-integral couplings
     assert np.all(res.norm_total >= 0.98) and np.all(res.norm_total <= 1.005)
@@ -159,7 +174,7 @@ def test_cascade_in_quadrature_mode():
 
 
 def test_two_phonon_amplitudes_match_unfactored_form():
-    r = decay_rates(REFERENCE, route="integral")
+    r = decay_rates(REFERENCE)
     res = cascade(REFERENCE, np.array([1.0]) / r.gamma_1)
     t = 2.0 / r.gamma_1
     g0, g1 = r.gamma_0, r.gamma_1
@@ -178,7 +193,7 @@ def test_two_phonon_amplitudes_match_unfactored_form():
 
 
 def test_cascade_survival_is_exponential():
-    r = decay_rates(REFERENCE, route="integral")
+    r = decay_rates(REFERENCE)
     times = np.linspace(0.0, 3.0, 7) / r.gamma_1
     res = cascade(REFERENCE, times)
     assert np.allclose(np.abs(res.a) ** 2, np.exp(-r.gamma_1 * times), rtol=1e-12)
@@ -186,7 +201,7 @@ def test_cascade_survival_is_exponential():
 
 def test_cascade_against_direct_ode_integration():
     """Decay at gamma_1 must emerge from the bare coupled amplitudes."""
-    r = decay_rates(REFERENCE, route="integral")
+    r = decay_rates(REFERENCE)
     t_final = 3.0 / r.gamma_1
     times = np.linspace(0.0, t_final, 7)
     res = cascade(REFERENCE, times)
@@ -206,7 +221,7 @@ def test_cascade_against_direct_ode_integration():
 
 
 def test_first_line_peaks_at_resonance():
-    r = decay_rates(REFERENCE, route="integral")
+    r = decay_rates(REFERENCE)
     times = np.array([3.0]) / r.gamma_1
     res = cascade(REFERENCE, times)
     k_peak = res.k_grid[int(np.argmax(np.abs(res.b_k[-1]) ** 2))]

@@ -63,6 +63,27 @@ def test_validation_rejects_bad_values():
         params_from_mapping({"no_such_key": 1.0})
 
 
+@pytest.mark.parametrize(
+    "name",
+    [
+        "mass_ratio",
+        "coupling_ratio",
+        "density_xi",
+        "soliton_concentration",
+        "box_length_xi",
+        "impurity_number",
+        "healing_length_um",
+        "sound_speed_mm_s",
+        "control_rabi_gamma0",
+        "probe_fraction",
+    ],
+)
+def test_validation_rejects_infinity(name):
+    # float("inf") parses, and inf passes every "> 0" check
+    with pytest.raises(ConfigError, match="finite"):
+        params_from_mapping(apply_overrides({}, [f"{name}=inf"]))
+
+
 def test_parse_config_text():
     text = """
     # reference-like setup

@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from slowsound.bloch import drive_from_params
+from slowsound import coupling, response
+from slowsound.bloch import drive_from_params, steady_state_lindblad, weak_probe_coherences
 from slowsound.decay import decay_rates
 from slowsound.numerics import hilbert_transform
 from slowsound.params import REFERENCE
@@ -21,7 +22,7 @@ from slowsound.response import (
     transparency_width,
 )
 
-RATES = decay_rates(REFERENCE, route="integral")
+RATES = decay_rates(REFERENCE)
 DRIVE = drive_from_params(REFERENCE, RATES)
 
 
@@ -35,7 +36,7 @@ def at_control(control_over_gamma0, delta_mode=REFERENCE.delta_mode):
 def test_sweeps_use_the_golden_rule_rates_of_the_coupling_mode(coupling_mode):
     params = replace(REFERENCE, coupling_mode=coupling_mode)
     curve = susceptibility_curve(params, detunings=np.array([0.0]))
-    assert curve.rates == decay_rates(params, route="integral")
+    assert curve.rates == decay_rates(params)
     assert curve.drive == drive_from_params(params, curve.rates)
 
 
@@ -43,7 +44,32 @@ def test_params_is_the_only_physics_input():
     for fn in (susceptibility_curve, group_velocity_curve, dispersion_curve, propagate_envelope):
         names = inspect.signature(fn).parameters
         assert "rates" not in names and "drive" not in names, fn.__name__
-    assert "route" not in inspect.signature(group_velocity_curve).parameters
+    for fn in (decay_rates, susceptibility_curve, group_velocity_curve):
+        assert "route" not in inspect.signature(fn).parameters, fn.__name__
+
+
+@pytest.mark.parametrize("coupling_mode", ["closed", "quadrature"])
+def test_one_pulse_resolves_the_rates_once(coupling_mode, monkeypatch):
+    """v_g at the centre and chi on the FFT grid are read at the rates of
+    the base sweep: one decay_rates call, which evaluates each line's
+    coupling once (two overlap integrals under quadrature couplings)."""
+    calls = {"decay_rates": 0, "g_quadrature": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(response, "decay_rates")
+    counted(coupling, "g_quadrature")
+    params = replace(REFERENCE, coupling_mode=coupling_mode)
+    propagate_envelope(params, distance=params.box_length_xi)
+    expected = 2 if coupling_mode == "quadrature" else 0
+    assert calls == {"decay_rates": 1, "g_quadrature": expected}
 
 
 # -- susceptibility ---------------------------------------------------------
@@ -55,10 +81,9 @@ def test_absorption_nonnegative():
 
 def test_routes_agree_at_spot_detunings():
     dets = np.array([-2.0, -0.3, 0.0, 0.4, 1.7]) * RATES.gamma_0
-    analytic = susceptibility_curve(REFERENCE, detunings=dets)
-    lindblad = susceptibility_curve(REFERENCE, detunings=dets, route="lindblad")
-    for a, b in zip(analytic.chi, lindblad.chi):
-        assert b == pytest.approx(a, rel=0.01)
+    analytic = weak_probe_coherences(RATES, DRIVE, dets)[0]
+    for d, a in zip(dets, analytic):
+        assert steady_state_lindblad(RATES, DRIVE, d)[1, 0] == pytest.approx(a, rel=0.01)
 
 
 def test_transparency_gate_sequence():
@@ -207,13 +232,15 @@ def test_closed_slope_matches_central_differences(mode, control_over_gamma0):
 
 def test_lindblad_centre_slope_matches_closed_slope():
     """The full master equation checks the closed slope: a central
-    difference of the lindblad route's Re chi, step gamma_0/50, about the
-    window centre agrees with the closed form there to 1%."""
+    difference of the Lindblad probe coherence, step gamma_0/50, about the
+    window centre, in units of chi, agrees with the closed form there to
+    1%.  chi is a real multiple of the weak-probe coherence."""
     h = RATES.gamma_0 / 50.0
-    lind = susceptibility_curve(REFERENCE, detunings=[-h, h], route="lindblad").refraction
-    central = (lind[1] - lind[0]) / (2.0 * h)
-    closed = group_velocity_curve(REFERENCE, detunings=[0.0]).refraction_slope[0]
-    assert central == pytest.approx(closed, rel=0.01)
+    gv = group_velocity_curve(REFERENCE, detunings=[0.0])
+    chi_per_coherence = gv.curve.chi[0] / weak_probe_coherences(RATES, DRIVE, [0.0])[0][0]
+    lind = [steady_state_lindblad(RATES, DRIVE, d)[1, 0] for d in (-h, h)]
+    central = np.real(chi_per_coherence * (lind[1] - lind[0])) / (2.0 * h)
+    assert central == pytest.approx(gv.refraction_slope[0], rel=0.01)
 
 
 @pytest.mark.parametrize("mode", ["track", "fixed"])
