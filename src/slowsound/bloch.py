@@ -24,6 +24,10 @@ limit the steady-state probe coherence has the closed form
 which weak_probe_coherences returns, and which the full 9x9 Liouvillian
 steady state must reproduce as Omega_p -> 0 — the two routes share no
 algebra, so their agreement is the master-equation cross-check.
+
+H is affine in the probe detuning in both conventions, so the Liouvillian
+is L(Delta) = L0 + Delta L1 exactly and a sweep's steady states are one
+stacked solve of (n, 9, 9) systems.
 """
 
 import math
@@ -136,42 +140,45 @@ def ground_projector():
 
 
 def _validate_state(rho, tol=1e-8):
-    if abs(np.trace(rho) - 1.0) > tol:
-        raise NumericsError(f"steady state trace {np.trace(rho)} is not 1")
-    if np.max(np.abs(rho - rho.conj().T)) > tol:
+    trace_err = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
+    if np.any(trace_err > tol):
+        raise NumericsError(f"steady state trace is off 1 by {np.max(trace_err):g}")
+    rho_h = np.conj(np.swapaxes(rho, -2, -1))
+    if np.max(np.abs(rho - rho_h)) > tol:
         raise NumericsError("steady state is not hermitian")
-    lowest = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
+    lowest = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho_h))))
     if lowest < -tol:
         raise NumericsError(f"steady state has negative population {lowest}")
     return rho
 
 
 def steady_state_lindblad(rates: DecayRates, drive: DriveConfig, probe_detuning):
-    """Exact steady state of the full master equation.
+    """Exact steady states of the full master equation, shape(probe_detuning) + (3, 3).
 
-    Solves L vec(rho) = 0 with one row traded for the trace constraint,
-    then validates trace, hermiticity, and positivity.  With no drive the
-    unique fixed point is the ground projector; if decay rates vanish too
-    the equation degenerates and the ground projector is returned by
-    convention (every population distribution would be stationary).
+    Solves L vec(rho) = 0 with one row traded for the trace constraint, all
+    detunings in one stacked solve, then validates trace, hermiticity, and
+    positivity of every state.  With no drive the unique fixed point is the
+    ground projector; if decay rates vanish too the equation degenerates and
+    the ground projector is returned by convention (every population
+    distribution would be stationary).
     """
+    shape = np.shape(probe_detuning) + (_DIM, _DIM)
     if drive.probe_rabi == 0.0 and drive.control_rabi == 0.0:
         if rates.gamma_0 == 0.0 or rates.gamma_1 == 0.0:
-            return ground_projector()
-    lv = liouvillian(rates, drive, probe_detuning)
-    mat = lv.copy()
-    rhs = np.zeros(_DIM * _DIM, dtype=complex)
-    mat[0, :] = 0.0
-    mat[0, [0, 4, 8]] = 1.0
-    rhs[0] = 1.0
+            return np.broadcast_to(ground_projector(), shape).copy()
+    l0 = liouvillian(rates, drive, 0.0)
+    mat = l0 + np.multiply.outer(probe_detuning, liouvillian(rates, drive, 1.0) - l0)
+    rhs = np.eye(_DIM * _DIM, dtype=complex)[0]
+    mat[..., 0, :] = 0.0
+    mat[..., 0, [0, 4, 8]] = 1.0
     try:
         vec = solve_dense(mat, rhs)
-    except NumericsError:
+    except NumericsError as exc:
         # Singular beyond the trace freedom: dissipation-free degenerate
-        # sector.  Fall back to the undriven rest state.
-        return ground_projector()
-    rho = vec.reshape(_DIM, _DIM)
-    return _validate_state(rho)
+        # sector.  Fall back to the undriven rest state at those points.
+        vec = np.broadcast_to(ground_projector().ravel(), mat.shape[:-1]).copy()
+        vec[~exc.failed] = solve_dense(mat[~exc.failed], rhs)
+    return _validate_state(vec.reshape(shape))
 
 
 def evolve_master_equation(rates: DecayRates, drive: DriveConfig, probe_detuning, rho0, times):

@@ -36,6 +36,14 @@ that links the couplings to the rates — so total norm is conserved
 independent of N0.  The t -> infinity first-emission line (the marginal of
 |b_kp|^2 over the second phonon) is Lorentzian with full width
 gamma_0 + gamma_1, a property verified numerically rather than assumed.
+
+The sector norms are trapezoid sums, at every time at once.  Write b_kp =
+A_k B_p (c_p + M_kp D_kp): A_k B_p the coupling prefactor, c_p the lower
+line's term, M = 1/(i(dk + dp) - gamma_1/2) and D = 1 - E_k P_p with E_k =
+e^{(i dk - gamma_1/2) t} and |P_p| = |e^{i dp t}| = 1.  Splitting D =
+(1 - P) + P (1 - E) turns the double sum of |b_kp|^2 into time-independent
+sums and two (times x p) @ (p x k) products, one with M and one with
+|M|^2; every term is exactly 0 at t = 0.
 """
 
 import math
@@ -184,25 +192,25 @@ def _trapezoid_weights(x):
 class CascadeResult:
     """Cascade amplitudes and sector norms over a set of sample times.
 
-    b_k rows are the one-phonon amplitudes over k_grid at each time; the
-    (large) two-phonon array is not stored per time — two_phonon_amplitudes
-    materializes it on demand and the norm bookkeeping was accumulated
-    during construction.  measure is the continuum weight m in
-    sum_k -> m * integral dk.
+    b_k rows are the one-phonon amplitudes over k_grid at each time.  The
+    two-phonon norm is summed without the (large) b_kp array (module
+    docstring); two_phonon_amplitudes builds b_kp at one time, the direct
+    route the tests check that sum against.  measure is the continuum
+    weight m in sum_k -> m * integral dk.
     """
 
     times: np.ndarray
     a: np.ndarray
     k_grid: np.ndarray
     p_grid: np.ndarray
-    b_k: np.ndarray
-    norm_one_phonon: np.ndarray
-    norm_two_phonon: np.ndarray
     measure: float
     rates: DecayRates
     omega_eg: float
     _g1_k: np.ndarray = field(repr=False, default=None)
     _g0_p: np.ndarray = field(repr=False, default=None)
+    b_k: np.ndarray = field(init=False)
+    norm_one_phonon: np.ndarray = field(init=False)
+    norm_two_phonon: np.ndarray = field(init=False)
 
     def __post_init__(self):
         # Detunings, resonance denominators and the coupling prefactor of
@@ -213,7 +221,28 @@ class CascadeResult:
         self._denom_k = 1j * self._dk - 0.5 * (g1 - g0)
         self._denom_p = 1j * self._dp - 0.5 * g0
         self._inv_denom_eg = 1.0 / (1j * (self._dk[:, None] + self._dp[None, :]) - 0.5 * g1)
-        self._pref_kp = np.multiply.outer(np.conj(self._g1_k) / self._denom_k, np.conj(self._g0_p))
+        amp_k = np.conj(self._g1_k) / self._denom_k
+        self._pref_kp = np.multiply.outer(amp_k, np.conj(self._g0_p))
+
+        # Both sectors at every time at once, times down the rows.
+        t = self.times[:, None]
+        w_k, w_p = _trapezoid_weights(self.k_grid), _trapezoid_weights(self.p_grid)
+        e_k = np.exp((1j * self._dk - 0.5 * g1) * t)
+        self.b_k = -1j * amp_k * (e_k - np.exp(-0.5 * g0 * t))
+        self.norm_one_phonon = self.measure * np.sum(np.abs(self.b_k) ** 2 * w_k, axis=1)
+        phase = np.exp(1j * self._dp * t)
+        c_p = (np.exp(self._denom_p * t) - 1.0) / self._denom_p
+        a_k, b_p = w_k * np.abs(amp_k) ** 2, w_p * np.abs(self._g0_p) ** 2
+        m_kp = self._inv_denom_eg
+        q_kp = np.abs(m_kp) ** 2
+        cross = (b_p * (phase - 1.0)) @ q_kp.T + (b_p * np.conj(c_p) * phase) @ m_kp.T
+        self.norm_two_phonon = self.measure ** 2 * (
+            np.sum(a_k) * (np.abs(c_p) ** 2 @ b_p)
+            + (b_p * np.abs(1.0 - phase) ** 2) @ (a_k @ q_kp)
+            + np.abs(1.0 - e_k) ** 2 @ (a_k * (q_kp @ b_p))
+            + 2.0 * np.real((b_p * c_p * np.conj(1.0 - phase)) @ np.conj(a_k @ m_kp))
+            + 2.0 * np.real(((1.0 - e_k) * cross) @ a_k)
+        )
 
     @property
     def norm_total(self):
@@ -267,42 +296,14 @@ def cascade(params: Params, times):
     if np.any(times < 0):
         raise ValueError("times must be >= 0")
 
-    g1_k = interband_coupling(1, k_grid, params)
-    g0_p = interband_coupling(0, p_grid, params)
-
-    measure = params.impurity_norm / (2.0 * math.pi * params.density_xi)
-    w_k = _trapezoid_weights(k_grid)
-    w_p = _trapezoid_weights(p_grid)
-
-    a = np.exp(-0.5 * g1_rate * times).astype(complex)
-    b_k = np.empty((len(times), len(k_grid)), dtype=complex)
-    norm1 = np.empty(len(times))
-    norm2 = np.empty(len(times))
-
-    result = CascadeResult(
+    return CascadeResult(
         times=times,
-        a=a,
+        a=np.exp(-0.5 * g1_rate * times).astype(complex),
         k_grid=k_grid,
         p_grid=p_grid,
-        b_k=b_k,
-        norm_one_phonon=norm1,
-        norm_two_phonon=norm2,
-        measure=measure,
+        measure=params.impurity_norm / (2.0 * math.pi * params.density_xi),
         rates=rates,
         omega_eg=rates.omega_0 + rates.omega_1,
-        _g1_k=g1_k,
-        _g0_p=g0_p,
+        _g1_k=interband_coupling(1, k_grid, params),
+        _g0_p=interband_coupling(0, p_grid, params),
     )
-
-    for i, t in enumerate(times):
-        b_k[i] = (
-            -1j
-            * np.conj(g1_k)
-            * (np.exp((1j * result._dk - 0.5 * g1_rate) * t) - math.exp(-0.5 * g0_rate * t))
-            / result._denom_k
-        )
-        norm1[i] = measure * float(np.sum(np.abs(b_k[i]) ** 2 * w_k))
-        b_kp = result.two_phonon_amplitudes(t)
-        norm2[i] = measure ** 2 * float(w_k @ (np.abs(b_kp) ** 2 @ w_p))
-
-    return result

@@ -41,6 +41,8 @@ __all__ = [
 class NumericsError(RuntimeError):
     """Raised when a numerical routine cannot meet its accuracy contract."""
 
+    failed = None  # set by solve_dense: which systems of the stack failed
+
 
 def _is_power_of_two(n):
     return n >= 1 and (n & (n - 1)) == 0
@@ -312,26 +314,30 @@ def hilbert_transform(values):
 
 
 def solve_dense(matrix, rhs, residual_tol=1e-10):
-    """Solve the small dense system matrix @ x = rhs (n <= 16).
+    """Solve the small dense systems matrix @ x = rhs (n <= 16), one or a stack.
 
-    Delegates to LAPACK's partial-pivot LU via numpy and enforces the
-    residual bound ||Ax - b|| <= residual_tol * max(1, ||b||), raising
-    NumericsError on ill-conditioned systems instead of returning junk.
+    matrix is (n, n) or a (..., n, n) stack, rhs one length-n vector or one
+    per system.  Delegates to LAPACK's partial-pivot LU via numpy and
+    enforces the residual bound ||Ax - b|| <= residual_tol * max(1, ||b||)
+    on every system, raising NumericsError (failed marks which) on singular
+    or ill-conditioned systems instead of returning junk.
     """
     a = np.asarray(matrix)
-    b = np.asarray(rhs)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NumericsError(f"solve_dense needs a square matrix, got shape {a.shape}")
-    if a.shape[0] > 16:
-        raise NumericsError(f"solve_dense is for small systems (n <= 16), got n={a.shape[0]}")
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(f"dense solve failed: {exc}") from exc
-    residual = np.linalg.norm(a @ x - b)
-    if not residual <= residual_tol * max(1.0, np.linalg.norm(b)):
-        raise NumericsError(f"dense solve residual {residual:g} exceeds {residual_tol:g}")
-    return x
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise NumericsError(f"solve_dense needs square matrices, got shape {a.shape}")
+    if a.shape[-1] > 16:
+        raise NumericsError(f"solve_dense is for small systems (n <= 16), got n={a.shape[-1]}")
+    b = np.broadcast_to(rhs, a.shape[:-1])
+    singular = np.linalg.slogdet(a)[0] == 0  # an exact zero pivot; the identity stands in
+    x = np.linalg.solve(np.where(singular[..., None, None], np.eye(a.shape[-1]), a), b[..., None])
+    residual = np.linalg.norm(a @ x - b[..., None], axis=(-2, -1))
+    failed = singular | ~(residual <= residual_tol * np.maximum(1.0, np.linalg.norm(b, axis=-1)))
+    if np.any(failed):
+        err = NumericsError(f"{np.count_nonzero(failed)} of {failed.size} dense solves"
+                            f" singular or above residual {residual_tol:g}")
+        err.failed = failed
+        raise err
+    return x[..., 0]
 
 
 # ----------------------------------------------------------------------

@@ -86,9 +86,14 @@ def is_qutrit(nu):
 
 
 def qutrit_window_in_coupling_ratio(mass_ratio):
-    """The (g12/g11) interval realizing the qutrit window at fixed mass ratio."""
+    """The (g12/g11) interval [lo, hi) realizing the qutrit window at fixed mass ratio.
+
+    hi steps down by ulps while the float nu just below it rounds onto 9/7.
+    """
     lo = QUTRIT_NU_MIN * (QUTRIT_NU_MIN + 1.0) / mass_ratio
     hi = QUTRIT_NU_MAX * (QUTRIT_NU_MAX + 1.0) / mass_ratio
+    while not is_qutrit(nu_from_ratios(math.nextafter(hi, 0.0), mass_ratio)):
+        hi = math.nextafter(hi, 0.0)
     return lo, hi
 
 

@@ -133,15 +133,19 @@ def _default_detunings(rates: DecayRates, drive: DriveConfig):
     (1 + r)(2/r)(1 + ln(r span/floor)) < 500 steps to a side (r the
     resolution), so the grid never exceeds 4 001 points.  The floor binds
     only where a feature is narrower than 2e-5 span: at REFERENCE, above a
-    control of about 2 500 gamma_0.
+    control of about 2 500 gamma_0.  The loop runs in units of a power of
+    two near the span, so squared widths cannot underflow, and with squares
+    taken as products that scaling is exact.
     """
     span = max(20.0 * rates.gamma_0, 3.0 * drive.control_rabi)
-    features = [(f.real, f.imag**2) for f in _features(rates, drive)]
+    unit = 2.0 ** math.frexp(span)[1]
+    span /= unit
+    features = [(f.real / unit, f.imag / unit) for f in _features(rates, drive)]
     floor = 1e-6 * span
     side = []
     x = 0.0
     while True:
-        nearest = math.sqrt(min([(x - re) ** 2 + im2 for re, im2 in features]))
+        nearest = math.sqrt(min([(x - re) * (x - re) + im * im for re, im in features]))
         step = max(floor, _GRID_RESOLUTION * nearest)
         # the last step may stretch to 1.5 steps rather than leave a sliver
         if x + 1.5 * step >= span:
@@ -149,7 +153,7 @@ def _default_detunings(rates: DecayRates, drive: DriveConfig):
         x += step
         side.append(x)
     side.append(span)
-    side = np.asarray(side)
+    side = unit * np.asarray(side)
     return np.concatenate([-side[::-1], [0.0], side])
 
 

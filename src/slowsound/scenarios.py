@@ -909,8 +909,8 @@ def scenario_validate(params: Params, sink):
     # --- driven three-level dynamics ----------------------------------------
     drive = drive_from_params(params, rates)
     sweep = np.linspace(-20.0 * rates.gamma_0, 20.0 * rates.gamma_0, 200)
-    lind_states = [steady_state_lindblad(rates, drive, float(dd)) for dd in sweep]
-    co_l = np.array([r[1, 0] for r in lind_states])
+    lind_states = steady_state_lindblad(rates, drive, sweep)
+    co_l = lind_states[:, 1, 0]
     co_a = weak_probe_coherences(rates, drive, sweep)[0]
     route_dev = float(np.max(np.abs(co_l - co_a)) / np.max(np.abs(co_a)))
     rows.append(_row(
@@ -921,11 +921,10 @@ def scenario_validate(params: Params, sink):
     ))
 
     quality_states = lind_states[::4]
-    herm = max(float(np.max(np.abs(r - r.conj().T))) for r in quality_states)
-    tr = max(abs(float(np.trace(r).real) - 1.0) for r in quality_states)
-    mineig = min(
-        float(np.min(np.linalg.eigvalsh(0.5 * (r + r.conj().T)))) for r in quality_states
-    )
+    quality_h = np.conj(np.swapaxes(quality_states, 1, 2))
+    herm = float(np.max(np.abs(quality_states - quality_h)))
+    tr = float(np.max(np.abs(np.trace(quality_states, axis1=1, axis2=2).real - 1.0)))
+    mineig = float(np.min(np.linalg.eigvalsh(0.5 * (quality_states + quality_h))))
     state_ok = herm < 1e-10 and tr < 1e-10 and mineig > -1e-8
     rows.append(_row(
         "lindblad_state_quality",
@@ -943,9 +942,7 @@ def scenario_validate(params: Params, sink):
             delta_mode=drive.delta_mode,
         )
         co_a = weak_probe_coherences(rates, dv, small_sweep)[0]
-        co_l = np.array(
-            [steady_state_lindblad(rates, dv, float(dd))[1, 0] for dd in small_sweep]
-        )
+        co_l = steady_state_lindblad(rates, dv, small_sweep)[:, 1, 0]
         errs.append(float(np.max(np.abs(co_l - co_a)) / np.max(np.abs(co_a))))
     rows.append(_row(
         "weak_probe_convergence",

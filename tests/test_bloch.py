@@ -14,6 +14,7 @@ from slowsound.bloch import (
     trace_distance,
     weak_probe_coherences,
 )
+from slowsound import bloch
 from slowsound.decay import decay_rates
 from slowsound.params import REFERENCE
 
@@ -75,6 +76,55 @@ def test_weak_probe_matches_lindblad():
         # state, to first order in the probe
         full = rho[1, 0]
         assert full == pytest.approx(rho_eg_weak[i], rel=0.01), det
+
+
+def _mode(mode):
+    return DriveConfig(DRIVE.probe_rabi, DRIVE.control_rabi, delta_mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["track", "fixed"])
+def test_liouvillian_is_affine_in_detuning(mode):
+    """L(Delta) = L0 + Delta L1 exactly, which the stacked steady states use."""
+    drive = _mode(mode)
+    l0 = liouvillian(RATES, drive, 0.0)
+    l1 = liouvillian(RATES, drive, 1.0) - l0
+    for det in np.linspace(-20.0, 20.0, 41) * RATES.gamma_0:
+        assert np.array_equal(liouvillian(RATES, drive, det), l0 + det * l1), det
+
+
+@pytest.mark.parametrize("mode", ["track", "fixed"])
+def test_stacked_steady_states_match_one_solve_per_detuning(mode):
+    """Bit for bit against the null space of each L(Delta) solved alone."""
+    drive = _mode(mode)
+    dets = np.linspace(-20.0, 20.0, 200) * RATES.gamma_0
+    stacked = steady_state_lindblad(RATES, drive, dets)
+    assert stacked.shape == (200, 3, 3)
+    for det, rho in zip(dets, stacked):
+        mat = liouvillian(RATES, drive, det)
+        mat[0, :] = 0.0
+        mat[0, [0, 4, 8]] = 1.0
+        alone = np.linalg.solve(mat, np.eye(9)[0]).reshape(3, 3)
+        assert np.array_equal(rho, alone), det
+        assert np.array_equal(rho, steady_state_lindblad(RATES, drive, float(det))), det
+
+
+def test_singular_point_falls_back_alone(monkeypatch):
+    """One singular system in the stack: only that point becomes the ground
+    projector."""
+    dets = np.array([-1.0, 0.0, 1.0]) * RATES.gamma_0
+    regular = steady_state_lindblad(RATES, DRIVE, dets)
+    true_solve = bloch.solve_dense
+
+    def dead_middle(mat, rhs):
+        if len(mat) == 3:  # the full stack, not the fallback's re-solve
+            mat = mat.copy()
+            mat[1, 1:] = 0.0
+        return true_solve(mat, rhs)
+
+    monkeypatch.setattr(bloch, "solve_dense", dead_middle)
+    states = steady_state_lindblad(RATES, DRIVE, dets)
+    assert np.array_equal(states[1], ground_projector())
+    assert np.array_equal(states[[0, 2]], regular[[0, 2]])
 
 
 def test_weak_probe_error_shrinks_with_probe():

@@ -192,6 +192,38 @@ def test_two_phonon_amplitudes_match_unfactored_form():
     np.testing.assert_allclose(res.two_phonon_amplitudes(t), direct, rtol=1e-10, atol=0)
 
 
+def _window_edge(which):
+    from slowsound.qutrit import qutrit_window_in_coupling_ratio
+
+    lo, hi = qutrit_window_in_coupling_ratio(REFERENCE.mass_ratio)
+    # the window is [lo, hi): the upper edge itself binds a fourth state
+    return replace(REFERENCE, coupling_ratio=lo if which == "lower" else hi * (1.0 - 1e-3))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        REFERENCE,
+        replace(REFERENCE, coupling_mode="quadrature"),
+        _window_edge("lower"),
+        _window_edge("upper"),
+    ],
+    ids=["closed", "quadrature", "lower-edge", "upper-edge"],
+)
+def test_two_phonon_norm_matches_direct_amplitudes(params):
+    """The expanded two-phonon norm against the trapezoid sum of the full
+    |b_kp(t)|^2 array that two_phonon_amplitudes builds at each time."""
+    r = decay_rates(params)
+    times = np.array([0.0, 0.5, 1.0, 3.0, 5.0]) / r.gamma_1
+    res = cascade(params, times)
+    w_k, w_p = (0.5 * (np.diff(x, prepend=x[0]) + np.diff(x, append=x[-1]))
+                for x in (res.k_grid, res.p_grid))
+    direct = [res.measure ** 2 * w_k @ np.abs(res.two_phonon_amplitudes(t)) ** 2 @ w_p
+              for t in times]
+    assert abs(res.norm_two_phonon[0]) <= 1e-15
+    np.testing.assert_allclose(res.norm_two_phonon[1:], direct[1:], rtol=1e-12, atol=0)
+
+
 def test_cascade_survival_is_exponential():
     r = decay_rates(REFERENCE)
     times = np.linspace(0.0, 3.0, 7) / r.gamma_1

@@ -218,6 +218,22 @@ def test_solve_dense_singular_raises():
         solve_dense(a, np.ones(3))
 
 
+def test_solve_dense_stack_marks_singular_system():
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    b = rng.standard_normal(4)
+    x = solve_dense(a, b)
+    assert x.shape == (3, 4)
+    for a_i, x_i in zip(a, x):
+        assert np.array_equal(x_i, solve_dense(a_i, b))
+    # singular, although x = b would solve it exactly
+    a[1] = np.diag([1.0, 1.0, 1.0, 0.0])
+    rhs = np.stack([b, np.eye(4)[0], b])
+    with pytest.raises(NumericsError) as err:
+        solve_dense(a, rhs)
+    assert err.value.failed.tolist() == [False, True, False]
+
+
 # -- Hilbert transform ----------------------------------------------------
 
 def test_hilbert_on_lorentzian_pair():

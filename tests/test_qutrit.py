@@ -66,6 +66,17 @@ def test_window_in_coupling_ratio_roundtrip():
     assert lo < REFERENCE.coupling_ratio < hi
 
 
+def test_every_ratio_in_the_window_interval_is_a_qutrit():
+    """Every ratio in [lo, hi) is a qutrit: at REFERENCE's mass ratio the
+    float nu of the ratio just below the closed-form edge rounds onto 9/7."""
+    from slowsound.params import nu_from_ratios
+
+    for mass_ratio in [*np.linspace(1.0, 2.0, 101), REFERENCE.mass_ratio]:
+        lo, hi = qutrit_window_in_coupling_ratio(mass_ratio)
+        assert is_qutrit(nu_from_ratios(lo, mass_ratio)), mass_ratio
+        assert is_qutrit(nu_from_ratios(math.nextafter(hi, 0.0), mass_ratio)), mass_ratio
+
+
 # -- energy ladder --------------------------------------------------------
 
 def test_spectrum_ladder_arithmetic():

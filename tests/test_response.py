@@ -82,8 +82,9 @@ def test_absorption_nonnegative():
 def test_routes_agree_at_spot_detunings():
     dets = np.array([-2.0, -0.3, 0.0, 0.4, 1.7]) * RATES.gamma_0
     analytic = weak_probe_coherences(RATES, DRIVE, dets)[0]
-    for d, a in zip(dets, analytic):
-        assert steady_state_lindblad(RATES, DRIVE, d)[1, 0] == pytest.approx(a, rel=0.01)
+    lind = steady_state_lindblad(RATES, DRIVE, dets)[:, 1, 0]
+    for full, a in zip(lind, analytic):
+        assert full == pytest.approx(a, rel=0.01)
 
 
 def test_transparency_gate_sequence():
@@ -238,7 +239,7 @@ def test_lindblad_centre_slope_matches_closed_slope():
     h = RATES.gamma_0 / 50.0
     gv = group_velocity_curve(REFERENCE, detunings=[0.0])
     chi_per_coherence = gv.curve.chi[0] / weak_probe_coherences(RATES, DRIVE, [0.0])[0][0]
-    lind = [steady_state_lindblad(RATES, DRIVE, d)[1, 0] for d in (-h, h)]
+    lind = steady_state_lindblad(RATES, DRIVE, [-h, h])[:, 1, 0]
     central = np.real(chi_per_coherence * (lind[1] - lind[0])) / (2.0 * h)
     assert central == pytest.approx(gv.refraction_slope[0], rel=0.01)
 
@@ -258,6 +259,16 @@ def test_default_grid_shape(mode):
         assert 0.0 in d
         assert d[0] == -span and d[-1] == span
         assert len(d) <= 4001
+
+
+def test_default_grid_bounded_when_line_widths_underflow():
+    """At density_xi = 1e200 the line widths (~5e-202) square below the
+    smallest double; the grid keeps its 4 001-point bound."""
+    params = replace(REFERENCE, density_xi=1e200)
+    rates = decay_rates(params)
+    d = response._default_detunings(rates, drive_from_params(params, rates))
+    assert np.all(np.diff(d) > 0)
+    assert len(d) <= 4001
 
 
 def test_dispersion_branches_merge_at_edges():
