@@ -29,8 +29,6 @@ _EXPORTS = {
     "spectrum": "slowsound.qutrit",
     "dispersion": "slowsound.bogoliubov",
     "resonant_wavevector": "slowsound.bogoliubov",
-    "CouplingSet": "slowsound.coupling",
-    "coupling_set": "slowsound.coupling",
     "DecayRates": "slowsound.decay",
     "cascade": "slowsound.decay",
     "decay_rates": "slowsound.decay",

@@ -1,8 +1,7 @@
 """Command-line entry point.
 
     slowsound <scenario> [--config file] [--out dir] [--format csv,json,svg]
-              [--set key=value ...] [--coupling-mode closed|quadrature]
-              [--delta-mode track|fixed] [--threads N]
+              [--set key=value ...] [--delta-mode track|fixed] [--threads N]
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 validation-suite failure (the validate scenario reported FAIL rows).
@@ -57,10 +56,6 @@ def _build_parser():
         help="override a single config key (repeatable, highest precedence)",
     )
     parser.add_argument(
-        "--coupling-mode", choices=("closed", "quadrature"), default=None,
-        help="route for the interband couplings",
-    )
-    parser.add_argument(
         "--delta-mode", choices=("track", "fixed"), default=None,
         help="two-photon detuning convention",
     )
@@ -111,8 +106,6 @@ def main(argv=None):
             except OSError as exc:
                 raise ConfigError(f"cannot read config file: {exc}") from exc
             mapping = parse_config_text(text)
-        if args.coupling_mode is not None:
-            mapping["coupling_mode"] = args.coupling_mode
         if args.delta_mode is not None:
             mapping["delta_mode"] = args.delta_mode
         mapping = apply_overrides(mapping, args.set)

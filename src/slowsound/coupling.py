@@ -1,11 +1,14 @@
 """Impurity-phonon coupling amplitudes.
 
-Two routes to the same physics:
+Two routes to the same physics.  The chain (decay_rates, cascade, and
+through them every sweep) runs on the first; the second is its oracle,
+called directly by the couplings and validate scenarios, which print
+where the two disagree:
 
-* closed forms g0_closed / g1_closed for the two interband transitions
-  (ground <-> first, first <-> second), polynomial-times-csch expressions
-  whose exponential csch(pi k/2) envelope reflects the smooth sech-type
-  overlap region of width ~ xi;
+* the paper's printed closed forms g0_closed / g1_closed for the two
+  interband transitions (ground <-> first, first <-> second),
+  polynomial-times-csch expressions whose exponential csch(pi k/2)
+  envelope reflects the smooth sech-type overlap region of width ~ xi;
 * the overlap integral g_quadrature(l, l', k) of the defining expression
   g12 * integral phi_l phi_l' psi_sol (u_k + v_k) dx with psi_sol =
   sqrt(n0) tanh(x) and the soliton-frame mode amplitudes, evaluated for a
@@ -23,7 +26,6 @@ ones); magnitude comparisons are the meaningful cross-check.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,9 +39,6 @@ __all__ = [
     "g0_closed",
     "g1_closed",
     "g_quadrature",
-    "interband_coupling",
-    "CouplingSet",
-    "coupling_set",
 ]
 
 # csch(pi k / 2) underflows to zero well before sinh overflows.
@@ -154,49 +153,3 @@ def g_quadrature(l, lp, k, params: Params):
         )
     return params.g12 * total
 
-
-def interband_coupling(which, k, params: Params):
-    """Transition coupling for the lower (which=0) or upper (which=1) line.
-
-    Dispatches on params.coupling_mode: "closed" uses the printed closed
-    forms, "quadrature" the overlap integral (pairs 0-1 and 1-2).
-    """
-    if which not in (0, 1):
-        raise ValueError(f"which must be 0 or 1, got {which!r}")
-    if params.coupling_mode == "closed":
-        return g0_closed(k, params) if which == 0 else g1_closed(k, params)
-    pair = (0, 1) if which == 0 else (1, 2)
-    return g_quadrature(pair[0], pair[1], k, params)
-
-
-@dataclass(frozen=True)
-class CouplingSet:
-    """All coupling amplitudes at one wavevector or an array of them,
-    with provenance tags."""
-
-    k: float
-    g0: complex
-    g1: complex
-    g00: complex
-    g11: complex
-    g22: complex
-    interband_source: str  # "closed-form" or "quadrature"
-    intraband_source: str  # always "quadrature"
-
-
-def coupling_set(k, params: Params):
-    """Interband and intraband amplitudes at k (a float or an array).
-
-    Interband follows params.coupling_mode; the intraband amplitudes have
-    no closed forms and always come from quadrature.
-    """
-    return CouplingSet(
-        k=k,
-        g0=interband_coupling(0, k, params),
-        g1=interband_coupling(1, k, params),
-        g00=g_quadrature(0, 0, k, params),
-        g11=g_quadrature(1, 1, k, params),
-        g22=g_quadrature(2, 2, k, params),
-        interband_source="closed-form" if params.coupling_mode == "closed" else "quadrature",
-        intraband_source="quadrature",
-    )

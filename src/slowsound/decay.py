@@ -4,9 +4,10 @@ Rates
 -----
 decay_rates gives the decay rates gamma_0 (first excited -> ground) and
 gamma_1 (second transition) by the golden rule, evaluated honestly: invert
-the dispersion for the resonant wavevector, evaluate the coupling there in
-params.coupling_mode, divide by the dispersion slope (the 1D density of
-states), and scale by the per-site impurity normalization N0/(n0 xi).
+the dispersion for the resonant wavevector, evaluate the printed coupling
+g0_closed / g1_closed there, divide by the dispersion slope (the 1D
+density of states), and scale by the per-site impurity normalization
+N0/(n0 xi).
 Equivalently (L_eff/sqrt(2)) * (sqrt(1+eta)/eta) * |g|^2 with
 L_eff = N0/(sqrt(2) n0), since d eps/d k = 2 eta / sqrt(1+eta) at
 resonance.  The lower line's resonant wavevector k0 and |g0(k0)|^2 ride
@@ -52,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bogoliubov import dispersion, dispersion_derivative, resonant_wavevector
-from .coupling import csch, interband_coupling
+from .coupling import csch, g0_closed, g1_closed
 from .params import Params
 from .qutrit import NotAQutrit, spectrum
 
@@ -126,7 +127,7 @@ class DecayRates:
 
 
 def decay_rates(params: Params):
-    """Golden-rule rates of both transitions, with the coupling mode of params.
+    """Golden-rule rates of both transitions, from the printed couplings.
 
     Each rate is the resonant coupling over the dispersion slope (the 1D
     density of states), scaled by the per-site impurity normalization
@@ -141,8 +142,8 @@ def decay_rates(params: Params):
         raise ValueError(spec.reason)
     weight = params.impurity_norm / params.density_xi
     k0, k1 = (float(resonant_wavevector(w)) for w in (spec.omega_0, spec.omega_1))
-    g0_sq = abs(interband_coupling(0, k0, params)) ** 2
-    g1_sq = abs(interband_coupling(1, k1, params)) ** 2
+    g0_sq = abs(g0_closed(k0, params)) ** 2
+    g1_sq = abs(g1_closed(k1, params)) ** 2
     return DecayRates(
         gamma_0=float(weight * g0_sq / dispersion_derivative(k0)),
         gamma_1=float(weight * g1_sq / dispersion_derivative(k1)),
@@ -279,10 +280,11 @@ class CascadeResult:
 def cascade(params: Params, times):
     """Closed-form cascade amplitudes at the requested times.
 
-    Rates are the golden-rule rates of the params' coupling mode
-    (decay_rates), so that couplings, rates, and the continuum measure are
-    mutually consistent and the total norm is conserved (up to the
-    Lorentzian tail mass outside the finite grids and trapezoid error).
+    Rates are the golden-rule rates (decay_rates) and the amplitudes use
+    the same printed g0_closed / g1_closed, so that couplings, rates, and
+    the continuum measure are mutually consistent and the total norm is
+    conserved (up to the Lorentzian tail mass outside the finite grids and
+    trapezoid error).
     The k and p grids are emission_grid around the upper and lower
     transition lines, stepped at a sixth of the narrowest linewidth.
     """
@@ -304,6 +306,6 @@ def cascade(params: Params, times):
         measure=params.impurity_norm / (2.0 * math.pi * params.density_xi),
         rates=rates,
         omega_eg=rates.omega_0 + rates.omega_1,
-        _g1_k=interband_coupling(1, k_grid, params),
-        _g0_p=interband_coupling(0, p_grid, params),
+        _g1_k=g1_closed(k_grid, params),
+        _g0_p=g0_closed(p_grid, params),
     )

@@ -76,8 +76,6 @@ class Params:
     probe_fraction : probe-to-control Rabi ratio (weak-probe regime).
     delta_mode : "track" keeps the control on resonance so the two-photon
         detuning follows the probe detuning; "fixed" pins it to zero.
-    coupling_mode : "closed" evaluates impurity-phonon couplings from their
-        closed forms, "quadrature" from overlap integrals.
     """
 
     mass_ratio: float = 1.56
@@ -91,7 +89,6 @@ class Params:
     control_rabi_gamma0: float = 4.5
     probe_fraction: float = 0.01
     delta_mode: str = "track"
-    coupling_mode: str = "closed"
 
     def __post_init__(self):
         for name, value in vars(self).items():
@@ -119,10 +116,6 @@ class Params:
             raise ConfigError("probe_fraction must lie in (0, 0.2] (weak probe)")
         if self.delta_mode not in ("track", "fixed"):
             raise ConfigError(f"delta_mode must be 'track' or 'fixed', got {self.delta_mode!r}")
-        if self.coupling_mode not in ("closed", "quadrature"):
-            raise ConfigError(
-                f"coupling_mode must be 'closed' or 'quadrature', got {self.coupling_mode!r}"
-            )
 
     # -- derived reduced-unit quantities ---------------------------------
 
@@ -179,7 +172,7 @@ def _coerce(key, raw):
         known = ", ".join(sorted(_FIELD_TYPES))
         raise ConfigError(f"unknown config key {key!r} (known keys: {known})")
     raw = raw.strip()
-    if key in ("delta_mode", "coupling_mode"):
+    if key == "delta_mode":
         return raw
     if key == "impurity_number" and raw.lower() in ("none", ""):
         return None

@@ -178,10 +178,10 @@ def _sweep(params: Params, rates: DecayRates, drive: DriveConfig, detunings):
 def susceptibility_curve(params: Params, detunings=None):
     """Sweep the weak-probe chi over probe detunings.
 
-    The decay rates are the golden-rule rates of params.coupling_mode
+    The decay rates are the golden-rule rates of the printed couplings
     (decay_rates), the ones cascade uses: gamma_0 and gamma_1 in the
     denominator and |g0(k0)|^2 in the prefactor then come from one
-    coupling.  With closed couplings they equal the closed-form rates to
+    coupling.  They equal the closed-form rates (gamma_closed) to
     rounding.  The drive follows from params and gamma_0
     (drive_from_params), and parameters outside the qutrit window raise
     ValueError from decay_rates.

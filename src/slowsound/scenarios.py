@@ -28,7 +28,7 @@ from slowsound.bloch import (
     weak_probe_coherences,
 )
 from slowsound.bogoliubov import dispersion, resonant_wavevector
-from slowsound.coupling import coupling_set, g0_closed, g1_closed, g_quadrature
+from slowsound.coupling import g0_closed, g1_closed, g_quadrature
 from slowsound.decay import cascade, decay_rates, gamma_closed
 from slowsound.gpe import frozen_well, well_eigenstates
 from slowsound.numerics import hilbert_transform
@@ -283,13 +283,13 @@ def scenario_decay(params: Params, sink):
 # ----------------------------------------------------------------------
 
 def scenario_couplings(params: Params, sink):
-    """Interband and intraband coupling amplitudes over a k sweep."""
+    """Interband (the chain's printed closed forms) and intraband (overlap
+    integral) coupling amplitudes over a k sweep."""
     ks = np.arange(0.05, 4.0 + 1e-9, 0.05)
-    cs = coupling_set(ks, params)
-    curves = np.abs(
-        [cs.g0, cs.g1, cs.g00, cs.g11, cs.g22, g0_closed(ks, params), g1_closed(ks, params)]
-    )
-    rows = [[k, *c[:5], cs.interband_source, *c[5:]] for k, c in zip(ks, curves.T)]
+    g0, g1 = np.abs(g0_closed(ks, params)), np.abs(g1_closed(ks, params))
+    intra = [np.abs(g_quadrature(l, l, ks, params)) for l in range(3)]
+    curves = np.array([g0, g1, *intra, g0, g1])
+    rows = [[k, *c[:5], "closed-form", *c[5:]] for k, c in zip(ks, curves.T)]
     columns = [
         "k",
         "abs_g0",
@@ -325,7 +325,7 @@ def scenario_couplings(params: Params, sink):
             "abs_g0_closed": float(ks[int(np.argmax(arr[:, 2]))]),
             "abs_g1_closed": float(ks[int(np.argmax(arr[:, 3]))]),
         },
-        "interband_source": params.coupling_mode,
+        "interband_source": "closed",
     }
     sink.json("couplings.json", summary)
     sink.svg(

@@ -53,6 +53,12 @@ def test_unknown_scenario_is_usage_error(tmp_path):
     assert info.value.code == 2
 
 
+def test_removed_coupling_mode_flag_is_usage_error(tmp_path):
+    with pytest.raises(SystemExit) as info:
+        main(["spectrum", "--coupling-mode", "closed", "--out", str(tmp_path / "x")])
+    assert info.value.code == 2
+
+
 def test_bad_override_value(tmp_path, capsys):
     code, _ = run(tmp_path, "spectrum", "--set", "mass_ratio=banana")
     assert code == 2
@@ -60,9 +66,12 @@ def test_bad_override_value(tmp_path, capsys):
 
 
 def test_unknown_config_key(tmp_path, capsys):
-    code, _ = run(tmp_path, "spectrum", "--set", "flux_capacitor=1")
-    assert code == 2
-    assert "config error" in capsys.readouterr().err
+    # the coupling route is not configurable: the chain runs the printed g0/g1
+    for override in ("flux_capacitor=1", "coupling_mode=closed"):
+        code, _ = run(tmp_path, "spectrum", "--set", override)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "unknown config key" in err
 
 
 def test_bad_format_listing(tmp_path, capsys):

@@ -8,20 +8,14 @@ trapezoid sum over the (k, x) grid or its choice of step, so agreement is
 a genuine cross-check of it.
 """
 
-from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 from slowsound import coupling
 from slowsound.bogoliubov import BogoliubovMode
-from slowsound.coupling import (
-    coupling_set,
-    g0_closed,
-    g1_closed,
-    g_quadrature,
-    interband_coupling,
-)
+from slowsound.coupling import g0_closed, g1_closed, g_quadrature
 from slowsound.numerics import NumericsError, integrate_line
 from slowsound.params import REFERENCE
 from slowsound.qutrit import ImpurityStates
@@ -122,43 +116,18 @@ def test_closed_forms_finite_and_decaying():
     assert g1[-1] < 1e-2 * g1.max()
 
 
-def test_interband_coupling_dispatch():
-    assert interband_coupling(0, 0.9, REFERENCE) == g0_closed(0.9, REFERENCE)
-    assert interband_coupling(1, 0.9, REFERENCE) == g1_closed(0.9, REFERENCE)
-
-
 def test_array_of_k_matches_one_k_at_a_time():
     ks = np.array([0.2, 0.9, 3.0])
-    quad_params = replace(REFERENCE, coupling_mode="quadrature")
-    for params in (REFERENCE, quad_params):
-        for which in (0, 1):
-            batch = interband_coupling(which, ks, params)
-            single = [interband_coupling(which, float(k), params) for k in ks]
-            np.testing.assert_allclose(batch, single, rtol=1e-12)
-    cs = coupling_set(ks, quad_params)
-    for name in ("g0", "g1", "g00", "g11", "g22"):
-        assert getattr(cs, name).shape == ks.shape
+    routes = [g0_closed, g1_closed] + [
+        partial(g_quadrature, *pair) for pair in ((0, 1), (1, 2), (0, 0), (1, 1), (2, 2))
+    ]
+    for route in routes:
+        batch = route(ks, REFERENCE)
+        assert batch.shape == ks.shape
+        single = [route(float(k), REFERENCE) for k in ks]
+        np.testing.assert_allclose(batch, single, rtol=1e-12)
     with pytest.raises(ValueError, match="k > 0"):
         g_quadrature(0, 1, np.array([0.5, 0.0]), REFERENCE)
-
-
-def test_coupling_set_route_wiring():
-    cs_closed = coupling_set(0.9, REFERENCE)
-    assert cs_closed.interband_source == "closed-form"
-    assert cs_closed.g0 == g0_closed(0.9, REFERENCE)
-    assert cs_closed.g1 == g1_closed(0.9, REFERENCE)
-    # intraband elements have no closed form: always quadrature
-    assert cs_closed.intraband_source == "quadrature"
-    assert cs_closed.g00 == pytest.approx(
-        g_quadrature(0, 0, 0.9, REFERENCE), rel=1e-12
-    )
-
-    quad_params = replace(REFERENCE, coupling_mode="quadrature")
-    cs_quad = coupling_set(0.9, quad_params)
-    assert cs_quad.interband_source == "quadrature"
-    assert cs_quad.g0 == pytest.approx(
-        g_quadrature(0, 1, 0.9, quad_params), rel=1e-12
-    )
 
 
 def test_small_k_elements_stay_finite():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from slowsound.bogoliubov import dispersion, dispersion_derivative, resonant_wavevector
-from slowsound.coupling import interband_coupling
+from slowsound.coupling import g0_closed
 from slowsound.decay import (
     cascade,
     decay_rates,
@@ -97,14 +97,13 @@ def test_route_agreement_across_window():
         assert c1 == pytest.approx(i.gamma_1, rel=1e-3), rg
 
 
-@pytest.mark.parametrize("coupling_mode", ["closed", "quadrature"])
-def test_rates_carry_the_carrier_coupling(coupling_mode):
+@pytest.mark.parametrize("params", [REFERENCE], ids=["closed"])
+def test_rates_carry_the_carrier_coupling(params):
     """k0 is the lower line's resonant wavevector, and the carrier coupling
-    the |g0(k0)|^2 of the same coupling mode as the rates."""
-    params = replace(REFERENCE, coupling_mode=coupling_mode)
+    the |g0(k0)|^2 of the printed closed form that the rates use."""
     r = decay_rates(params)
     assert r.carrier_k == resonant_wavevector(r.omega_0)
-    assert r.carrier_coupling == abs(interband_coupling(0, r.carrier_k, params)) ** 2
+    assert r.carrier_coupling == abs(g0_closed(r.carrier_k, params)) ** 2
 
 
 def test_rates_positive_and_weak():
@@ -164,15 +163,6 @@ def test_cascade_initial_state_and_norm_window():
     assert np.all(total[1:] > 0.98) and np.all(total[1:] < 1.005)
 
 
-def test_cascade_in_quadrature_mode():
-    quad = replace(REFERENCE, coupling_mode="quadrature")
-    rates = decay_rates(quad)
-    res = cascade(quad, np.array([0.5, 1.0, 3.0]) / rates.gamma_1)
-    # validate's cascade_norm_conservation window, on the overlap-integral couplings
-    assert np.all(res.norm_total >= 0.98) and np.all(res.norm_total <= 1.005)
-    assert res.rates == rates
-
-
 def test_two_phonon_amplitudes_match_unfactored_form():
     r = decay_rates(REFERENCE)
     res = cascade(REFERENCE, np.array([1.0]) / r.gamma_1)
@@ -204,11 +194,10 @@ def _window_edge(which):
     "params",
     [
         REFERENCE,
-        replace(REFERENCE, coupling_mode="quadrature"),
         _window_edge("lower"),
         _window_edge("upper"),
     ],
-    ids=["closed", "quadrature", "lower-edge", "upper-edge"],
+    ids=["closed", "lower-edge", "upper-edge"],
 )
 def test_two_phonon_norm_matches_direct_amplitudes(params):
     """The expanded two-phonon norm against the trapezoid sum of the full

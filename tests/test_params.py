@@ -57,8 +57,8 @@ def test_validation_rejects_bad_values():
         params_from_mapping({"density_xi": 0.0})
     with pytest.raises(ConfigError):
         params_from_mapping({"delta_mode": "sideways"})
-    with pytest.raises(ConfigError):
-        params_from_mapping({"coupling_mode": "guess"})
+    with pytest.raises(ConfigError, match="unknown config key 'coupling_mode'"):
+        parse_config_text("coupling_mode = closed")
     with pytest.raises(ConfigError):
         params_from_mapping({"no_such_key": 1.0})
 
