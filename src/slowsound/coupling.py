@@ -11,9 +11,12 @@ where the two disagree:
   envelope reflects the smooth sech-type overlap region of width ~ xi;
 * the overlap integral g_quadrature(l, l', k) of the defining expression
   g12 * integral phi_l phi_l' psi_sol (u_k + v_k) dx with psi_sol =
-  sqrt(n0) tanh(x) and the soliton-frame mode amplitudes, evaluated for a
-  whole array of k by one uniform trapezoid sum over x; it also provides
-  the intraband amplitudes (l = l') that the closed forms do not cover.
+  sqrt(n0) tanh(x) and the soliton-frame mode amplitudes, evaluated
+  exactly as a finite sum of Gamma-function moments of sech powers (the
+  integrand is sech^(2 alpha) e^{ikx} times a polynomial in tanh); it
+  also provides the intraband amplitudes (l = l') that the closed forms
+  do not cover.  It keeps the name of the trapezoid sum it replaced
+  (see its docstring).
 
 Every function here takes a float k or an array of k, and returns a value
 or an array of k's shape.
@@ -29,8 +32,8 @@ import math
 
 import numpy as np
 
-from .bogoliubov import BogoliubovMode, dispersion
-from .numerics import NumericsError
+from .bogoliubov import dispersion
+from .numerics import log_abs_gamma
 from .params import Params
 from .qutrit import ImpurityStates
 
@@ -43,22 +46,6 @@ __all__ = [
 
 # csch(pi k / 2) underflows to zero well before sinh overflows.
 _CSCH_ARG_MAX = 700.0
-
-# The overlap integrands are analytic in the strip |Im x| < pi/2 and decay
-# like sech^(2 alpha), so the uniform trapezoid rule converges geometrically
-# in 1/h (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)) and the cut at
-# |x| = 40 loses nothing measurable (the edge samples are checked).  What h
-# must resolve is the carrier e^{ikx}: with k h <= _MAX_KH the 2h sum that
-# estimates the error still samples the carrier well below its Nyquist
-# limit.  A fixed h cannot catch its own aliasing: at k h = 2 pi the h and
-# 2h sums agree on a wrong value.
-_STEP = 0.05
-_HALF_WIDTH = 40.0
-_MAX_KH = 0.6
-# Bound on the h/2h difference and on the edge samples, relative to the
-# trapezoid sum of |integrand|.
-_REL_TOL = 1e-10
-
 
 def _wavevectors(k):
     k = np.asarray(k, dtype=float)
@@ -105,51 +92,68 @@ def g1_closed(k, params: Params):
     return 1j * pref * bracket * csch(math.pi * k / 2.0)
 
 
+def _sech_moments(alpha, k):
+    """M_m = integral of tanh^m sech^(2 alpha) e^{ikx} dx over the line, m = 0..7.
+
+    Three identities give every M_m exactly from F_a = integral of
+    sech^(2a) e^{ikx} dx at a = alpha, ..., alpha + 3:
+
+    * F_a = 2^(2a-1) |Gamma(a + ik/2)|^2 / Gamma(2a) (Gradshteyn & Ryzhik
+      3.985.1), so F_(a+1) = F_a (4a^2 + k^2) / (2a (2a+1));
+    * integral of tanh sech^(2a) e^{ikx} dx = (ik/2a) F_a, by parts;
+    * tanh^2 = 1 - sech^2, so M_(m+2) at a is M_m at a less M_m at a + 1.
+
+    Returns a list of eight values of k's shape, real for even m and
+    imaginary for odd m.
+    """
+    f = [
+        np.exp(
+            (2.0 * alpha - 1.0) * math.log(2.0)
+            + 2.0 * log_abs_gamma(alpha, 0.5 * k)
+            - math.lgamma(2.0 * alpha)
+        )
+    ]
+    k2 = k * k
+    for a in alpha + np.arange(3.0):
+        f.append(f[-1] * ((4.0 * a * a + k2) / (2.0 * a * (2.0 * a + 1.0))))
+    even = f
+    odd = [(0.5j / (alpha + j)) * k * f_a for j, f_a in enumerate(f)]
+    moments = []
+    while even:
+        moments += [even[0], odd[0]]
+        even = [p - q for p, q in zip(even, even[1:])]
+        odd = [p - q for p, q in zip(odd, odd[1:])]
+    return moments
+
+
 def g_quadrature(l, lp, k, params: Params):
     """Overlap-integral coupling between impurity states l and l' at wavevector k.
 
-    Evaluates g12 * integral phi_l(x) phi_l'(x) psi_sol(x) [u_k(x)+v_k(x)] dx
-    with psi_sol = sqrt(n0) tanh(x), for every k at once, as one trapezoid
-    sum over a uniform grid on |x| <= 40.  The step is 0.05, or smaller
-    when the largest k needs it.  The impurity states are the params'
-    ansatz family, whose normalization is closed form.
+    g12 * integral phi_l(x) phi_l'(x) psi_sol(x) [u_k(x)+v_k(x)] dx with
+    psi_sol = sqrt(n0) tanh(x), evaluated exactly for every k at once.
+    With t = tanh x and s = sech x the states are s^alpha P_l(t)
+    (ImpurityStates.polynomials) and 2 sqrt(pi) eps (u_k + v_k) e^{-ikx}
+    is (k^3 + 2k) + 2ik^2 t - 2k t^2, so the integrand is s^(2 alpha)
+    e^{ikx} times a polynomial in t of degree at most 7: a finite sum of
+    the moments of _sech_moments, one log-gamma per k.
 
-    Raises NumericsError, naming the pair and k, when the sum at step h
-    and the one over its even samples (step 2h) differ, or the integrand
-    has not decayed at the grid's edges, by more than _REL_TOL of the sum
-    of |integrand|.
+    The name is that of the uniform trapezoid sum this replaced, kept
+    because scenarios, tests and profiling hooks call it by name; the
+    value is the same integral, and the tests keep that sum as an oracle.
     """
     if l not in (0, 1, 2) or lp not in (0, 1, 2):
         raise ValueError(f"state indices must be in {{0,1,2}}, got ({l!r}, {lp!r})")
     k = _wavevectors(k)
     states = ImpurityStates(params)
-    h = min(_STEP, _MAX_KH / float(np.max(k)))
-    n = 2 * math.ceil(_HALF_WIDTH / (2.0 * h))  # even, so the 2h grid keeps both ends
-    x = h * np.arange(-n, n + 1)
-    weight = states[l](x) * states[lp](x) * math.sqrt(params.density_xi) * np.tanh(x)
-    # trapezoid weights at step h and, on the even samples, at step 2h
-    fine = np.full(x.shape, h)
-    fine[[0, -1]] = 0.5 * h
-    coarse = np.zeros(x.shape)
-    coarse[::2] = 2.0 * h
-    coarse[[0, -1]] = h
-    mode = BogoliubovMode(k)
-    kernel = mode.u(x)
-    kernel += mode.v(x)
-    fine *= weight
-    total = kernel @ fine
-    scale = np.abs(kernel) @ np.abs(fine)
-    miss = np.maximum(
-        np.abs(total - kernel @ (coarse * weight)),
-        np.max(np.abs(kernel[..., [0, -1]] * weight[[0, -1]]), axis=-1),
+    # sqrt(n0) tanh(x) phi_l phi_l' = s^(2 alpha) t sum_m weight[m] t^m, m <= 4
+    weight = math.sqrt(params.density_xi) * np.convolve(
+        states.polynomials[l], states.polynomials[lp]
     )
-    bad = ~(miss <= _REL_TOL * scale)
-    if np.any(bad):
-        i = np.flatnonzero(bad)[0]
-        raise NumericsError(
-            f"overlap integral g_{l}{lp} at k={np.ravel(k)[i]:.6g} is not resolved by "
-            f"the trapezoid sum (h={h:.3g} on |x| <= {x[-1]:g}): error estimate "
-            f"{np.ravel(miss)[i]:.2e} exceeds {_REL_TOL:g} of {np.ravel(scale)[i]:.2e}"
-        )
-    return params.g12 * total
-
+    moments = _sech_moments(states.exponent, k)
+    envelope = (k * k * k + 2.0 * k, 2j * k * k, -2.0 * k)
+    total = sum(
+        w * sum(e * moments[m + 1 + j] for j, e in enumerate(envelope))
+        for m, w in enumerate(weight.tolist())
+        if w
+    )
+    return params.g12 * total / (2.0 * math.sqrt(math.pi) * dispersion(k))

@@ -221,7 +221,15 @@ class CascadeResult:
         self._dp = np.asarray(dispersion(self.p_grid)) - self.rates.omega_0
         self._denom_k = 1j * self._dk - 0.5 * (g1 - g0)
         self._denom_p = 1j * self._dp - 0.5 * g0
-        self._inv_denom_eg = 1.0 / (1j * (self._dk[:, None] + self._dp[None, :]) - 0.5 * g1)
+        # m = 1/(iD - g1/2) = -r (g1/2 + iD) and |m|^2 = r, from one real
+        # reciprocal r = 1/(D^2 + g1^2/4) over the (k, p) grid
+        detuning = np.add.outer(self._dk, self._dp)
+        q_kp = detuning * detuning
+        q_kp += 0.25 * g1 * g1
+        np.reciprocal(q_kp, out=q_kp)
+        self._inv_denom_eg = np.empty(q_kp.shape, dtype=complex)
+        np.multiply(q_kp, -0.5 * g1, out=self._inv_denom_eg.real)
+        np.multiply(q_kp, -detuning, out=self._inv_denom_eg.imag)
         amp_k = np.conj(self._g1_k) / self._denom_k
         self._pref_kp = np.multiply.outer(amp_k, np.conj(self._g0_p))
 
@@ -235,7 +243,6 @@ class CascadeResult:
         c_p = (np.exp(self._denom_p * t) - 1.0) / self._denom_p
         a_k, b_p = w_k * np.abs(amp_k) ** 2, w_p * np.abs(self._g0_p) ** 2
         m_kp = self._inv_denom_eg
-        q_kp = np.abs(m_kp) ** 2
         cross = (b_p * (phase - 1.0)) @ q_kp.T + (b_p * np.conj(c_p) * phase) @ m_kp.T
         self.norm_two_phonon = self.measure ** 2 * (
             np.sum(a_k) * (np.abs(c_p) ** 2 @ b_p)

@@ -28,6 +28,7 @@ __all__ = [
     "Grid1D",
     "integrate_line",
     "gamma_fn",
+    "log_abs_gamma",
     "hyp2f1",
     "find_root",
     "fft",
@@ -121,9 +122,10 @@ def integrate_line(f, a=-math.inf, b=math.inf, tol=1e-10, max_depth=52):
 
     Returns a float, or complex when f returns complex values.
 
-    No module of the package calls it: the package integrates by uniform
-    trapezoid sums (coupling.g_quadrature, qutrit.ImpurityStates.overlap),
-    and the tests keep this routine as their independent oracle.
+    No module of the package calls it: the package integrates in closed
+    form (coupling.g_quadrature) or by uniform trapezoid sums
+    (qutrit.ImpurityStates.overlap), and the tests keep this routine as an
+    independent oracle.
 
     Raises
     ------
@@ -178,6 +180,30 @@ def gamma_fn(z):
     if not (z > 0):
         raise NumericsError(f"gamma_fn requires z > 0, got {z!r}")
     return math.gamma(z)
+
+
+# Stirling coefficients B_2n / (2n (2n - 1)), n = 1..7
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+
+
+def log_abs_gamma(a, y):
+    """ln|Gamma(a + iy)| = Re ln Gamma(a + iy) for real a > 0 and an array of y.
+
+    Gamma(z) = Gamma(z + 8) / (z (z+1) ... (z+7)) moves the argument to
+    w = z + 8, where Stirling's series through w^-13 (Abramowitz & Stegun
+    6.1.40) is accurate to about 1e-15 absolute, since |w| > 8.
+    """
+    if not (a > 0):
+        raise NumericsError(f"log_abs_gamma requires a > 0, got {a!r}")
+    y = np.asarray(y, dtype=float)
+    w = (a + 8.0) + 1j * y
+    inv2 = 1.0 / (w * w)
+    series = 0.0
+    for c in reversed(_STIRLING):
+        series = series * inv2 + c
+    stirling = (w - 0.5) * np.log(w) - w + 0.5 * math.log(2.0 * math.pi) + series / w
+    shift = np.log(np.square(a + np.arange(8.0)) + (y * y)[..., None]).sum(axis=-1)
+    return stirling.real - 0.5 * shift
 
 
 def _hyp_series(a, b, c, z, tol, max_terms):

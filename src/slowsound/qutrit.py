@@ -196,8 +196,11 @@ class ImpurityStates:
     """Normalized impurity wavefunctions phi_0, phi_1, phi_2 over x (in xi).
 
     The exponent is alpha = sqrt(2 r_g r_m), the ansatz family the
-    coupling closed forms descend from.  The instances are callable
-    containers: states[l] evaluates phi_l on scalar or array x.  The
+    coupling closed forms descend from.  Each state is sech^alpha(x) times
+    a polynomial in tanh(x): polynomials[l] holds its coefficients in
+    ascending powers (A0; 2 A1 A0 tanh; phi_2 after Gram-Schmidt), the one
+    place the constants live, so coupling.g_quadrature integrates the
+    states exactly.  states[l] evaluates phi_l on scalar or array x.  The
     normalization constants come from the closed-form moments of sech
     powers (_sech_moment, with tanh^2 = 1 - sech^2);
     normalization_report() sets them against the printed closed-form
@@ -229,36 +232,28 @@ class ImpurityStates:
         self.overlap_raw_02 = overlap_raw
         self.orthogonalized = abs(overlap_raw) > 1e-3
 
-        def phi0(x):
-            x = np.asarray(x, dtype=float)
-            return a0 * np.cosh(x) ** (-alpha)
-
-        def phi1(x):
-            x = np.asarray(x, dtype=float)
-            return 2.0 * a1 * np.tanh(x) * phi0(x)
-
-        def phi2_raw(x):
-            x = np.asarray(x, dtype=float)
-            return math.sqrt(2.0) * a2 * (1.0 - c2 * np.tanh(x) ** 2) * phi0(x)
-
+        # phi_l = sech^alpha P_l(tanh), P_l in ascending powers of tanh
+        p2 = math.sqrt(2.0) * a2 * a0 * np.array([1.0, 0.0, -c2])
         if self.orthogonalized:
             # phi2 <- (phi2 - phi0 <phi0|phi2>) / norm; the residual norm
             # follows from the moments already in hand.
-            residual = math.sqrt(max(1.0 - overlap_raw ** 2, 1e-300))
-
-            def phi2(x):
-                return (phi2_raw(x) - overlap_raw * phi0(x)) / residual
-
-        else:
-            phi2 = phi2_raw
-
-        self._profiles = (phi0, phi1, phi2)
+            p2[0] -= overlap_raw * a0
+            p2 /= math.sqrt(max(1.0 - overlap_raw ** 2, 1e-300))
+        self.polynomials = (np.array([a0]), np.array([0.0, 2.0 * a1 * a0]), p2)
 
     def __getitem__(self, l):
-        return self._profiles[l]
+        coefficients = self.polynomials[l]
+        alpha = self.exponent
 
-    def __iter__(self):
-        return iter(self._profiles)
+        def profile(x):
+            x = np.asarray(x, dtype=float)
+            t = np.tanh(x)
+            value = 0.0
+            for c in coefficients[::-1]:
+                value = value * t + c
+            return value * np.cosh(x) ** -alpha
+
+        return profile
 
     def overlap(self, l, lp):
         """Trapezoid sum of phi_l phi_l' over |x| <= 40 at step 0.05."""
@@ -303,8 +298,8 @@ class ImpurityStates:
         }
 
 
-# Uniform grid of ImpurityStates.overlap and normalization_report: the
-# step and cut of coupling.g_quadrature's overlap integrals.
+# Uniform grid of ImpurityStates.overlap and normalization_report: step
+# 0.05 on |x| <= 40, where the sech-type profiles have decayed to roundoff.
 _LINE = 0.05 * np.arange(-800, 801)
 
 

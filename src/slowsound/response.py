@@ -57,6 +57,7 @@ __all__ = [
     "DispersionCurve",
     "dispersion_curve",
     "PulseReport",
+    "OpaqueMedium",
     "propagate_envelope",
 ]
 
@@ -388,6 +389,10 @@ class PulseReport:
 _PULSE_SAMPLES = 4096
 
 
+class OpaqueMedium(ValueError):
+    """propagate_envelope's refusal: the medium has no transparency window."""
+
+
 def propagate_envelope(params: Params, distance, window_fraction=0.1):
     """Propagate a Gaussian probe pulse a given distance through the gas.
 
@@ -404,6 +409,9 @@ def propagate_envelope(params: Params, distance, window_fraction=0.1):
     wider than a third of the window are flagged (absorption at the
     window edges visibly distorts the envelope).  The measured delay
     is the quadratically interpolated peak shift of |envelope|^2.
+
+    Raises OpaqueMedium (a ValueError) when the medium has no
+    transparency window to carry the pulse.
     """
     if distance <= 0:
         raise ValueError("distance must be positive")
@@ -412,7 +420,7 @@ def propagate_envelope(params: Params, distance, window_fraction=0.1):
     base = susceptibility_curve(params)
     window = transparency_width(base)
     if isinstance(window, NoTransparency):
-        raise ValueError(f"cannot propagate through opaque medium: {window.reason}")
+        raise OpaqueMedium(f"cannot propagate through opaque medium: {window.reason}")
     bandwidth = window_fraction * window.width
     warn = bandwidth > window.width / 3.0
 

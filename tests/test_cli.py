@@ -162,6 +162,21 @@ def test_validate_reports_and_exits_four(tmp_path, capsys):
     assert (out / "manifest.json").exists()
 
 
+def test_validate_in_fixed_mode_reports_the_pulse_refusal(tmp_path):
+    # with the two-photon detuning fixed, REFERENCE has no transparency
+    # window: the pulse step's refusal is a FAIL row naming the reason, and
+    # the battery still writes every row and exits 4
+    code, out = run(tmp_path, "validate", "--delta-mode", "fixed")
+    assert code == 4
+    with open(out / "validate.json") as fh:
+        rows = {row["check"]: row for row in json.load(fh)["rows"]}
+    assert len(rows) == 27
+    assert (out / "validate.csv").exists()
+    pulse = rows["pulse_delay_consistency"]
+    assert pulse["status"] == "FAIL"
+    assert pulse["measured"].startswith("refused: cannot propagate through opaque medium")
+
+
 @pytest.mark.parametrize(
     "scenario", ["spectrum", "eigenstates", "susceptibility", "dispersion", "groupvel", "pulse"]
 )

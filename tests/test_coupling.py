@@ -1,26 +1,31 @@
-"""Impurity-phonon matrix elements: quadrature route vs closed forms.
+"""Impurity-phonon matrix elements: the exact overlap sum vs its oracles.
 
-Two oracles rebuild the overlap integral from its raw ingredients (bound
-states, tanh background, mode profiles) one k at a time: a dense 400 001-
-point trapezoid on a wider span, and numerics.integrate_line's adaptive
-Simpson on the compactified line.  Neither shares g_quadrature's batched
-trapezoid sum over the (k, x) grid or its choice of step, so agreement is
-a genuine cross-check of it.
+coupling.g_quadrature evaluates the overlap integrals as a finite sum of
+Gamma-function moments.  Three oracles rebuild them from their raw
+ingredients (bound states, tanh background, mode profiles) without that
+sum: a dense 400 001-point trapezoid on a wider span; the batched
+trapezoid sum with its h/2h guard in trapezoid_oracle (the route
+g_quadrature used to take); and mpmath quadrature in the variable
+t = tanh x, with its own normalization and Gram-Schmidt of the ansatz
+family.  Agreement is a genuine cross-check of the sum.
 """
 
 from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
+from trapezoid_oracle import trapezoid_coupling
 
-from slowsound import coupling
 from slowsound.bogoliubov import BogoliubovMode
 from slowsound.coupling import g0_closed, g1_closed, g_quadrature
-from slowsound.numerics import NumericsError, integrate_line
+from slowsound.numerics import NumericsError
 from slowsound.params import REFERENCE
 from slowsound.qutrit import ImpurityStates
 
 STATES = ImpurityStates(REFERENCE)
+PAIRS = ((0, 1), (1, 2), (0, 0), (1, 1), (2, 2))
+ORACLE_KS = (1e-4, 0.3, 0.9, 12.0)
 
 
 def trapezoid_element(l, lp, k, n=400001, span=60.0):
@@ -32,18 +37,43 @@ def trapezoid_element(l, lp, k, n=400001, span=60.0):
     return REFERENCE.g12 * np.trapezoid(integrand, x)
 
 
-def adaptive_element(l, lp, k):
-    """Overlap integral by adaptive Simpson on the compactified line."""
-    mode = BogoliubovMode(k)
+def mpmath_elements(l, lp, ks, params=REFERENCE):
+    """Overlap integrals at each k of ks by mpmath quadrature over t = tanh x.
 
-    def integrand(x):
-        weight = np.sqrt(REFERENCE.density_xi) * np.tanh(x) * (mode.u(x) + mode.v(x))
-        return complex(STATES[l](x) * STATES[lp](x) * weight)
+    dx = dt / (1 - t^2), sech^2 x = 1 - t^2 and e^{ikx} = e^{ik atanh t}
+    on t in (-1, 1).  The states are normalized and orthogonalized here,
+    by quadrature.
+    """
+    alpha = mpmath.sqrt(2 * mpmath.mpf(params.coupling_ratio) * params.mass_ratio)
 
-    return REFERENCE.g12 * integrate_line(integrand, tol=1e-12)
+    def line(f):
+        return mpmath.quad(lambda t: f(t) * (1 - t * t) ** (alpha - 1), [-1, 0, 1])
+
+    def phi2_raw(t):
+        return 1 - (1 + 3 * alpha) * t * t
+
+    overlap = line(phi2_raw) / line(lambda t: 1)
+    shapes = (lambda t: 1, lambda t: t, lambda t: phi2_raw(t) - overlap)
+    norm = mpmath.sqrt(line(lambda t: shapes[l](t) ** 2) * line(lambda t: shapes[lp](t) ** 2))
+
+    def element(k):
+        k = mpmath.mpf(k)
+        eps = mpmath.sqrt(k * k * (k * k + 2))
+
+        def integrand(t):
+            u_plus_v = (k ** 3 + 2 * k * (1 - t * t) + 2j * k * k * t) / (
+                2 * mpmath.sqrt(mpmath.pi) * eps
+            )
+            carrier = mpmath.expj(k * mpmath.atanh(t))
+            weight = mpmath.sqrt(params.density_xi) * t * u_plus_v * carrier
+            return shapes[l](t) * shapes[lp](t) / norm * weight
+
+        return complex(params.g12 * line(integrand))
+
+    return [element(k) for k in ks]
 
 
-# -- quadrature route against the brute-force oracle -----------------------
+# -- the exact sum against its oracles ---------------------------------------
 
 def test_quadrature_matches_trapezoid_oracle():
     for l, lp, k in ((0, 1, 0.9), (0, 1, 0.7), (1, 2, 0.5), (0, 0, 1.1)):
@@ -52,31 +82,42 @@ def test_quadrature_matches_trapezoid_oracle():
         assert q == pytest.approx(t, rel=1e-8), (l, lp, k)
 
 
-def test_batched_quadrature_matches_adaptive_oracle():
-    ks = np.array([1e-4, 0.3, 0.9, 12.0])
-    for l, lp in ((0, 1), (1, 2), (0, 0), (1, 1), (2, 2)):
+def test_exact_sum_matches_dense_trapezoid_oracle():
+    ks = np.array(ORACLE_KS)
+    for l, lp in PAIRS:
         batch = g_quadrature(l, lp, ks, REFERENCE)
         assert batch.shape == ks.shape
         for k, g in zip(ks, batch):
-            assert g == pytest.approx(adaptive_element(l, lp, float(k)), rel=1e-8), (l, lp, k)
+            assert g == pytest.approx(trapezoid_element(l, lp, float(k)), rel=1e-8), (l, lp, k)
+
+
+def test_exact_sum_matches_mpmath_oracle():
+    ks = np.array(ORACLE_KS)
+    with mpmath.workdps(20):
+        for l, lp in PAIRS:
+            batch = g_quadrature(l, lp, ks, REFERENCE)
+            for k, g, ref in zip(ks, batch, mpmath_elements(l, lp, ORACLE_KS)):
+                assert g == pytest.approx(ref, rel=1e-11), (l, lp, k)
 
 
 def test_step_follows_largest_wavevector():
-    # At k = 2 pi / 0.05 the carrier turns once per 0.05 step: a sum with
-    # that fixed step reads |g| = 3.8, and its 2h sum agrees with it.  The
-    # overlap has in truth decayed to roundoff, like the csch envelope.
+    # At k = 2 pi / 0.05 the carrier turns once per 0.05 step: a trapezoid
+    # sum with that fixed step reads |g| = 3.8, and its 2h sum agrees with
+    # it.  The overlap has in truth decayed to roundoff, like the csch
+    # envelope: so says the exact sum, and so does the oracle, whose step
+    # follows the largest k.
     k_alias = 2.0 * np.pi / 0.05
     assert abs(g_quadrature(0, 1, k_alias, REFERENCE)) < 1e-10
-    batch = g_quadrature(0, 1, np.array([0.9, k_alias]), REFERENCE)
+    batch = trapezoid_coupling(0, 1, np.array([0.9, k_alias]), REFERENCE)
     assert abs(batch[1]) < 1e-10
     assert batch[0] == pytest.approx(g_quadrature(0, 1, 0.9, REFERENCE), rel=1e-12)
 
 
-def test_under_resolved_sum_raises(monkeypatch):
-    # a coarse step leaves the h and 2h sums apart: refused, naming the pair and k
-    monkeypatch.setattr(coupling, "_STEP", 1.0)
+def test_under_resolved_sum_raises():
+    # the oracle refuses a coarse step that leaves the h and 2h sums apart,
+    # naming the pair and k
     with pytest.raises(NumericsError, match=r"g_12 at k=0\.5 "):
-        g_quadrature(1, 2, np.array([0.5, 0.9]), REFERENCE)
+        trapezoid_coupling(1, 2, np.array([0.5, 0.9]), REFERENCE, step=1.0)
 
 
 def test_index_symmetry():

@@ -8,6 +8,7 @@ dense trapezoid quadrature, analytic Rabi flopping).
 
 import ast
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from slowsound.numerics import (
     hyp2f1,
     ifft,
     integrate_line,
+    log_abs_gamma,
     rk4_evolve,
     solve_dense,
 )
@@ -96,6 +98,24 @@ def test_only_numerics_refers_to_integrate_line():
     assert set(users) == {"numerics"}
 
 
+def test_package_imports_only_numpy_and_the_standard_library():
+    # numpy is the one runtime dependency; mpmath and the rest are test-only
+    foreign = []
+    for path in sorted(Path(slowsound.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if node.level == 0 else []
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                if top not in {"numpy", "slowsound"} | sys.stdlib_module_names:
+                    foreign.append(f"{path.stem}: {name}")
+    assert not foreign
+
+
 # -- special functions ----------------------------------------------------
 
 def test_gamma_known_values():
@@ -116,6 +136,20 @@ def test_gamma_reflection():
     for z in (0.2, 0.45, 0.8):
         product = gamma_fn(z) * gamma_fn(1.0 - z)
         assert product == pytest.approx(math.pi / math.sin(math.pi * z), rel=1e-11)
+
+
+def test_log_abs_gamma_on_the_real_axis_and_known_lines():
+    for a in (0.3, 1.0, 2.4, 7.5, 30.0):
+        assert log_abs_gamma(a, 0.0) == pytest.approx(math.lgamma(a), rel=1e-14, abs=1e-14)
+    # |Gamma(1/2 + iy)|^2 = pi / cosh(pi y), |Gamma(1 + iy)|^2 = pi y / sinh(pi y)
+    y = np.array([1e-6, 0.05, 0.7, 3.0, 12.0, 60.0])
+    half = 0.5 * (math.log(math.pi) - np.log(np.cosh(np.pi * y)))
+    one = 0.5 * (np.log(np.pi * y) - np.log(np.sinh(np.pi * y)))
+    np.testing.assert_allclose(log_abs_gamma(0.5, y), half, rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(log_abs_gamma(1.0, y), one, rtol=1e-14, atol=1e-14)
+    assert log_abs_gamma(2.4, y).shape == y.shape
+    with pytest.raises(NumericsError, match="a > 0"):
+        log_abs_gamma(0.0, y)
 
 
 def test_hyp2f1_log_identity():
