@@ -1,19 +1,20 @@
-"""Shared numerical kernels: quadrature, special functions, FFT, dense solves.
+"""Shared numerical kernels: special functions, FFT, dense solves, RK4.
 
-Everything downstream (impurity spectra, mode overlaps, decay rates, driven
-dynamics, field evolution) funnels its numerics through this module so that
-the cross-checks elsewhere in the package compare genuinely independent
-routes: closed forms on one side, quadrature/ODE/series evaluations from
-here on the other.
+No integral of the chain goes through this module: state norms and mode
+overlaps are closed forms in Gamma-function moments (qutrit and coupling,
+with gamma_fn, hyp2f1 and log_abs_gamma from here), and the decay rates
+are golden-rule closed forms.  What is here serves the routes that need a
+grid or a solver: FFTs for the frozen-well eigensolve and the coupled
+ground state (gpe) and for pulse propagation (response), dense solves and
+RK4 for the driven Lindblad dynamics (bloch), and the Hilbert transform
+for validate's Kramers-Kronig check.  integrate_line (adaptive Simpson on
+the line compactified by x = 2 atanh(t)) and find_root (Brent) have no
+caller in the package; the tests check them and the profiling harness
+hooks them by name.
 
 Conventions
 -----------
 * Integrands may return complex values; all routines propagate complex.
-* Infinite integration limits are handled by compactifying the real line
-  with x = 2 atanh(t), t in (-1, 1).  With that width the hyperbolic
-  family that dominates this package becomes rational in t
-  (sech x = (1-t^2)/(1+t^2), tanh x = 2t/(1+t^2)), so the transformed
-  integrands are smooth and the adaptive rule converges quickly.
 * FFTs require power-of-two lengths (keeps radix behaviour predictable
   and makes accidental odd-length grids fail loudly instead of silently
   losing accuracy).

@@ -424,10 +424,9 @@ def propagate_envelope(params: Params, distance, window_fraction=0.1):
     bandwidth = window_fraction * window.width
     warn = bandwidth > window.width / 3.0
 
-    # v_g at the centre and chi on the FFT grid, at the base sweep's rates
-    vg_center = _group_velocity(
-        _sweep(params, base.rates, base.drive, np.array([0.0]))
-    ).at_center
+    # v_g at the centre from the base sweep (its grid holds Delta = 0), and
+    # chi on the FFT grid at the base sweep's rates
+    vg_center = _group_velocity(base).at_center
     u = base.carrier_velocity
     free_transit = distance / u
     predicted = distance / (vg_center * SOUND_SPEED) - free_transit

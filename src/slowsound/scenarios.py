@@ -76,34 +76,6 @@ def _autler_townes(params, rates):
     return control, float(d[right] - d[left])
 
 
-def _golden_max(f, lo, hi, tol):
-    """Locate the maximizer of f on [lo, hi] by golden-section search."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def _peak_location(f, ks, tol=0.005):
-    """Maximizer of f: a scan of f over the array ks, refined by golden section."""
-    vals = f(ks)
-    i = int(np.argmax(vals))
-    lo = ks[max(i - 1, 0)]
-    hi = ks[min(i + 1, len(ks) - 1)]
-    return _golden_max(f, lo, hi, tol)
-
-
 # ----------------------------------------------------------------------
 # spectrum
 # ----------------------------------------------------------------------
@@ -114,18 +86,10 @@ def scenario_spectrum(params: Params, sink):
     ratios = np.linspace(0.9, 1.9, 201)
     rows = []
     for rg in ratios:
-        p = replace(params, coupling_ratio=float(rg))
-        spec = spectrum(p)
-        if isinstance(spec, QutritSpectrum):
-            rows.append(
-                [rg, spec.nu, spec.n_bound, True, spec.omega_0, spec.omega_1]
-                + list(spec.energies)
-                + [lo_rg, hi_rg]
-            )
-        else:
-            rows.append(
-                [rg, spec.nu, spec.n_bound, False] + [math.nan] * 5 + [lo_rg, hi_rg]
-            )
+        spec = spectrum(replace(params, coupling_ratio=float(rg)))
+        qutrit = isinstance(spec, QutritSpectrum)
+        levels = [spec.omega_0, spec.omega_1, *spec.energies] if qutrit else [math.nan] * 5
+        rows.append([rg, spec.nu, spec.n_bound, qutrit, *levels, lo_rg, hi_rg])
     columns = [
         "coupling_ratio",
         "nu",
@@ -289,20 +253,8 @@ def scenario_couplings(params: Params, sink):
     ks = np.arange(0.05, 4.0 + 1e-9, 0.05)
     g0, g1 = np.abs(g0_closed(ks, params)), np.abs(g1_closed(ks, params))
     intra = [np.abs(g_quadrature(l, l, ks, params)) for l in range(3)]
-    curves = np.array([g0, g1, *intra, g0, g1])
-    rows = [[k, *c[:5], "closed-form", *c[5:]] for k, c in zip(ks, curves.T)]
-    columns = [
-        "k",
-        "abs_g0",
-        "abs_g1",
-        "abs_g00",
-        "abs_g11",
-        "abs_g22",
-        "interband_source",
-        "abs_g0_closed",
-        "abs_g1_closed",
-    ]
-    sink.csv("couplings.csv", columns, rows)
+    columns = ["k", "abs_g00", "abs_g11", "abs_g22", "abs_g0_closed", "abs_g1_closed"]
+    sink.csv("couplings.csv", columns, list(zip(ks, *intra, g0, g1)))
 
     spec = spectrum(params)
     if isinstance(spec, NotAQutrit):
@@ -314,26 +266,21 @@ def scenario_couplings(params: Params, sink):
     g0_q = abs(g_quadrature(0, 1, k0, params))
     g1_q = abs(g_quadrature(1, 2, k1, params))
 
-    arr = curves[[0, 1, 5, 6]].T
     summary = {
         "resonant_k": {"lower": k0, "upper": k1},
         "resonant_coupling_closed": {"lower": g0_c, "upper": g1_c},
         "resonant_coupling_quadrature": {"lower": g0_q, "upper": g1_q},
         "closed_over_quadrature": {"lower": g0_c / g0_q, "upper": g1_c / g1_q},
         "sweep_argmax_k": {
-            "abs_g0_mode": float(ks[int(np.argmax(arr[:, 0]))]),
-            "abs_g1_mode": float(ks[int(np.argmax(arr[:, 1]))]),
-            "abs_g0_closed": float(ks[int(np.argmax(arr[:, 2]))]),
-            "abs_g1_closed": float(ks[int(np.argmax(arr[:, 3]))]),
+            "abs_g0_closed": float(ks[int(np.argmax(g0))]),
+            "abs_g1_closed": float(ks[int(np.argmax(g1))]),
         },
-        "interband_source": "closed",
     }
     sink.json("couplings.json", summary)
     sink.svg(
         "couplings.svg",
         ks,
-        [("abs_g0", arr[:, 0]), ("abs_g1", arr[:, 1]),
-         ("abs_g0_closed", arr[:, 2]), ("abs_g1_closed", arr[:, 3])],
+        [("abs_g0_closed", g0), ("abs_g1_closed", g1)],
         title="Impurity-phonon transition couplings",
         xlabel="k (1/xi)",
         ylabel="|g|",
@@ -385,26 +332,23 @@ def scenario_susceptibility(params: Params, sink):
     im_weak = chi0(0.2).imag
     im_strong = chi0(2.0).imag
 
-    # Transparency width growth with the control power.
-    widths = []
-    for mult in (1.0, 2.0, 4.0):
+    def width(mult):
+        """Transparency width at a control of mult gamma_0, None without a window."""
         w = transparency_width(susceptibility_curve(replace(params, control_rabi_gamma0=mult)))
-        widths.append({"control_over_gamma0": mult,
-                       "width": None if isinstance(w, NoTransparency) else w.width})
+        return None if isinstance(w, NoTransparency) else w.width
+
+    # Transparency width growth with the control power.
+    widths = [{"control_over_gamma0": mult, "width": width(mult)} for mult in (1.0, 2.0, 4.0)]
     width_vals = [w["width"] for w in widths if w["width"] is not None]
     monotone = all(a < b for a, b in zip(width_vals, width_vals[1:]))
 
     # EIT-like scaling of the width over a decade of control power
     # (reported, not asserted).
     scaling_mults = np.geomspace(2.0, 20.0, 6)
-    scaling_widths = []
-    for mult in scaling_mults:
-        p = replace(params, control_rabi_gamma0=float(mult))
-        w = transparency_width(susceptibility_curve(p))
-        scaling_widths.append(math.nan if isinstance(w, NoTransparency) else w.width)
+    scaling_widths = np.array([width(float(m)) for m in scaling_mults], dtype=float)
     mask = np.isfinite(scaling_widths)
     exponent = float(
-        np.polyfit(np.log(scaling_mults[mask]), np.log(np.asarray(scaling_widths)[mask]), 1)[0]
+        np.polyfit(np.log(scaling_mults[mask]), np.log(scaling_widths[mask]), 1)[0]
     ) if np.sum(mask) >= 2 else math.nan
 
     at_control, at_sep = _autler_townes(params, rates)
@@ -792,36 +736,29 @@ def scenario_validate(params: Params, sink):
         "exact zero of the lower-line closed form",
     ))
 
-    dense = np.arange(0.02, 8.0, 0.02)
-    peak0 = np.max(np.abs(g0_closed(dense, params)))
-    peak1 = np.max(np.abs(g1_closed(dense, params)))
-    tail0 = abs(g0_closed(12.0, params)) / peak0
-    tail1 = abs(g1_closed(12.0, params)) / peak1
-    quad_curve = np.abs(
-        g_quadrature(0, 1, np.append(np.arange(0.1, 4.0, 0.1), 12.0), params)
-    )
-    quad_tail1 = quad_curve[-1] / np.max(quad_curve[:-1])
-    tail = max(tail0, tail1)
+    # Each interband curve once, on one grid: its peak over k in [0.2, 5]
+    # at a 0.001 step, and its value at k = 12 (the last point).
+    ks = np.append(np.arange(0.2, 5.0 + 1e-9, 0.001), 12.0)
+    curves = {
+        "g0_closed": np.abs(g0_closed(ks, params)),
+        "g1_closed": np.abs(g1_closed(ks, params)),
+        "g0_quadrature": np.abs(g_quadrature(0, 1, ks, params)),
+        "g1_quadrature": np.abs(g_quadrature(1, 2, ks, params)),
+    }
+    tails = {label: c[-1] / np.max(c[:-1]) for label, c in curves.items()}
+    loc = {label: float(ks[np.argmax(c[:-1])]) for label, c in curves.items()}
+    tail = max(tails["g0_closed"], tails["g1_closed"])
     rows.append(_row(
         "exponential_tail_at_k12",
         "PASS" if tail < 1e-6 else "FAIL",
-        f"{tail:.3e} (lower line {tail0:.3e}, upper {tail1:.3e}, "
-        f"quadrature upper {quad_tail1:.3e})",
+        f"{tail:.3e} (lower line {tails['g0_closed']:.3e}, upper {tails['g1_closed']:.3e}, "
+        f"quadrature lower {tails['g0_quadrature']:.3e} upper {tails['g1_quadrature']:.3e})",
         "< 1e-6 of peak",
         detail="closed forms only cross 1e-6 of peak near k ~ 16 (lower) and"
         " k ~ 19 (upper); the independent overlap quadrature agrees the tail"
         " is fatter than advertised",
     ))
 
-    coarse = np.arange(0.2, 5.01, 0.15)
-    loc = {}
-    for label, f in (
-        ("g0_closed", lambda k: np.abs(g0_closed(k, params))),
-        ("g1_closed", lambda k: np.abs(g1_closed(k, params))),
-        ("g0_quadrature", lambda k: np.abs(g_quadrature(0, 1, k, params))),
-        ("g1_quadrature", lambda k: np.abs(g_quadrature(1, 2, k, params))),
-    ):
-        loc[label] = _peak_location(f, coarse)
     d0 = abs(loc["g0_closed"] - loc["g0_quadrature"])
     d1 = abs(loc["g1_closed"] - loc["g1_quadrature"])
     rows.append(_row(

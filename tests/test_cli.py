@@ -1,14 +1,20 @@
 """End-to-end checks of the command-line entry point and its exit codes."""
+import csv
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import slowsound
 from slowsound.cli import main
+from slowsound.coupling import g0_closed, g1_closed, g_quadrature
 from slowsound.numerics import NumericsError
+from slowsound.params import REFERENCE
 
 
 def test_cli_import_leaves_numpy_unloaded():
@@ -175,6 +181,56 @@ def test_validate_in_fixed_mode_reports_the_pulse_refusal(tmp_path):
     pulse = rows["pulse_delay_consistency"]
     assert pulse["status"] == "FAIL"
     assert pulse["measured"].startswith("refused: cannot propagate through opaque medium")
+
+
+def test_validate_tail_row_prints_both_lines_tails(tmp_path):
+    # each figure of the row is |g(12)| over the curve's peak; a direct
+    # evaluation takes the peak on a denser and wider grid than validate's
+    code, out = run(tmp_path, "validate", "--format", "json")
+    assert code == 4
+    with open(out / "validate.json") as fh:
+        row = {r["check"]: r for r in json.load(fh)["rows"]}["exponential_tail_at_k12"]
+    assert row["status"] == "FAIL"
+    printed = re.fullmatch(
+        r"\S+ \(lower line (\S+), upper (\S+), quadrature lower (\S+) upper (\S+)\)",
+        row["measured"],
+    )
+    assert printed, row["measured"]
+    ks = np.append(np.arange(0.05, 8.0, 1e-4), 12.0)
+    curves = (
+        g0_closed(ks, REFERENCE),
+        g1_closed(ks, REFERENCE),
+        g_quadrature(0, 1, ks, REFERENCE),
+        g_quadrature(1, 2, ks, REFERENCE),
+    )
+    for text, curve in zip(printed.groups(), curves):
+        curve = np.abs(curve)
+        direct = curve[-1] / np.max(curve[:-1])
+        # "%.3e" prints four significant figures
+        half_digit = 0.5 * 10.0 ** (math.floor(math.log10(direct)) - 3)
+        assert abs(float(text) - direct) <= half_digit * (1 + 1e-9), (text, direct)
+
+
+def test_couplings_writes_each_curve_once(tmp_path):
+    code, out = run(tmp_path, "couplings", "--format", "csv,json")
+    assert code == 0
+    with open(out / "couplings.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    columns = {name: [float(row[j]) for row in rows] for j, name in enumerate(header)}
+    for i, a in enumerate(header):
+        for b in header[i + 1 :]:
+            assert columns[a] != columns[b], (a, b)
+
+    def keys(node):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                yield key
+                yield from keys(value)
+
+    with open(out / "couplings.json") as fh:
+        names = list(keys(json.load(fh)))
+    assert "interband_source" not in names
+    assert not [name for name in names if name.endswith("_mode")]
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,12 @@
 """Property checks drawn across the qutrit window.
 
 Each draw picks a mass ratio and a coupling ratio inside the window at
-that mass ratio.  The response check adds a control Rabi frequency and a
-two-photon convention, and checks every point of its default detuning
-grid with one stacked Lindblad solve: the steady states are physical, and
-the weak-probe chi is passive.  The coupling check adds a wavevector and
-sets the exact overlap sums of all five state pairs against the trapezoid
-oracle, parity classes included.
+that mass ratio.  The response check adds a control Rabi frequency, a
+soliton concentration and a two-photon convention, and checks every point
+of its default detuning grid with one stacked Lindblad solve: the steady
+states are physical, and the weak-probe chi is passive.  The coupling
+check adds a wavevector and sets the exact overlap sums of all five state
+pairs against the trapezoid oracle, parity classes included.
 """
 
 from dataclasses import replace
@@ -38,6 +38,7 @@ def window_params(draw):
     return replace(
         draw(window_point()),
         control_rabi_gamma0=10.0 ** draw(st.floats(-1.0, 2.0)),
+        soliton_concentration=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
         delta_mode=draw(st.sampled_from(["track", "fixed"])),
     )
 
