@@ -66,9 +66,12 @@ def _build_parser():
     return parser
 
 
+# built once: building the parser costs several times what parsing does
+_PARSER = _build_parser()
+
+
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     if args.threads is not None:
         if args.threads < 1:

@@ -13,6 +13,7 @@ fixed, and nothing in the package draws random numbers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -53,6 +54,7 @@ from slowsound.response import (
     propagate_envelope,
     susceptibility_curve,
     transparency_width,
+    _group_velocity,
 )
 
 __all__ = ["SCENARIOS"]
@@ -81,15 +83,33 @@ def _autler_townes(params, rates):
 # ----------------------------------------------------------------------
 
 def scenario_spectrum(params: Params, sink):
-    """Level structure across the coupling-ratio sweep, window marked."""
-    lo_rg, hi_rg = qutrit_window_in_coupling_ratio(params.mass_ratio)
+    """Level structure across the coupling-ratio sweep, window marked.
+
+    The sweep evaluates qutrit.spectrum's closed forms on whole arrays,
+    with the same floating-point operations, so every row equals the
+    scalar spectrum at its coupling ratio bit for bit.
+    """
+    r_m = params.mass_ratio
+    lo_rg, hi_rg = qutrit_window_in_coupling_ratio(r_m)
     ratios = np.linspace(0.9, 1.9, 201)
-    rows = []
-    for rg in ratios:
-        spec = spectrum(replace(params, coupling_ratio=float(rg)))
-        qutrit = isinstance(spec, QutritSpectrum)
-        levels = [spec.omega_0, spec.omega_1, *spec.energies] if qutrit else [math.nan] * 5
-        rows.append([rg, spec.nu, spec.n_bound, qutrit, *levels, lo_rg, hi_rg])
+    nu = 0.5 * (-1.0 + np.sqrt(1.0 + 4.0 * ratios * r_m))
+    n_bound = np.floor(nu + 1.0 + np.sqrt(nu * (1.0 + nu)) + 1e-12).astype(int)
+    qutrit = (QUTRIT_NU_MIN <= nu) & (nu < QUTRIT_NU_MAX)
+    # float_power calls C pow as Python's float ** does; an array's ** 2
+    # is x * x, which differs from pow in the last bit about once in 1000
+    levels = [
+        np.where(qutrit, level, math.nan)
+        for level in (
+            (2.0 * nu - 1.0) / (2.0 * r_m),
+            np.abs(2.0 * nu - 3.0) / (2.0 * r_m),
+            *(-np.float_power(nu - n, 2) / (2.0 * r_m) for n in range(3)),
+        )
+    ]
+    rows = zip(
+        ratios.tolist(), nu.tolist(), n_bound.tolist(), qutrit.tolist(),
+        *(level.tolist() for level in levels),
+        itertools.repeat(lo_rg), itertools.repeat(hi_rg),
+    )
     columns = [
         "coupling_ratio",
         "nu",
@@ -128,8 +148,7 @@ def scenario_spectrum(params: Params, sink):
     sink.svg(
         "spectrum.svg",
         ratios,
-        [("omega_0", np.array([r[4] for r in rows])),
-         ("omega_1", np.array([r[5] for r in rows]))],
+        [("omega_0", levels[0]), ("omega_1", levels[1])],
         title="Transition frequencies across the coupling-ratio sweep",
         xlabel="g12/g11",
         ylabel="frequency (mu units)",
@@ -421,7 +440,8 @@ def scenario_dispersion(params: Params, sink):
     lo = max(ic - 2, 0)
     hi = min(ic + 2, len(curve.q) - 1)
     slope = (curve.omega_p[hi] - curve.omega_p[lo]) / (curve.q[hi] - curve.q[lo])
-    vg_center = group_velocity_curve(params, detunings=np.array([0.0])).at_center * SOUND_SPEED
+    # the default sweep holds Delta = 0 exactly, so v_g there comes from it
+    vg_center = _group_velocity(curve.curve).at_center * SOUND_SPEED
     summary = {
         "edge_relative_deviation": edge,
         "merges_with_bare_branch": edge < 0.01,

@@ -48,8 +48,13 @@ def _span(values):
 
 
 def _polyline_chunks(xs, ys, finite):
-    """Split "x,y" pixel pairs into runs of consecutive finite samples."""
-    points = ["%.2f,%.2f" % p for p in zip(xs[finite], ys[finite])]
+    """Split "x,y" pixel pairs into runs of consecutive finite samples.
+
+    The pairs of the finite samples are formatted together, by one %
+    operation on the interleaved coordinates.
+    """
+    pairs = np.column_stack((xs[finite], ys[finite]))
+    points = (("%.2f,%.2f " * len(pairs)) % tuple(pairs.ravel().tolist())).split()
     # each run starts where `finite` turns on and stops where it turns off;
     # the runs lie end to end in `points`
     edges = np.flatnonzero(np.diff(finite, prepend=False, append=False))

@@ -1,9 +1,10 @@
 """Byte oracles for the CSV and SVG writers.
 
-write_csv formats a block of rows at a time and line_plot formats each
-series' pixel coordinates as whole arrays.  The references here are the
-straightforward writers they replace, one cell or one point at a time;
-every comparison is on the bytes written.
+write_csv formats each block of rows by one % operation, and line_plot
+formats each series' pixel pairs by one % operation.  The references
+here are the straightforward writers they replace, one cell or one point
+at a time; every comparison is on the bytes written, both on crafted
+tables and series and on whole scenarios' files.
 """
 import math
 
@@ -196,11 +197,14 @@ def test_all_non_finite_series_draw_nothing(tmp_path):
 
 # -- whole scenarios -----------------------------------------------------------
 
-SWEEPS = ("susceptibility", "dispersion", "groupvel", "pulse")
+# spectrum's int, bool and NaN-holding float columns take write_csv's %s
+# path; the others are all-float tables
+SWEEPS = ("spectrum", "susceptibility", "dispersion", "groupvel", "pulse")
 
 
 # REFERENCE, then stronger controls; the default detuning grids run from
-# 379 points at REFERENCE to 735 at control 100, each past one 128-row block
+# 379 points at REFERENCE to 735 at control 100, and spectrum's coupling-ratio
+# sweep has 201 points, each past one 128-row block
 @pytest.mark.parametrize("control", [None, "20", "80", "100"])
 @pytest.mark.parametrize("scenario", SWEEPS)
 def test_scenario_tables_match_oracle(tmp_path, monkeypatch, scenario, control):
@@ -216,3 +220,17 @@ def test_scenario_tables_match_oracle(tmp_path, monkeypatch, scenario, control):
     extra = ["--set", f"control_rabi_gamma0={control}"] if control else []
     assert main([scenario, *extra, "--out", str(tmp_path / "out")]) == 0
     assert tables and max(tables) > output._BLOCK_ROWS
+
+
+def test_scenario_svg_matches_point_by_point_oracle(tmp_path, monkeypatch):
+    plots = []
+
+    def recorded_line_plot(path, x, series, **labels):
+        line_plot(path, x, series, **labels)
+        plots.append((path, x, series))
+
+    monkeypatch.setattr(output, "line_plot", recorded_line_plot)
+    assert main(["pulse", "--format", "svg", "--out", str(tmp_path / "out")]) == 0
+    [(path, x, series)] = plots
+    assert len(x) == 4096 and len(series) == 2
+    assert drawn_marks(path) == reference_marks(x, series)

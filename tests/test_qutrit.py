@@ -24,6 +24,7 @@ from slowsound.qutrit import (
     qutrit_window_in_coupling_ratio,
     spectrum,
 )
+from slowsound.scenarios import scenario_spectrum
 
 X = np.linspace(-60.0, 60.0, 240001)
 DX = X[1] - X[0]
@@ -105,6 +106,55 @@ def test_spectrum_at_window_edges_in_coupling_ratio():
     lo, hi = qutrit_window_in_coupling_ratio(REFERENCE.mass_ratio)
     assert isinstance(spectrum(replace(REFERENCE, coupling_ratio=lo)), QutritSpectrum)
     assert isinstance(spectrum(replace(REFERENCE, coupling_ratio=hi)), NotAQutrit)
+
+
+class RowSink:
+    """Stands in for an OutputSink: keeps the tables and plotted series."""
+
+    def __init__(self):
+        self.tables = {}
+        self.series = {}
+
+    def csv(self, name, columns, rows):
+        self.tables[name] = (columns, list(rows))
+
+    def json(self, name, payload):
+        pass
+
+    def svg(self, name, x, series, **labels):
+        self.series[name] = dict(series)
+
+
+def exact(value):
+    """A cell's type and, for a float, its bits (every NaN reads 'nan')."""
+    return type(value), value.hex() if isinstance(value, float) else value
+
+
+def test_spectrum_sweep_matches_scalar_spectrum_bit_for_bit():
+    """scenario_spectrum's array sweep against spectrum() at each of its points."""
+    edges = set()
+    for mass_ratio in (1.0, 1.31, 1.56, 2.0):
+        params = replace(REFERENCE, mass_ratio=mass_ratio)
+        sink = RowSink()
+        scenario_spectrum(params, sink)
+        columns, rows = sink.tables["spectrum.csv"]
+        assert len(rows) == 201
+        window = [*qutrit_window_in_coupling_ratio(mass_ratio)]
+        inside = []
+        for row in rows:
+            spec = spectrum(replace(params, coupling_ratio=row[0]))
+            qutrit = isinstance(spec, QutritSpectrum)
+            levels = [spec.omega_0, spec.omega_1, *spec.energies] if qutrit else [math.nan] * 5
+            expected = [spec.nu, spec.n_bound, qutrit, *levels, *window]
+            assert list(map(exact, row[1:])) == list(map(exact, expected)), row[0]
+            inside.append(qutrit)
+        for before, after in zip(inside, inside[1:]):
+            edges.add({(False, True): "lower", (True, False): "upper"}.get((before, after)))
+        plotted = sink.series["spectrum.svg"]
+        for name in ("omega_0", "omega_1"):
+            column = [row[columns.index(name)] for row in rows]
+            assert list(map(exact, plotted[name].tolist())) == list(map(exact, column))
+    assert {"lower", "upper"} <= edges
 
 
 # -- bound-state shapes ---------------------------------------------------
