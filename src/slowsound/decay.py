@@ -44,7 +44,10 @@ line's term, M = 1/(i(dk + dp) - gamma_1/2) and D = 1 - E_k P_p with E_k =
 e^{(i dk - gamma_1/2) t} and |P_p| = |e^{i dp t}| = 1.  Splitting D =
 (1 - P) + P (1 - E) turns the double sum of |b_kp|^2 into time-independent
 sums and two (times x p) @ (p x k) products, one with M and one with
-|M|^2; every term is exactly 0 at t = 0.
+|M|^2; every term is exactly 0 at t = 0.  Only real (k, p) arrays are
+kept: M = -q (gamma_1/2 + i(dk + dp)) with q = |M|^2 and s = q (dk + dp),
+so every product with M is a real matrix product with q and s, and the
+t -> infinity first line is a few matrix-vector products with them.
 """
 
 import math
@@ -70,25 +73,27 @@ __all__ = [
 GAMMA1_DENOMINATOR = 30 * 896 ** 2  # exact prefactor, = 24084480
 
 
-def gamma_closed(params: Params, omega, which):
+def gamma_closed(params: Params, omega, which, g12=None):
     """Closed-form decay rate for transition `which` at frequency omega.
 
-    omega = 0 is the degenerate limit (eta -> 1): the emission phase space
-    closes and the rate is returned as exactly 0.
+    omega and g12 (default params.g12) may be arrays; float_power calls C
+    pow as a Python float's ** does, so each rate equals the scalar one bit
+    for bit.  omega = 0 is the degenerate limit (eta -> 1): the emission
+    phase space closes and the rate is exactly 0.
     """
     if which not in (0, 1):
         raise ValueError(f"which must be 0 or 1, got {which!r}")
-    if omega < 0:
-        raise ValueError(f"omega must be >= 0, got {omega!r}")
-    if omega == 0.0:
-        return 0.0
-    eta = math.sqrt(1.0 + omega * omega)
-    n0 = params.impurity_norm
-    g12 = params.g12
-    k_arg = math.sqrt(eta - 1.0)
-    envelope = csch(math.pi * k_arg / 2.0) ** 2
+    omega = np.asarray(omega, dtype=float)
+    if np.any(omega < 0):
+        raise ValueError(f"omega must be >= 0, got {float(np.min(omega))!r}")
+    closed = omega == 0.0
+    omega = np.where(closed, 1.0, omega)  # any positive stand-in; masked below
+    eta = np.sqrt(1.0 + omega * omega)
+    g12 = params.g12 if g12 is None else g12
+    k_arg = np.sqrt(eta - 1.0)
+    envelope = np.float_power(csch(math.pi * k_arg / 2.0), 2)
     if which == 0:
-        bracket = (eta - 5.0) ** 2 * (8.0 * eta - 6.0 + 15.0 * omega) ** 2
+        bracket = np.float_power(eta - 5.0, 2) * np.float_power(8.0 * eta - 6.0 + 15.0 * omega, 2)
         denom = 76800.0
     else:
         poly = (
@@ -96,17 +101,18 @@ def gamma_closed(params: Params, omega, which):
             + omega * omega * (-591.0 + 56.0 * omega + 29.0 * eta)
             + 4.0 * (505.0 * eta + 7.0 * omega * (107.0 - 39.0 * eta))
         )
-        bracket = poly ** 2
+        bracket = np.float_power(poly, 2)
         denom = float(GAMMA1_DENOMINATOR)
-    return (
+    rate = (
         math.pi
-        * n0
-        * g12 ** 2
-        / (denom * eta * math.sqrt(1.0 + eta))
+        * params.impurity_norm
+        * np.float_power(g12, 2)
+        / (denom * eta * np.sqrt(1.0 + eta))
         * (eta - 1.0)
         * bracket
         * envelope
     )
+    return np.where(closed, 0.0, rate)[()]
 
 
 @dataclass(frozen=True)
@@ -194,10 +200,10 @@ class CascadeResult:
     """Cascade amplitudes and sector norms over a set of sample times.
 
     b_k rows are the one-phonon amplitudes over k_grid at each time.  The
-    two-phonon norm is summed without the (large) b_kp array (module
-    docstring); two_phonon_amplitudes builds b_kp at one time, the direct
-    route the tests check that sum against.  measure is the continuum
-    weight m in sum_k -> m * integral dk.
+    two-phonon norm is summed from the real (k, p) arrays q and s, without
+    the complex b_kp (module docstring); two_phonon_amplitudes builds b_kp
+    at one time, the direct route the tests check that sum against.
+    measure is the continuum weight m in sum_k -> m * integral dk.
     """
 
     times: np.ndarray
@@ -219,36 +225,35 @@ class CascadeResult:
         g0, g1 = self.rates.gamma_0, self.rates.gamma_1
         self._dk = np.asarray(dispersion(self.k_grid)) - self.rates.omega_1
         self._dp = np.asarray(dispersion(self.p_grid)) - self.rates.omega_0
-        self._denom_k = 1j * self._dk - 0.5 * (g1 - g0)
         self._denom_p = 1j * self._dp - 0.5 * g0
-        # m = 1/(iD - g1/2) = -r (g1/2 + iD) and |m|^2 = r, from one real
-        # reciprocal r = 1/(D^2 + g1^2/4) over the (k, p) grid
-        detuning = np.add.outer(self._dk, self._dp)
-        q_kp = detuning * detuning
-        q_kp += 0.25 * g1 * g1
-        np.reciprocal(q_kp, out=q_kp)
-        self._inv_denom_eg = np.empty(q_kp.shape, dtype=complex)
-        np.multiply(q_kp, -0.5 * g1, out=self._inv_denom_eg.real)
-        np.multiply(q_kp, -detuning, out=self._inv_denom_eg.imag)
-        amp_k = np.conj(self._g1_k) / self._denom_k
-        self._pref_kp = np.multiply.outer(amp_k, np.conj(self._g0_p))
+        self._amp_k = np.conj(self._g1_k) / (1j * self._dk - 0.5 * (g1 - g0))
+        # the real q = |M|^2 and s = q (dk + dp) over the (k, p) grid (module docstring)
+        self._s = np.add.outer(self._dk, self._dp)
+        self._q = self._s * self._s
+        self._q += 0.25 * g1 * g1
+        np.reciprocal(self._q, out=self._q)
+        self._s *= self._q
 
         # Both sectors at every time at once, times down the rows.
         t = self.times[:, None]
         w_k, w_p = _trapezoid_weights(self.k_grid), _trapezoid_weights(self.p_grid)
         e_k = np.exp((1j * self._dk - 0.5 * g1) * t)
-        self.b_k = -1j * amp_k * (e_k - np.exp(-0.5 * g0 * t))
+        self.b_k = -1j * self._amp_k * (e_k - np.exp(-0.5 * g0 * t))
         self.norm_one_phonon = self.measure * np.sum(np.abs(self.b_k) ** 2 * w_k, axis=1)
         phase = np.exp(1j * self._dp * t)
         c_p = (np.exp(self._denom_p * t) - 1.0) / self._denom_p
-        a_k, b_p = w_k * np.abs(amp_k) ** 2, w_p * np.abs(self._g0_p) ** 2
-        m_kp = self._inv_denom_eg
-        cross = (b_p * (phase - 1.0)) @ q_kp.T + (b_p * np.conj(c_p) * phase) @ m_kp.T
+        a_k, b_p = w_k * np.abs(self._amp_k) ** 2, w_p * np.abs(self._g0_p) ** 2
+        a_q, a_s = a_k @ self._q, a_k @ self._s  # a_k @ M = -(g1/2) a_q - i a_s
+        # cross = (b_p (phase - 1)) @ q.T + x @ M.T = z @ q.T - i x @ s.T
+        x = b_p * np.conj(c_p) * phase
+        z = b_p * (phase - 1.0) - 0.5 * g1 * x
+        cross = _real_product(z, self._q.T) - 1j * _real_product(x, self._s.T)
+        u = b_p * c_p * np.conj(1.0 - phase)  # 2 Re(u @ conj(a_k @ M)) below
         self.norm_two_phonon = self.measure ** 2 * (
             np.sum(a_k) * (np.abs(c_p) ** 2 @ b_p)
-            + (b_p * np.abs(1.0 - phase) ** 2) @ (a_k @ q_kp)
-            + np.abs(1.0 - e_k) ** 2 @ (a_k * (q_kp @ b_p))
-            + 2.0 * np.real((b_p * c_p * np.conj(1.0 - phase)) @ np.conj(a_k @ m_kp))
+            + (b_p * np.abs(1.0 - phase) ** 2) @ a_q
+            + np.abs(1.0 - e_k) ** 2 @ (a_k * (self._q @ b_p))
+            - 2.0 * (u.real @ (0.5 * g1 * a_q) + u.imag @ a_s)
             + 2.0 * np.real(((1.0 - e_k) * cross) @ a_k)
         )
 
@@ -265,23 +270,32 @@ class CascadeResult:
         """
         g0, g1 = self.rates.gamma_0, self.rates.gamma_1
         term_p = (np.exp((1j * self._dp - 0.5 * g0) * t) - 1.0) / self._denom_p
-        # b_kp = pref_kp (term_p + (1 - phase) / denom_eg), built in place
+        # b_kp = pref_kp (term_p + (1 - phase) M), built in place
         b = np.multiply.outer(np.exp((1j * self._dk - 0.5 * g1) * t), np.exp(1j * self._dp * t))
         np.subtract(1.0, b, out=b)
-        b *= self._inv_denom_eg
+        b *= -0.5 * g1 * self._q - 1j * self._s
         b += term_p[None, :]
-        b *= self._pref_kp
+        b *= np.multiply.outer(self._amp_k, np.conj(self._g0_p))
         return b
 
     def first_line_spectrum(self):
         """Asymptotic first-emission spectrum: marginal of |b_kp(inf)|^2 over p.
 
         Returns (k_grid, spectral density in k).  The exponential factors
-        vanish as t -> infinity, leaving the pure two-pole structure.
+        vanish as t -> infinity, leaving b_kp = A_k B_p (M_kp - r_p) with
+        r_p = 1/(i dp - gamma_0/2), and |M - r_p|^2 = q + gamma_1 q Re r_p
+        + 2 s Im r_p + |r_p|^2 makes the sum over p matrix-vector products.
         """
-        b_inf = self._pref_kp * (-1.0 / self._denom_p[None, :] + self._inv_denom_eg)
-        w_p = _trapezoid_weights(self.p_grid)
-        return self.k_grid, self.measure * np.sum(np.abs(b_inf) ** 2 * w_p[None, :], axis=1)
+        r_p, g1 = 1.0 / self._denom_p, self.rates.gamma_1
+        b_p = _trapezoid_weights(self.p_grid) * np.abs(self._g0_p) ** 2
+        line = self._q @ (b_p * (1.0 + g1 * r_p.real)) + self._s @ (2.0 * b_p * r_p.imag)
+        line += b_p @ np.abs(r_p) ** 2
+        return self.k_grid, self.measure * np.abs(self._amp_k) ** 2 * line
+
+
+def _real_product(x, real_matrix):
+    """x @ real_matrix for a complex x, without a complex copy of the matrix."""
+    return x.real @ real_matrix + 1j * (x.imag @ real_matrix)
 
 
 def cascade(params: Params, times):

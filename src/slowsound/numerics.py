@@ -371,14 +371,18 @@ def solve_dense(matrix, rhs, residual_tol=1e-10):
 # Fixed-step ODE integration
 # ----------------------------------------------------------------------
 
-def rk4_evolve(rhs, y0, times, max_step):
-    """Classical fourth-order Runge-Kutta sampled at the given times.
+def rk4_evolve(generator, y0, times, max_step):
+    """Classical fourth-order Runge-Kutta for dy/dt = generator @ y.
+
+    For a constant generator L one RK4 step of size h is exactly the step
+    polynomial P = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, so each
+    sampling interval of nsub steps is the one product P^nsub @ y.
 
     Parameters
     ----------
-    rhs : callable(t, y) -> dy/dt
-        May return real or complex arrays of y's shape.
-    y0 : array_like
+    generator : array_like, shape (n, n)
+        The constant, real or complex, matrix L.
+    y0 : array_like, shape (n,)
         Initial state at times[0].
     times : array_like
         Strictly increasing sample instants.
@@ -388,7 +392,7 @@ def rk4_evolve(rhs, y0, times, max_step):
 
     Returns
     -------
-    ndarray with shape (len(times),) + y0.shape, complex.
+    ndarray with shape (len(times), n), complex.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 1:
@@ -398,21 +402,12 @@ def rk4_evolve(rhs, y0, times, max_step):
     if not (max_step > 0):
         raise ValueError("max_step must be positive")
 
-    y = np.array(y0, dtype=complex)
-    out = np.empty((len(times),) + y.shape, dtype=complex)
-    out[0] = y
-    t = times[0]
-    for i in range(1, len(times)):
-        span = times[i] - t
+    gen = np.asarray(generator, dtype=complex)
+    out = np.empty((len(times), len(gen)), dtype=complex)
+    out[0] = y0
+    for i, span in enumerate(np.diff(times), start=1):
         nsub = max(1, math.ceil(span / max_step - 1e-12))
-        h = span / nsub
-        for _ in range(nsub):
-            k1 = np.asarray(rhs(t, y))
-            k2 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k1))
-            k3 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k2))
-            k4 = np.asarray(rhs(t + h, y + h * k3))
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += h
-        t = times[i]
-        out[i] = y
+        hl = (span / nsub) * gen
+        step = sum(np.linalg.matrix_power(hl, j) / math.factorial(j) for j in range(5))
+        out[i] = np.linalg.matrix_power(step, nsub) @ out[i - 1]
     return out

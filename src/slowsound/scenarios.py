@@ -82,6 +82,12 @@ def _autler_townes(params, rates):
 # spectrum
 # ----------------------------------------------------------------------
 
+def _ladder(ratios, r_m):
+    """(nu, omega_0, omega_1) at an array of coupling ratios, as qutrit.spectrum computes them."""
+    nu = 0.5 * (-1.0 + np.sqrt(1.0 + 4.0 * ratios * r_m))
+    return nu, (2.0 * nu - 1.0) / (2.0 * r_m), np.abs(2.0 * nu - 3.0) / (2.0 * r_m)
+
+
 def scenario_spectrum(params: Params, sink):
     """Level structure across the coupling-ratio sweep, window marked.
 
@@ -92,7 +98,7 @@ def scenario_spectrum(params: Params, sink):
     r_m = params.mass_ratio
     lo_rg, hi_rg = qutrit_window_in_coupling_ratio(r_m)
     ratios = np.linspace(0.9, 1.9, 201)
-    nu = 0.5 * (-1.0 + np.sqrt(1.0 + 4.0 * ratios * r_m))
+    nu, omega_0, omega_1 = _ladder(ratios, r_m)
     n_bound = np.floor(nu + 1.0 + np.sqrt(nu * (1.0 + nu)) + 1e-12).astype(int)
     qutrit = (QUTRIT_NU_MIN <= nu) & (nu < QUTRIT_NU_MAX)
     # float_power calls C pow as Python's float ** does; an array's ** 2
@@ -100,8 +106,8 @@ def scenario_spectrum(params: Params, sink):
     levels = [
         np.where(qutrit, level, math.nan)
         for level in (
-            (2.0 * nu - 1.0) / (2.0 * r_m),
-            np.abs(2.0 * nu - 3.0) / (2.0 * r_m),
+            omega_0,
+            omega_1,
             *(-np.float_power(nu - n, 2) / (2.0 * r_m) for n in range(3)),
         )
     ]
@@ -166,16 +172,16 @@ def _closed_rates(params: Params, lines):
 
 
 def scenario_decay(params: Params, sink):
-    """Phonon decay rates over the window plus the emission cascade."""
+    """Phonon decay rates over the window plus the emission cascade.
+
+    The window sweep is arrays that equal the scalar route bit for bit."""
     lo_rg, hi_rg = qutrit_window_in_coupling_ratio(params.mass_ratio)
     ratios = np.linspace(lo_rg, hi_rg, 122)[1:-1]
-    rows = []
-    for rg in ratios:
-        p = replace(params, coupling_ratio=float(rg))
-        spec = spectrum(p)
-        g0, g1 = _closed_rates(p, spec)
-        rows.append([rg, p.nu, spec.omega_0, spec.omega_1, g0, g1,
-                     g0 / spec.omega_0, g1 / spec.omega_1])
+    nu, omega_0, omega_1 = _ladder(ratios, params.mass_ratio)
+    g12 = ratios / params.density_xi
+    g0, g1 = gamma_closed(params, omega_0, 0, g12), gamma_closed(params, omega_1, 1, g12)
+    rwa = (g0 / omega_0, g1 / omega_1)
+    rows = zip(*(col.tolist() for col in (ratios, nu, omega_0, omega_1, g0, g1, *rwa)))
     columns = [
         "coupling_ratio",
         "nu",
@@ -187,7 +193,7 @@ def scenario_decay(params: Params, sink):
         "gamma_1_over_omega_1",
     ]
     sink.csv("decay.csv", columns, rows)
-    worst_rwa = max(max(r[6], r[7]) for r in rows)
+    worst_rwa = np.max(rwa)
 
     integral = decay_rates(params)
     closed = _closed_rates(params, integral)
@@ -245,8 +251,7 @@ def scenario_decay(params: Params, sink):
     sink.svg(
         "decay.svg",
         ratios,
-        [("gamma_0/omega_0", np.array([r[6] for r in rows])),
-         ("gamma_1/omega_1", np.array([r[7] for r in rows]))],
+        [("gamma_0/omega_0", rwa[0]), ("gamma_1/omega_1", rwa[1])],
         title="Decay-to-frequency ratios across the window",
         xlabel="g12/g11",
         ylabel="gamma/omega",

@@ -93,6 +93,25 @@ def test_liouvillian_is_affine_in_detuning(mode):
 
 
 @pytest.mark.parametrize("mode", ["track", "fixed"])
+def test_liouvillian_matches_kron_reference_bit_for_bit(mode):
+    """The generator against its textbook np.kron form, the same products."""
+    drive = _mode(mode)
+    eye = np.eye(3, dtype=complex)
+    c0 = np.zeros((3, 3), dtype=complex)
+    c0[0, 1] = np.sqrt(RATES.gamma_0)
+    c1 = np.zeros((3, 3), dtype=complex)
+    c1[1, 2] = np.sqrt(RATES.gamma_1)
+    for det in (0.0, 0.7 * RATES.gamma_0, -3.0 * RATES.gamma_0):
+        h = hamiltonian(drive, det)
+        ref = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+        for c in (c0, c1):
+            cdc = c.conj().T @ c
+            ref += np.kron(c, c.conj())
+            ref -= 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
+        assert np.array_equal(liouvillian(RATES, drive, det), ref), det
+
+
+@pytest.mark.parametrize("mode", ["track", "fixed"])
 def test_stacked_steady_states_match_one_solve_per_detuning(mode):
     """Bit for bit against the null space of each L(Delta) solved alone."""
     drive = _mode(mode)

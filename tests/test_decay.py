@@ -14,15 +14,18 @@ import numpy as np
 import pytest
 
 from slowsound.bogoliubov import dispersion, dispersion_derivative, resonant_wavevector
-from slowsound.coupling import g0_closed
+from slowsound.coupling import csch, g0_closed
 from slowsound.decay import (
+    GAMMA1_DENOMINATOR,
     cascade,
     decay_rates,
     emission_grid,
     gamma_closed,
 )
-from slowsound.params import REFERENCE
+from slowsound.params import REFERENCE, coupling_ratio_for_nu
 from slowsound.qutrit import spectrum
+from slowsound.scenarios import SCENARIOS
+from test_qutrit import RowSink
 
 
 def one_phonon_ode_oracle(result, gamma_0, gamma_1, t_final, nsteps):
@@ -144,6 +147,71 @@ def test_rate_scales_inversely_with_density():
     assert r2[1] / r1[1] == pytest.approx(0.5, rel=1e-12)
 
 
+def scalar_gamma_closed(params, omega, which):
+    """The closed-form rate one Python float at a time, each square a
+    Python ** (C pow): the scalar route the array sweep must reproduce."""
+    if omega == 0.0:
+        return 0.0
+    eta = math.sqrt(1.0 + omega * omega)
+    envelope = csch(math.pi * math.sqrt(eta - 1.0) / 2.0) ** 2
+    if which == 0:
+        bracket = (eta - 5.0) ** 2 * (8.0 * eta - 6.0 + 15.0 * omega) ** 2
+        denom = 76800.0
+    else:
+        poly = (
+            -1956.0
+            + omega * omega * (-591.0 + 56.0 * omega + 29.0 * eta)
+            + 4.0 * (505.0 * eta + 7.0 * omega * (107.0 - 39.0 * eta))
+        )
+        bracket = poly ** 2
+        denom = float(GAMMA1_DENOMINATOR)
+    return (
+        math.pi * params.impurity_norm * params.g12 ** 2
+        / (denom * eta * math.sqrt(1.0 + eta)) * (eta - 1.0) * bracket * envelope
+    )
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+def test_decay_sweep_matches_scalar_route_bit_for_bit():
+    """Every decay.csv row of the array sweep, and both plotted ratios,
+    against spectrum() and the scalar rates at the row's coupling ratio."""
+    for mass_ratio in (1.0, 1.56, 2.0):
+        # the configured point stays at REFERENCE's nu, inside the window
+        rg = coupling_ratio_for_nu(REFERENCE.nu, mass_ratio)
+        params = replace(REFERENCE, mass_ratio=mass_ratio, coupling_ratio=rg)
+        sink = RowSink()
+        SCENARIOS["decay"](params, sink)
+        columns, rows = sink.tables["decay.csv"]
+        assert len(rows) == 120
+        for row in rows:
+            p = replace(params, coupling_ratio=row[0])
+            spec = spectrum(p)
+            g0, g1 = (scalar_gamma_closed(p, w, n) for n, w in enumerate((spec.omega_0, spec.omega_1)))
+            expected = [row[0], spec.nu, spec.omega_0, spec.omega_1, g0, g1,
+                        g0 / spec.omega_0, g1 / spec.omega_1]
+            assert bits(row) == bits(expected), (mass_ratio, row[0])
+            assert bits(closed_rates(p, spec)) == bits([g0, g1]), (mass_ratio, row[0])
+        plotted = sink.series["decay.svg"]
+        for name, column in (("gamma_0/omega_0", 6), ("gamma_1/omega_1", 7)):
+            assert bits(plotted[name]) == bits(row[column] for row in rows)
+
+
+def test_gamma_closed_on_arrays_keeps_its_limits():
+    omega = np.array([0.0, 0.3, 0.0, 0.12])
+    for which in (0, 1):
+        rates = gamma_closed(REFERENCE, omega, which)
+        assert rates[0] == 0.0 and rates[2] == 0.0
+        assert bits(rates[[1, 3]]) == bits(scalar_gamma_closed(REFERENCE, w, which) for w in (0.3, 0.12))
+        assert gamma_closed(REFERENCE, 0.0, which) == 0.0
+        with pytest.raises(ValueError):
+            gamma_closed(REFERENCE, np.array([0.2, -1e-9]), which)
+    with pytest.raises(ValueError):
+        gamma_closed(REFERENCE, omega, 2)
+
+
 def test_rates_outside_window_rejected():
     with pytest.raises(ValueError):
         decay_rates(replace(REFERENCE, coupling_ratio=0.5))
@@ -211,6 +279,35 @@ def test_two_phonon_norm_matches_direct_amplitudes(params):
               for t in times]
     assert abs(res.norm_two_phonon[0]) <= 1e-15
     np.testing.assert_allclose(res.norm_two_phonon[1:], direct[1:], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        REFERENCE,
+        _window_edge("lower"),
+        _window_edge("upper"),
+    ],
+    ids=["closed", "lower-edge", "upper-edge"],
+)
+def test_first_line_spectrum_matches_direct_trapezoid_sum(params):
+    """The matrix-vector first line against the trapezoid sum over p of an
+    explicit |b_kp(inf)|^2 array, b_kp(inf) = A_k B_p (1/(i(dk + dp) -
+    gamma_1/2) - 1/(i dp - gamma_0/2))."""
+    r = decay_rates(params)
+    res = cascade(params, np.array([1.0]) / r.gamma_1)
+    g0, g1 = r.gamma_0, r.gamma_1
+    dk = np.asarray(dispersion(res.k_grid))[:, None] - r.omega_1
+    dp = np.asarray(dispersion(res.p_grid))[None, :] - r.omega_0
+    b_inf = (
+        np.conj(res._g1_k)[:, None] / (1j * dk - 0.5 * (g1 - g0)) * np.conj(res._g0_p)[None, :]
+        * (1.0 / (1j * (dk + dp) - 0.5 * g1) - 1.0 / (1j * dp - 0.5 * g0))
+    )
+    p = res.p_grid
+    w_p = 0.5 * (np.diff(p, prepend=p[0]) + np.diff(p, append=p[-1]))
+    k_line, density = res.first_line_spectrum()
+    assert k_line is res.k_grid
+    np.testing.assert_allclose(density, res.measure * np.abs(b_inf) ** 2 @ w_p, rtol=1e-12, atol=0)
 
 
 def test_cascade_survival_is_exponential():

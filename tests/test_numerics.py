@@ -212,28 +212,72 @@ def test_find_root_cubic_and_bad_bracket():
 
 # -- ODE integration ------------------------------------------------------
 
+def _rabi_generator(omega):
+    """Generator of the resonant two-level problem, dy/dt = L y."""
+    return np.array([[0.0, -0.5j * omega], [-0.5j * omega, 0.0]])
+
+
 def test_rk4_rabi_flopping():
     """Two-level Rabi problem against the exact sinusoid."""
     omega = 0.37
-
-    def rhs(t, y):
-        return np.array([-0.5j * omega * y[1], -0.5j * omega * y[0]])
-
     times = np.linspace(0.0, 40.0, 81)
-    traj = rk4_evolve(rhs, np.array([1.0 + 0j, 0.0 + 0j]), times, max_step=0.01)
+    traj = rk4_evolve(_rabi_generator(omega), np.array([1.0 + 0j, 0.0 + 0j]), times, max_step=0.01)
     p1 = np.abs(traj[:, 1]) ** 2
     assert np.allclose(p1, np.sin(0.5 * omega * times) ** 2, atol=1e-8)
 
 
 def test_rk4_norm_preserved():
     omega = 1.1
-
-    def rhs(t, y):
-        return np.array([-0.5j * omega * y[1], -0.5j * omega * y[0]])
-
-    traj = rk4_evolve(rhs, np.array([1.0 + 0j, 0.0j]), np.linspace(0, 10, 11), max_step=0.005)
+    traj = rk4_evolve(_rabi_generator(omega), np.array([1.0 + 0j, 0.0j]), np.linspace(0, 10, 11),
+                      max_step=0.005)
     norms = np.sum(np.abs(traj) ** 2, axis=1)
     assert np.allclose(norms, 1.0, atol=1e-10)
+
+
+def test_rk4_step_matrix_power_matches_step_loop_and_exact_exponential():
+    """P^nsub against sequential RK4 steps and against exp(tL).
+
+    Uneven sampling intervals give a different step size in each.  The
+    exact bound: one step's error is ||exp(hL) - P|| <= (h l)^5/120 e^(h l)
+    with l = ||L||_2, and nsub steps telescope to nsub (h l)^5/120 e^(t l).
+    """
+    rng = np.random.default_rng(17)
+    gen = -0.3 * np.eye(4) + 0.5 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    y0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    times = np.array([0.0, 0.3, 1.1, 1.15, 2.6])
+    max_step = 0.05
+    traj = rk4_evolve(gen, y0, times, max_step=max_step)
+
+    y, loop, bound = y0.copy(), [y0], 0.0
+    ell = np.linalg.norm(gen, 2)
+    for span in np.diff(times):
+        nsub = max(1, math.ceil(span / max_step - 1e-12))
+        h = span / nsub
+        for _ in range(nsub):
+            k1 = gen @ y
+            k2 = gen @ (y + 0.5 * h * k1)
+            k3 = gen @ (y + 0.5 * h * k2)
+            k4 = gen @ (y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        loop.append(y)
+        bound += nsub * (h * ell) ** 5 / 120.0
+    np.testing.assert_allclose(traj, np.array(loop), rtol=1e-12, atol=0)
+
+    lam, vec = np.linalg.eig(gen)
+    exact = np.array([vec @ (np.exp(lam * t) * np.linalg.solve(vec, y0)) for t in times])
+    err = np.linalg.norm(traj - exact, axis=1)
+    assert err[-1] > 0.0
+    assert np.all(err <= bound * math.exp(times[-1] * ell) * np.linalg.norm(y0))
+
+
+def test_rk4_rejects_bad_times_and_step():
+    gen, y0 = _rabi_generator(1.0), np.array([1.0 + 0j, 0.0j])
+    for times in ([0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [[0.0, 1.0]], []):
+        with pytest.raises(ValueError):
+            rk4_evolve(gen, y0, np.array(times), max_step=0.1)
+    for step in (0.0, -0.1, math.nan):
+        with pytest.raises(ValueError):
+            rk4_evolve(gen, y0, np.array([0.0, 1.0]), max_step=step)
 
 
 # -- linear solves --------------------------------------------------------
