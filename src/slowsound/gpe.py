@@ -15,11 +15,12 @@ the potential whose bound ladder is the analytic impurity spectrum; the
 raw product g12 |psi_soliton|^2 is twice that deep, a tension kept
 visible here by naming the two potentials separately rather than
 blending them.  The frozen well is linear, so its eigenstates come from
-one dense eigensolve of the Fourier-grid Hamiltonian, not from a
-relaxation.  The coupled pair, with the raw mutual terms, is used for
-backreaction estimates, not spectral checks; its ground state, a
-nonlinear problem, is relaxed in imaginary time by Strang-split FFT
-steps.
+a direct eigensolve of the Fourier-grid Hamiltonian, split into its
+even and odd blocks under x -> -x and checked by the operator applied
+by FFT, not from a relaxation.  The coupled pair, with the raw mutual
+terms, is used for backreaction estimates, not spectral checks; its
+ground state, a nonlinear problem, is relaxed in imaginary time by
+Strang-split FFT steps.
 """
 
 import math
@@ -129,15 +130,23 @@ class EigenstateReport:
 
 
 def well_eigenstates(params: Params, n_states, grid: Grid1D = None, nu=None):
-    """Lowest eigenstates of the frozen well from one dense eigensolve.
+    """Lowest eigenstates of the frozen well, solved one parity at a time.
 
     The frozen well is linear, so its grid spectrum is that of the
     Fourier-grid Hamiltonian (Marston & Balint-Kurti, J. Chem. Phys. 91,
     3571 (1989)): the spectral kinetic operator k^2 / (2 mass_ratio) is
-    the real symmetric circulant matrix whose first column is
-    ifft(k^2 / (2 mass_ratio)), and the well adds its diagonal.  Each
-    returned state has unit norm on the grid and is positive where |psi|
-    peaks on x >= 0, so reruns write identical files.
+    the real symmetric circulant matrix whose first column c is
+    ifft(k^2 / (2 mass_ratio)), and the well adds its diagonal.  That
+    matrix is never built.  x -> -x maps grid index h+m to h-m (mod N),
+    h = N/2, and commutes with c and the even well, so H splits into an
+    even block c[|m-m'|] + c[(m+m') % N] on m = 0..h, scaled by sqrt(1/2)
+    on the rows and columns of the fixed points m = 0 and h, and an odd
+    block c[|m-m'|] - c[m+m'] on m = 1..h-1, each plus the well.  Their
+    lowest states, merged by a stable sort on energy, unfold to
+    psi[h+-m] = v_m / sqrt(2) (v_m at the fixed points) or +-v_m / sqrt(2),
+    exactly even or odd.  Residuals apply H by FFT to the unfolded states,
+    which also checks the fold.  Each state has unit grid norm and is
+    positive where |psi| peaks on x >= 0, so reruns write identical files.
 
     States whose probability mass leaks to the outer half of the box
     (beyond |x| = L/4) are flagged unbound: in a periodic box the
@@ -150,20 +159,36 @@ def well_eigenstates(params: Params, n_states, grid: Grid1D = None, nu=None):
     _require_box(grid)
     if nu is None:
         nu = params.nu
-    kinetic = np.real(ifft(grid.k ** 2 / (2.0 * params.mass_ratio)))
-    index = np.arange(grid.npoints)
-    hamiltonian = kinetic[(index[:, None] - index[None, :]) % grid.npoints]
-    hamiltonian[index, index] += frozen_well(grid, nu, params.mass_ratio)
+    n, h = grid.npoints, grid.npoints // 2
+    kinetic = grid.k ** 2 / (2.0 * params.mass_ratio)
+    column = np.real(ifft(kinetic))
+    well = frozen_well(grid, nu, params.mass_ratio)
+    m = np.arange(h + 1)
+    # grid weight of an even basis vector on h+-m, whole at the fixed points
+    unfold = np.where((m == 0) | (m == h), 1.0, math.sqrt(0.5))
+    near, far = column[np.abs(m[:, None] - m)], column[(m[:, None] + m) % n]
+    diagonal = np.diag(well[(h + m) % n])
+    even = (near + far) * np.outer(math.sqrt(0.5) / unfold, math.sqrt(0.5) / unfold) + diagonal
+    odd = (near - far + diagonal)[1:h, 1:h]
     try:
-        energies, vectors = np.linalg.eigh(hamiltonian)
+        even_energies, even_vectors = np.linalg.eigh(even)
+        odd_energies, odd_vectors = np.linalg.eigh(odd)
     except np.linalg.LinAlgError as exc:
         raise NumericsError(f"frozen-well eigensolve failed: {exc}") from exc
-    energies, vectors = energies[:n_states], vectors[:, :n_states]
-    # unit columns are unit grid states scaled by sqrt(dx), so the plain
-    # vector residual is already the grid-norm residual
-    residuals = np.linalg.norm(hamiltonian @ vectors - vectors * energies, axis=0)
+    energies = np.concatenate([even_energies[:n_states], odd_energies[:n_states]])
+    half = np.hstack([even_vectors[:, :n_states] * unfold[:, None],
+                      np.pad(odd_vectors[:, :n_states], ((1, 1), (0, 0))) * math.sqrt(0.5)])
+    parity = np.where(np.arange(len(energies)) < min(n_states, h + 1), 1.0, -1.0)
+    vectors = np.empty((n, len(energies)))
+    vectors[(h + m) % n] = half
+    vectors[h - m] = half * parity
+    order = np.argsort(energies, kind="stable")[:n_states]
+    energies, vectors = energies[order], vectors[:, order].T
+    # a unit vector is a unit grid state times sqrt(dx): its plain residual is the grid one
+    applied = ifft(kinetic * fft(vectors)) + well * vectors
+    residuals = np.linalg.norm(applied - energies[:, None] * vectors, axis=1)
 
-    states = vectors.T / math.sqrt(grid.dx)
+    states = vectors / math.sqrt(grid.dx)
     # an odd state peaks equally at +-x, so its sign is read on x >= 0 only
     right = states[:, grid.x >= 0.0]
     peaks = right[np.arange(len(right)), np.argmax(np.abs(right), axis=1)]

@@ -66,8 +66,11 @@ def bound_state_count(nu):
     exactly on [4/5, 9/7).  It is not the number of bound states of the
     frozen well -nu(nu+1)/(2 r_m) sech^2 that gpe solves, which binds only
     the states n < nu: one for nu <= 1 and two above, never three on the
-    window.  PAPER.md holds only the abstract and does not settle which
-    count is the paper's; well_eigenstates follows the well.
+    window.  On well_eigenstates' default Grid1D(512, 80) the well binds
+    1 state at nu = 4/5, 2 at REFERENCE.nu = 1.2709 and 2 at 9/7 - 1e-6,
+    where this count is 3 each time.  PAPER.md holds only the abstract
+    and does not settle which count is the paper's; well_eigenstates
+    follows the well.
 
     The floor argument is exactly integral at the rational window edges
     (3 at nu = 4/5, 4 at nu = 9/7), so a 1e-12 epsilon guards against the

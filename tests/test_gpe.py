@@ -3,15 +3,18 @@ coupled relaxation.
 
 The tanh pair is checked against the stationary field equation with a
 spectral second derivative; the frozen-well eigensolve is compared
-against the closed-form ladder and checked as an eigenproblem by an
-FFT-applied Hamiltonian, and the imaginary-time relaxation of the
-coupled pair against the bare tanh pair and its own step-size scaling.
+against the closed-form ladder, checked as an eigenproblem by an
+FFT-applied Hamiltonian and set against one eigh of the dense matrix
+(dense_well_oracle), and the imaginary-time relaxation of the coupled
+pair against the bare tanh pair and its own step-size scaling.
 """
 import dataclasses
 import math
 
 import numpy as np
+import pytest
 
+from dense_well_oracle import dense_eigenstates
 from slowsound.gpe import (
     coupled_ground_state,
     frozen_well,
@@ -21,7 +24,7 @@ from slowsound.gpe import (
 )
 from slowsound.numerics import Grid1D
 from slowsound.params import REFERENCE
-from slowsound.qutrit import spectrum
+from slowsound.qutrit import QUTRIT_NU_MAX, QUTRIT_NU_MIN, bound_state_count, spectrum
 
 
 GRID = Grid1D(256, 60.0)
@@ -91,9 +94,10 @@ def test_threshold_state_reported_not_raised():
 
 
 def test_well_states_solve_fft_hamiltonian():
-    # independent of the dense matrix the solver builds: apply H by FFT
-    # to every returned state and check the eigen-equation and the
-    # orthonormality the grid inner product promises
+    # independent of the parity blocks the solver diagonalizes: apply H
+    # by FFT to every returned state, here with numpy's own transforms,
+    # and check the eigen-equation and the orthonormality the grid inner
+    # product promises
     grid = Grid1D(512, 60.0)
     report = well_eigenstates(REFERENCE, 3, grid=grid)
     well = frozen_well(grid, REFERENCE.nu, REFERENCE.mass_ratio)
@@ -108,14 +112,55 @@ def test_well_states_solve_fft_hamiltonian():
 
 
 def test_well_state_signs_follow_the_ladder():
-    # the odd state peaks equally at +-x; on this grid the eigensolver's
-    # rounding puts the larger |psi| at -x, so a sign read over the whole
-    # grid would flip it.  The ladder's shapes sech^nu x and
+    # the odd state peaks exactly equally at +-x, with opposite signs, so
+    # a sign read over the whole grid could land on either side; it is
+    # read on x >= 0.  The ladder's shapes sech^nu x and
     # sech^(nu-1) x tanh x are both positive on x > 0.
     grid = Grid1D(1024, 80.0)
     report = well_eigenstates(REFERENCE, 2, grid=grid)
     core = (grid.x > 0.0) & (grid.x < 5.0)
     assert np.all(report.states[:, core] > 0.0)
+
+
+@pytest.mark.parametrize("nu", [REFERENCE.nu, 2.6])
+def test_well_states_have_exact_parity(nu):
+    # the frozen well and the grid are both symmetric under x -> -x, which
+    # maps index i to (N - i) % N; every state must be even or odd bit for
+    # bit, and the ladder alternates even, odd, even
+    grid = Grid1D(512, 80.0)
+    report = well_eigenstates(REFERENCE, 3, grid=grid, nu=nu)
+    mirror = (grid.npoints - np.arange(grid.npoints)) % grid.npoints
+    for psi, sign in zip(report.states, (1.0, -1.0, 1.0)):
+        assert np.array_equal(psi[mirror], sign * psi)
+
+
+@pytest.mark.parametrize(
+    "grid, nu",
+    [
+        (Grid1D(512, 80.0), REFERENCE.nu),
+        (Grid1D(512, 80.0), 2.6),
+        # the smallest legal grid, where the fixed points x = 0 and x = -L/2
+        # carry real weight in every even state
+        (Grid1D(16, 40.0), REFERENCE.nu),
+    ],
+    ids=["512-reference", "512-nu2.6", "16-reference"],
+)
+def test_folded_solve_matches_dense_oracle(grid, nu):
+    report = well_eigenstates(REFERENCE, 3, grid=grid, nu=nu)
+    energies, states = dense_eigenstates(grid, nu, REFERENCE.mass_ratio, 3)
+    assert float(np.max(np.abs(report.energies - energies))) < 1e-12
+    assert float(np.max(np.abs(report.states - states))) < 1e-9
+
+
+def test_frozen_well_bound_count_across_the_window():
+    # the frozen well binds only n < nu: one state at the window's lower
+    # edge, two at REFERENCE and just below its upper edge, while the
+    # window level count is three at all three points
+    below_top = QUTRIT_NU_MAX - 1e-6
+    for nu, count in ((QUTRIT_NU_MIN, 1), (REFERENCE.nu, 2), (below_top, 2)):
+        report = well_eigenstates(REFERENCE, 3, nu=nu)
+        assert int(np.sum(report.bound)) == count, nu
+        assert bound_state_count(nu) == 3, nu
 
 
 def test_tanh_pair_recovered_without_impurity():
