@@ -15,6 +15,7 @@ from slowsound.cli import main
 from slowsound.coupling import g0_closed, g1_closed, g_quadrature
 from slowsound.numerics import NumericsError
 from slowsound.params import REFERENCE
+from slowsound.qutrit import qutrit_window_in_coupling_ratio
 
 
 def test_cli_import_leaves_numpy_unloaded():
@@ -118,6 +119,26 @@ def test_numerics_failure_cleans_partial_outputs(tmp_path, monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
     assert not (out / "partial.csv").exists()
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "mass_ratio, coupling_ratio, family_ratio, side",
+    [("1.0", "2.0", "1.1", "below"), ("2.0", "1.2", "1.85", "above")],
+)
+def test_susceptibility_refusal_names_the_comparison_curve(
+    tmp_path, capsys, mass_ratio, coupling_ratio, family_ratio, side
+):
+    # the configured point is inside the window; only susceptibility's fixed
+    # comparison family leaves it, and the refusal says which of its curves
+    lo, hi = qutrit_window_in_coupling_ratio(float(mass_ratio))
+    assert lo <= float(coupling_ratio) < hi
+    assert not lo <= float(family_ratio) < hi
+    sets = ["--set", f"mass_ratio={mass_ratio}", "--set", f"coupling_ratio={coupling_ratio}"]
+    code, _ = run(tmp_path, "susceptibility", *sets)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"comparison curve at coupling_ratio={family_ratio}: nu=" in err
+    assert f"lies {side} the qutrit window" in err
 
 
 @pytest.mark.parametrize(

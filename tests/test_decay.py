@@ -25,53 +25,8 @@ from slowsound.decay import (
 from slowsound.params import REFERENCE, coupling_ratio_for_nu
 from slowsound.qutrit import spectrum
 from slowsound.scenarios import SCENARIOS
+from cascade_ode_oracle import NSTEPS, one_phonon_ode
 from test_qutrit import RowSink
-
-
-def one_phonon_ode_oracle(result, gamma_0, gamma_1, t_final, nsteps):
-    """Direct integration of the upper-line amplitude equations.
-
-    da/dt   = -i sum_k (measure w_k) g_k exp(-i dk t) b_k
-    db_k/dt = -i conj(g_k) exp(+i dk t) a - (gamma_0/2) b_k
-
-    The intermediate state's own decay enters as the gamma_0/2 loss on
-    b_k; everything else is the bare discretized continuum.
-    """
-    k = result.k_grid
-    w = np.empty_like(k)
-    w[1:-1] = 0.5 * (k[2:] - k[:-2])
-    w[0] = 0.5 * (k[1] - k[0])
-    w[-1] = 0.5 * (k[-1] - k[-2])
-    g = result._g1_k
-    dk = np.array([dispersion(float(q)) for q in k]) - (
-        result.omega_eg - result.rates.omega_0
-    )
-    meas_w = result.measure * w
-
-    h = t_final / nsteps
-    a = 1.0 + 0j
-    b = np.zeros(len(k), dtype=complex)
-    out_t, out_a, out_b = [0.0], [a], [b.copy()]
-
-    def deriv(t, a_val, b_val):
-        phase = np.exp(-1j * dk * t)
-        da = -1j * np.sum(meas_w * g * phase * b_val)
-        db = -1j * np.conj(g) / phase * a_val - 0.5 * gamma_0 * b_val
-        return da, db
-
-    t = 0.0
-    for _ in range(nsteps):
-        da1, db1 = deriv(t, a, b)
-        da2, db2 = deriv(t + 0.5 * h, a + 0.5 * h * da1, b + 0.5 * h * db1)
-        da3, db3 = deriv(t + 0.5 * h, a + 0.5 * h * da2, b + 0.5 * h * db2)
-        da4, db4 = deriv(t + h, a + h * da3, b + h * db3)
-        a = a + h / 6.0 * (da1 + 2 * da2 + 2 * da3 + da4)
-        b = b + h / 6.0 * (db1 + 2 * db2 + 2 * db3 + db4)
-        t += h
-        out_t.append(t)
-        out_a.append(a)
-        out_b.append(b.copy())
-    return np.array(out_t), np.array(out_a), np.array(out_b), meas_w
 
 
 # -- rates ------------------------------------------------------------------
@@ -324,17 +279,15 @@ def test_cascade_against_direct_ode_integration():
     times = np.linspace(0.0, t_final, 7)
     res = cascade(REFERENCE, times)
 
-    ts, a_ode, b_ode, meas_w = one_phonon_ode_oracle(
-        res, r.gamma_0, r.gamma_1, t_final, nsteps=12000
-    )
+    survival, b_final, meas_w = one_phonon_ode()
     # compare survival pointwise at the sampled cascade times
     for i, t in enumerate(times):
-        j = int(round(t / t_final * 12000))
-        assert abs(a_ode[j]) ** 2 == pytest.approx(
+        j = int(round(t / t_final * NSTEPS))
+        assert survival[j] == pytest.approx(
             abs(res.a[i]) ** 2, rel=0.02
         ), f"t = {t:.1f}"
     # and the emitted-line norm at the final time
-    norm_ode = float(np.sum(meas_w * np.abs(b_ode[-1]) ** 2))
+    norm_ode = float(np.sum(meas_w * np.abs(b_final) ** 2))
     assert norm_ode == pytest.approx(res.norm_one_phonon[-1], rel=0.02)
 
 

@@ -1,0 +1,93 @@
+"""validate as an ordered tuple of check functions over one rates resolution.
+
+The golden check pins validate's (check, status) pairs in track mode; the
+pairs in fixed mode, one check run on its own, and the number of overlap
+and susceptibility evaluations behind validate and susceptibility are
+pinned here.
+"""
+from dataclasses import replace
+
+import pytest
+
+from slowsound import scenarios
+from slowsound.decay import decay_rates
+from slowsound.params import REFERENCE
+from test_qutrit import RowSink
+
+P, F, R = "PASS", "FAIL", "REPORT"
+FIXED_MODE_ROWS = [
+    ("window_boundary_counts", P),
+    ("resonance_inversion_roundtrip", P),
+    ("normalization_constant_0", P),
+    ("normalization_constants_1_2", R),
+    ("raw_overlap_phi0_phi2", R),
+    ("orthogonality_after_projection", P),
+    ("parity_structure", P),
+    ("coupling_index_symmetry", P),
+    ("closed_form_zero_at_k2", P),
+    ("exponential_tail_at_k12", F),
+    ("extremum_location_agreement", F),
+    ("resonant_amplitude_ratio", R),
+    ("interband_dominance", F),
+    ("decay_route_agreement", P),
+    ("cascade_norm_conservation", P),
+    ("first_line_width", P),
+    ("steady_state_route_agreement", P),
+    ("lindblad_state_quality", P),
+    ("weak_probe_convergence", P),
+    ("relaxation_to_steady_state", P),
+    ("transparency_contrast", P),
+    ("dip_transition", F),
+    ("autler_townes_separation", F),
+    ("group_velocity_minimum", F),
+    ("dispersion_branch_merge", P),
+    ("pulse_delay_consistency", F),
+    ("kramers_kronig_consistency", P),
+]
+
+
+def counted(monkeypatch, name):
+    """Wrap scenarios.<name> and return the list its calls are recorded in."""
+    calls = []
+    original = getattr(scenarios, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, name, wrapper)
+    return calls
+
+
+def test_fixed_mode_rows_in_order():
+    summary = scenarios.scenario_validate(replace(REFERENCE, delta_mode="fixed"), RowSink())
+    assert [(row["check"], row["status"]) for row in summary["rows"]] == FIXED_MODE_ROWS
+    assert (summary["n_pass"], summary["n_fail"], summary["n_report"]) == (17, 7, 3)
+
+
+@pytest.fixture(scope="module")
+def full_rows():
+    return scenarios.scenario_validate(REFERENCE, RowSink())["rows"]
+
+
+@pytest.mark.parametrize("check", scenarios.CHECKS, ids=lambda check: check.__name__)
+def test_one_check_alone_gives_its_rows_of_the_full_run(check, full_rows):
+    alone = list(check(REFERENCE, decay_rates(REFERENCE)))
+    names = [row["check"] for row in alone]
+    assert alone == [row for row in full_rows if row["check"] in names]
+
+
+def test_validate_evaluates_each_overlap_curve_once(monkeypatch):
+    # four interband curves share one k array, the three intraband curves
+    # another, and g_10 at k = 0.9 is the index-symmetry check's own call
+    calls = counted(monkeypatch, "g_quadrature")
+    scenarios.scenario_validate(REFERENCE, RowSink())
+    assert len(calls) == 6
+
+
+def test_susceptibility_builds_each_control_sweep_once(monkeypatch):
+    calls = counted(monkeypatch, "susceptibility_curve")
+    scenarios.scenario_susceptibility(REFERENCE, RowSink())
+    default_sweeps = [args[0] for args, kwargs in calls if kwargs.get("detunings") is None]
+    assert len(default_sweeps) == len(set(default_sweeps))
+    assert len(calls) == 15
