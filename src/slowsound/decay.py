@@ -298,7 +298,7 @@ def _real_product(x, real_matrix):
     return x.real @ real_matrix + 1j * (x.imag @ real_matrix)
 
 
-def cascade(params: Params, times):
+def cascade(params: Params, times, rates=None):
     """Closed-form cascade amplitudes at the requested times.
 
     Rates are the golden-rule rates (decay_rates) and the amplitudes use
@@ -308,8 +308,11 @@ def cascade(params: Params, times):
     trapezoid error).
     The k and p grids are emission_grid around the upper and lower
     transition lines, stepped at a sixth of the narrowest linewidth.
+    rates, when given, must be decay_rates(params), already resolved by
+    the caller.
     """
-    rates = decay_rates(params)
+    if rates is None:
+        rates = decay_rates(params)
     g0_rate, g1_rate = rates.gamma_0, rates.gamma_1
     narrow = min(g0_rate, g1_rate, abs(g0_rate - g1_rate) or math.inf)
     k_grid = emission_grid(rates.omega_1, g0_rate + g1_rate, narrow)

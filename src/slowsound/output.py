@@ -4,11 +4,13 @@ CSV cells are written by format_number: floats as %.12g (NaN of either
 sign as "nan", infinities as "inf"/"-inf", negative zero as "-0"), bools
 as "true"/"false", integers in full, and strings with newlines turned
 into spaces and, when they hold a comma or a double quote, wrapped in
-double quotes with inner quotes doubled.  Tables are formatted a block
-of rows at a time, by one % operation per block: a column of the block
-whose cells are all Python or numpy float64 floats is printed with %.12g
-directly, any other column as %s of its format_number strings, so the
-bytes are the same either way.  Reruns of the same configuration produce
+double quotes with inner quotes doubled.  Each column's % spec is picked
+once per table: a column whose cells are all Python or numpy float64
+floats is printed with %.12g directly, any other column as %s of its
+format_number strings, so the bytes are the same either way.  A table
+handed over as a 2-D float64 array takes %.12g in every column without
+looking at its cells.  The rows are then formatted a block at a time, by
+one % operation per block.  Reruns of the same configuration produce
 byte-identical tables.  The manifest carries the fully resolved
 parameter set and the list of written files; its generated_at stamp is
 the only line expected to differ between identical reruns.
@@ -49,15 +51,23 @@ def format_number(value):
     return f"{v:.12g}"
 
 
-def _block_text(block, width):
-    """The rows of one block as CSV lines, made by one % operation.
+def _table_cells(rows, width):
+    """The table's cells in row order, and the % spec of each column.
 
-    Each column contributes one spec to the row format: "%.12g" when its
-    cells are all Python or numpy float64 floats ("%.12g" % v is the
-    routine behind f"{v:.12g}" and prints NaN as "nan"), otherwise "%s"
-    over the column's format_number strings.
+    A 2-D float64 array is all "%.12g" ("%.12g" % v is the routine behind
+    f"{v:.12g}" and prints NaN as "nan").  Otherwise each column takes
+    "%.12g" when its cells are all Python or numpy float64 floats, and
+    "%s" over its format_number strings when they are not.
     """
-    cells = list(itertools.chain.from_iterable(block))
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64:
+        if rows.shape[1] != width:
+            raise ValueError(f"row of width {rows.shape[1]} does not match {width} columns")
+        return rows.ravel().tolist(), ["%.12g"] * width
+    rows = list(rows)
+    for row in rows:
+        if len(row) != width:
+            raise ValueError(f"row of width {len(row)} does not match {width} columns")
+    cells = list(itertools.chain.from_iterable(rows))
     specs = []
     for j in range(width):
         column = cells[j::width]
@@ -66,20 +76,21 @@ def _block_text(block, width):
         else:
             specs.append("%s")
             cells[j::width] = list(map(format_number, column))
-    return ((",".join(specs) + "\n") * len(block)) % tuple(cells)
+    return cells, specs
 
 
 def write_csv(path, columns, rows):
-    """rows: iterable of sequences matching columns; LF newlines."""
+    """rows: iterable of sequences matching columns, or a 2-D float64
+    array of them; LF newlines."""
     width = len(columns)
-    rows = iter(rows)
+    cells, specs = _table_cells(rows, width)
+    row_format = ",".join(specs) + "\n"
+    block = _BLOCK_ROWS * width or 1
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
-        while block := list(itertools.islice(rows, _BLOCK_ROWS)):
-            for row in block:
-                if len(row) != width:
-                    raise ValueError(f"row of width {len(row)} does not match {width} columns")
-            fh.write(_block_text(block, width))
+        for start in range(0, len(cells), block):
+            chunk = tuple(cells[start : start + block])
+            fh.write((row_format * (len(chunk) // width)) % chunk)
 
 
 def _jsonable(value):
@@ -102,9 +113,9 @@ def _jsonable(value):
 
 
 def write_json(path, payload):
+    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True)
     with open(path, "w", newline="\n") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_manifest(path, params, scenario, outputs, extra=None):
@@ -127,9 +138,11 @@ class OutputSink:
     """Writes a scenario's files in the selected formats and tracks them.
 
     formats is a subset of ("csv", "json", "svg"); csv(), json() and
-    svg() write their file only when their format is selected.  Use as a
-    context manager: files registered through path() are removed if the
-    block raises, and kept on success.
+    svg() write their file only when their format is selected.  The
+    directory is made when path() registers the first file, so a run that
+    fails before that leaves none.  Use as a context manager: files
+    registered through path() are removed if the block raises, and kept on
+    success.
     """
 
     def __init__(self, outdir, formats):
@@ -138,7 +151,8 @@ class OutputSink:
         self.written = []
 
     def path(self, name):
-        os.makedirs(self.outdir, exist_ok=True)
+        if not self.written:
+            os.makedirs(self.outdir, exist_ok=True)
         full = os.path.join(self.outdir, name)
         self.written.append(full)
         return full

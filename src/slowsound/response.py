@@ -26,7 +26,9 @@ window centre checks the slope.  Params is the only physics input: each
 sweep resolves its rates, drive and carrier once (decay_rates, which
 also returns k0 and |g0(k0)|^2), so a scan is
 susceptibility_curve(replace(params, ...)), and propagate_envelope reads
-v_g(0) and chi on its FFT grid at the rates of its base sweep.
+v_g(0) and chi on its FFT grid at the rates of its base sweep.  No rate
+depends on the drive, so a scan of the control alone resolves the rates
+once and sweeps each control through susceptibility_at_rates.
 
 The default sweep spans +-max(20 gamma_0, 3 Omega_c) on a grid sized by
 the poles and zero of chi: dense across the transparency window and the
@@ -48,6 +50,7 @@ from .params import Params
 __all__ = [
     "SusceptibilityCurve",
     "susceptibility_curve",
+    "susceptibility_at_rates",
     "TransparencyWindow",
     "NoTransparency",
     "level_width",
@@ -137,22 +140,46 @@ def _default_detunings(rates: DecayRates, drive: DriveConfig):
     control of about 2 500 gamma_0.  The loop runs in units of a power of
     two near the span, so squared widths cannot underflow, and with squares
     taken as products that scaling is exact.
+
+    The loop is unrolled over four features (the fixed mode's two padded
+    with a repeat, which cannot change a minimum): the nearest squared
+    distance is taken as min() takes it, the first of the four unless a
+    later one is smaller, and the step as max(floor, step) takes it.
     """
     span = max(20.0 * rates.gamma_0, 3.0 * drive.control_rabi)
     unit = 2.0 ** math.frexp(span)[1]
     span /= unit
     features = [(f.real / unit, f.imag / unit) for f in _features(rates, drive)]
+    (r0, i0), (r1, i1), (r2, i2), (r3, i3) = (features + features[-1:] * 2)[:4]
+    q0, q1, q2, q3 = i0 * i0, i1 * i1, i2 * i2, i3 * i3
     floor = 1e-6 * span
+    resolution, sqrt = _GRID_RESOLUTION, math.sqrt
     side = []
+    append = side.append
     x = 0.0
     while True:
-        nearest = math.sqrt(min([(x - re) * (x - re) + im * im for re, im in features]))
-        step = max(floor, _GRID_RESOLUTION * nearest)
+        d = x - r0
+        nearest = d * d + q0
+        d = x - r1
+        d = d * d + q1
+        if d < nearest:
+            nearest = d
+        d = x - r2
+        d = d * d + q2
+        if d < nearest:
+            nearest = d
+        d = x - r3
+        d = d * d + q3
+        if d < nearest:
+            nearest = d
+        step = resolution * sqrt(nearest)
+        if not step > floor:
+            step = floor
         # the last step may stretch to 1.5 steps rather than leave a sliver
         if x + 1.5 * step >= span:
             break
         x += step
-        side.append(x)
+        append(x)
     side.append(span)
     side = unit * np.asarray(side)
     return np.concatenate([-side[::-1], [0.0], side])
@@ -187,7 +214,17 @@ def susceptibility_curve(params: Params, detunings=None):
     (drive_from_params), and parameters outside the qutrit window raise
     ValueError from decay_rates.
     """
-    rates = decay_rates(params)
+    return susceptibility_at_rates(params, decay_rates(params), detunings)
+
+
+def susceptibility_at_rates(params: Params, rates: DecayRates, detunings=None):
+    """susceptibility_curve at params, over rates already resolved for them.
+
+    rates must be decay_rates of params, or of parameters that differ from
+    params only in the drive: no rate depends on the control or the probe,
+    so a control scan resolves its rates once and sweeps each
+    replace(params, control_rabi_gamma0=...) here.
+    """
     drive = drive_from_params(params, rates)
     if detunings is None:
         detunings = _default_detunings(rates, drive)
@@ -348,13 +385,17 @@ class DispersionCurve:
     curve: SusceptibilityCurve
 
 
-def dispersion_curve(params: Params):
-    """Dressed probe wavenumber over the default sweep."""
-    curve = susceptibility_curve(params)
+def _dispersion(curve: SusceptibilityCurve):
+    """Dressed probe wavenumber over a sweep."""
     omega_p = curve.rates.omega_0 + curve.detunings
     q_free = omega_p / curve.carrier_velocity
     q = q_free * np.real(curve.index)
     return DispersionCurve(omega_p=omega_p, q=q, q_free=q_free, curve=curve)
+
+
+def dispersion_curve(params: Params):
+    """Dressed probe wavenumber over the default sweep."""
+    return _dispersion(susceptibility_curve(params))
 
 
 @dataclass
@@ -417,7 +458,11 @@ def propagate_envelope(params: Params, distance, window_fraction=0.1):
         raise ValueError("distance must be positive")
     if not window_fraction > 0:
         raise ValueError("window_fraction must be positive")
-    base = susceptibility_curve(params)
+    return _propagate(params, susceptibility_curve(params), distance, window_fraction)
+
+
+def _propagate(params: Params, base: SusceptibilityCurve, distance, window_fraction=0.1):
+    """propagate_envelope over base, the default sweep at params."""
     window = transparency_width(base)
     if isinstance(window, NoTransparency):
         raise OpaqueMedium(f"cannot propagate through opaque medium: {window.reason}")

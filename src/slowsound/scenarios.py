@@ -51,9 +51,12 @@ from slowsound.response import (
     group_velocity_curve,
     level_width,
     propagate_envelope,
+    susceptibility_at_rates,
     susceptibility_curve,
     transparency_width,
+    _dispersion,
     _group_velocity,
+    _propagate,
 )
 
 __all__ = ["SCENARIOS"]
@@ -67,7 +70,7 @@ def _autler_townes(params, rates):
     """(control, doublet separation): the distance between the two
     absorption maxima at a strong control of 10 gamma_1."""
     strong = replace(params, control_rabi_gamma0=10.0 * rates.gamma_1 / rates.gamma_0)
-    curve = susceptibility_curve(strong)
+    curve = susceptibility_at_rates(strong, rates)
     control = curve.drive.control_rabi
     a = curve.absorption
     d = curve.detunings
@@ -188,7 +191,7 @@ def scenario_decay(params: Params, sink):
     g12 = ratios / params.density_xi
     g0, g1 = gamma_closed(params, omega_0, 0, g12), gamma_closed(params, omega_1, 1, g12)
     rwa = (g0 / omega_0, g1 / omega_1)
-    rows = zip(*(col.tolist() for col in (ratios, nu, omega_0, omega_1, g0, g1, *rwa)))
+    rows = np.column_stack((ratios, nu, omega_0, omega_1, g0, g1, *rwa))
     columns = [
         "coupling_ratio",
         "nu",
@@ -205,19 +208,19 @@ def scenario_decay(params: Params, sink):
     integral = decay_rates(params)
     closed = _closed_rates(params, integral)
     times = np.linspace(0.0, 5.0 / integral.gamma_1, 26)
-    casc = cascade(params, times)
+    casc = cascade(params, times, rates=integral)
     sectors = [np.abs(casc.a) ** 2, casc.norm_one_phonon, casc.norm_two_phonon, casc.norm_total]
     sink.csv(
         "cascade.csv",
         ["time", "survival", "one_phonon", "two_phonon", "total_norm"],
-        list(zip(times, *sectors)),
+        np.column_stack((times, *sectors)),
     )
 
     k_line, omega_line, density, fwhm = _first_line(casc)
     sink.csv(
         "first_line.csv",
         ["k", "omega", "spectral_density"],
-        list(zip(k_line, omega_line, density)),
+        np.column_stack((k_line, omega_line, density)),
     )
     gamma_sum = integral.gamma_0 + integral.gamma_1
 
@@ -282,7 +285,7 @@ def scenario_couplings(params: Params, sink):
     g0, g1 = np.abs(g0_closed(ks, params)), np.abs(g1_closed(ks, params))
     intra = [np.abs(g_quadrature(l, l, ks, params)) for l in range(3)]
     columns = ["k", "abs_g00", "abs_g11", "abs_g22", "abs_g0_closed", "abs_g1_closed"]
-    sink.csv("couplings.csv", columns, list(zip(ks, *intra, g0, g1)))
+    sink.csv("couplings.csv", columns, np.column_stack((ks, *intra, g0, g1)))
 
     rates = decay_rates(params)  # raises ValueError outside the qutrit window
     k0, k1 = rates.carrier_k, resonant_wavevector(rates.omega_1)
@@ -323,19 +326,27 @@ def _chi_at_zero(curve):
 
 
 def scenario_susceptibility(params: Params, sink):
-    """Acoustic susceptibility of the probe transition with drive families;
-    the control scans build each distinct control's default sweep once."""
+    """Acoustic susceptibility of the probe transition with drive families.
+
+    The rates are resolved once for the configured coupling ratio, whose
+    control scans and Autler-Townes sweep share them, and once for each
+    coupling ratio of the comparison family; each distinct control's
+    default sweep is built once.
+    """
     curve = susceptibility_curve(params)
     rates, drive, d = curve.rates, curve.drive, curve.detunings
 
     family = {}
     for rg in (1.1, 1.85):
+        p = replace(params, coupling_ratio=rg)
+        try:
+            p_rates = decay_rates(p)
+        except ValueError as exc:
+            raise ValueError(f"comparison curve at coupling_ratio={rg:g}: {exc}") from exc
         for mult in (0.2, 2.0):
-            p = replace(params, coupling_ratio=rg, control_rabi_gamma0=mult)
-            try:
-                family[(rg, mult)] = susceptibility_curve(p, detunings=d).chi
-            except ValueError as exc:
-                raise ValueError(f"comparison curve at coupling_ratio={rg:g}: {exc}") from exc
+            family[(rg, mult)] = susceptibility_at_rates(
+                replace(p, control_rabi_gamma0=mult), p_rates, d
+            ).chi
 
     columns = ["detuning", "detuning_over_gamma0", "re_chi", "im_chi"]
     cols_data = [d, d / rates.gamma_0, curve.refraction, curve.absorption]
@@ -343,7 +354,7 @@ def scenario_susceptibility(params: Params, sink):
         tag = f"rg{rg:g}_oc{mult:g}".replace(".", "p")
         columns += [f"re_chi_{tag}", f"im_chi_{tag}"]
         cols_data += [np.real(chi), np.imag(chi)]
-    sink.csv("susceptibility.csv", columns, list(zip(*cols_data)))
+    sink.csv("susceptibility.csv", columns, np.column_stack(cols_data))
 
     window = transparency_width(curve)
     if isinstance(window, NoTransparency):
@@ -360,7 +371,8 @@ def scenario_susceptibility(params: Params, sink):
 
     scaling_mults = np.geomspace(2.0, 20.0, 6)
     controls = dict.fromkeys((0.2, 1.0, 2.0, 4.0, *scaling_mults.tolist()))
-    sweeps = {m: susceptibility_curve(replace(params, control_rabi_gamma0=m)) for m in controls}
+    sweeps = {m: susceptibility_at_rates(replace(params, control_rabi_gamma0=m), rates)
+              for m in controls}
     # Weak-vs-strong control contrast at the configured coupling ratio.
     chi0 = _chi_at_zero(curve)
     im_weak, im_strong = (_chi_at_zero(sweeps[m]).imag for m in (0.2, 2.0))
@@ -442,7 +454,7 @@ def scenario_dispersion(params: Params, sink):
     """Dressed probe dispersion against the bare phonon branch."""
     curve = dispersion_curve(params)
     bare = np.asarray(dispersion(curve.q))
-    rows = list(zip(curve.q, curve.omega_p, bare, curve.q_free))
+    rows = np.column_stack((curve.q, curve.omega_p, bare, curve.q_free))
     sink.csv(
         "dispersion.csv",
         ["q", "omega_dressed", "epsilon_bare_at_q", "q_free"],
@@ -512,8 +524,8 @@ def _transparency_point_minimum(gv):
 def scenario_groupvel(params: Params, sink):
     """Group velocity across the probe line; headline minimum in the JSON."""
     gv = group_velocity_curve(params)
-    rows = list(zip(gv.detunings, gv.detunings / gv.curve.rates.gamma_0,
-                    gv.vg_over_cs, gv.refraction_slope))
+    rows = np.column_stack((gv.detunings, gv.detunings / gv.curve.rates.gamma_0,
+                            gv.vg_over_cs, gv.refraction_slope))
     sink.csv(
         "groupvel.csv",
         ["detuning", "detuning_over_gamma0", "vg_over_cs", "refraction_slope"],
@@ -574,7 +586,7 @@ def scenario_eigenstates(params: Params, sink):
     for n, psi in enumerate(report.states):
         columns += [f"re_psi_{n}", f"im_psi_{n}", f"density_{n}"]
         cols_data += [np.real(psi), np.imag(psi), densities[n]]
-    sink.csv("eigenstates.csv", columns, list(zip(*cols_data)))
+    sink.csv("eigenstates.csv", columns, np.column_stack(cols_data))
 
     ladder = [-((report.nu - n) ** 2) / (2.0 * params.mass_ratio) for n in range(3)]
     states_payload = []
@@ -628,7 +640,9 @@ def scenario_eigenstates(params: Params, sink):
 def scenario_pulse(params: Params, sink):
     """Gaussian probe pulse sent across the gas: delay and transmission."""
     report = propagate_envelope(params, distance=params.box_length_xi)
-    rows = list(zip(report.times, np.abs(report.envelope_in), np.abs(report.envelope_out)))
+    rows = np.column_stack(
+        (report.times, np.abs(report.envelope_in), np.abs(report.envelope_out))
+    )
     sink.csv(
         "pulse.csv",
         ["time", "abs_envelope_in", "abs_envelope_out"],
@@ -844,7 +858,7 @@ def check_decay(params, rates):
     )
 
     times = np.array([0.5, 1.0, 3.0]) / rates.gamma_1
-    casc = cascade(params, times)
+    casc = cascade(params, times, rates=rates)
     nmin, nmax = float(np.min(casc.norm_total)), float(np.max(casc.norm_total))
     yield _row(
         "cascade_norm_conservation",
@@ -922,7 +936,7 @@ def check_transparency(params, rates):
     """Transparency and slow sound: contrast, dip, Autler-Townes doublet, group
     velocity, branch merge, pulse delay and Kramers-Kronig consistency."""
     weak_curve, strong_curve = (
-        susceptibility_curve(replace(params, control_rabi_gamma0=m)) for m in (0.2, 2.0)
+        susceptibility_at_rates(replace(params, control_rabi_gamma0=m), rates) for m in (0.2, 2.0)
     )
     contrast = _chi_at_zero(strong_curve).imag / _chi_at_zero(weak_curve).imag
     yield _row(
@@ -950,7 +964,9 @@ def check_transparency(params, rates):
         "within 10% of the control Rabi frequency at control = 10 gamma_1",
     )
 
-    min_vg, min_at, _ = _transparency_point_minimum(group_velocity_curve(params))
+    # v_g, the dispersion branches and the pulse read one default sweep
+    base = susceptibility_at_rates(params, rates)
+    min_vg, min_at, _ = _transparency_point_minimum(_group_velocity(base))
     yield _row(
         "group_velocity_minimum",
         "PASS" if 0.03 <= min_vg <= 0.12 else "FAIL",
@@ -960,7 +976,7 @@ def check_transparency(params, rates):
         "within [0.03, 0.12] across the transparency-point band",
     )
 
-    edge = _merge_edge(dispersion_curve(params))
+    edge = _merge_edge(_dispersion(base))
     yield _row(
         "dispersion_branch_merge",
         "PASS" if edge < 0.01 else "FAIL",
@@ -969,7 +985,7 @@ def check_transparency(params, rates):
     )
 
     try:
-        pulse = propagate_envelope(params, distance=params.box_length_xi)
+        pulse = _propagate(params, base, params.box_length_xi)
         pulse_ok = pulse.relative_delay_error < 0.1
         pulse_measured = (
             f"measured {pulse.measured_delay:.1f} vs predicted {pulse.predicted_delay:.1f} "
@@ -989,10 +1005,10 @@ def check_transparency(params, rates):
     # transform has to integrate far beyond the band of interest before
     # its reconstruction there converges: sample 15x the reporting span
     # and score the residual on the central band alone.
-    span = max(20.0 * rates.gamma_0, 3.0 * drive_from_params(params, rates).control_rabi)
+    span = max(20.0 * rates.gamma_0, 3.0 * base.drive.control_rabi)
     n_kk = 1 << 15
     kk_grid = 15.0 * span * (2.0 * np.arange(n_kk) / n_kk - 1.0)
-    kk_curve = susceptibility_curve(params, detunings=kk_grid)
+    kk_curve = susceptibility_at_rates(params, rates, kk_grid)
     re_rec = -hilbert_transform(kk_curve.absorption)
     core = np.abs(kk_grid) <= span
     kk_err = re_rec[core] - kk_curve.refraction[core]

@@ -48,18 +48,17 @@ def _span(values):
 
 
 def _polyline_chunks(xs, ys, finite):
-    """Split "x,y" pixel pairs into runs of consecutive finite samples.
+    """The "x,y x,y ..." pixel text of each run of consecutive finite samples.
 
-    The pairs of the finite samples are formatted together, by one %
-    operation on the interleaved coordinates.
+    Each run is formatted by one % operation on its interleaved coordinates.
     """
-    pairs = np.column_stack((xs[finite], ys[finite]))
-    points = (("%.2f,%.2f " * len(pairs)) % tuple(pairs.ravel().tolist())).split()
-    # each run starts where `finite` turns on and stops where it turns off;
-    # the runs lie end to end in `points`
-    edges = np.flatnonzero(np.diff(finite, prepend=False, append=False))
-    ends = np.cumsum(edges[1::2] - edges[::2]).tolist()
-    return [points[start:stop] for start, stop in zip([0] + ends, ends)]
+    coords = np.column_stack((xs, ys)).ravel().tolist()
+    # each run starts where `finite` turns on and stops where it turns off
+    edges = np.flatnonzero(np.diff(finite, prepend=False, append=False)).tolist()
+    return [
+        " ".join(["%.2f,%.2f"] * (stop - start)) % tuple(coords[2 * start : 2 * stop])
+        for start, stop in zip(edges[::2], edges[1::2])
+    ]
 
 
 def line_plot(path, x, series, title="", xlabel="", ylabel=""):
@@ -125,12 +124,12 @@ def line_plot(path, x, series, title="", xlabel="", ylabel=""):
     for i, (label, y) in enumerate(ys):
         color = _PALETTE[i % len(_PALETTE)]
         for chunk in _polyline_chunks(x_px, py(y), np.isfinite(y)):
-            if len(chunk) == 1:
-                cx, cy = chunk[0].split(",")
+            if " " not in chunk:
+                cx, cy = chunk.split(",")
                 parts.append(f'<circle cx="{cx}" cy="{cy}" r="2" fill="{color}"/>')
             else:
                 parts.append(
-                    f'<polyline points="{" ".join(chunk)}" fill="none" stroke="{color}" '
+                    f'<polyline points="{chunk}" fill="none" stroke="{color}" '
                     'stroke-width="1.6"/>'
                 )
         lx, ly = _W - _MR - 170, _MT + 16 + 18 * i

@@ -1,12 +1,14 @@
 """Byte oracles for the CSV and SVG writers.
 
-write_csv formats each block of rows by one % operation, and line_plot
-formats each series' pixel pairs by one % operation.  The references
+write_csv picks each column's % spec once per table and formats each
+block of rows by one % operation, and line_plot formats each run of a
+series' pixel pairs by one % operation.  The references
 here are the straightforward writers they replace, one cell or one point
 at a time; every comparison is on the bytes written, both on crafted
 tables and series and on whole scenarios' files.
 """
 import math
+import os
 
 import numpy as np
 import pytest
@@ -73,6 +75,21 @@ def test_csv_float_columns_take_the_same_bytes_as_the_oracle(tmp_path):
     path = tmp_path / "f.csv"
     write_csv(path, ["a", "b", "c"], rows)
     assert written(path) == reference_csv(["a", "b", "c"], rows)
+
+
+def test_csv_float_array_takes_the_same_bytes_as_the_oracle(tmp_path):
+    # a 2-D float64 array is written with %.12g in every column, its cells
+    # unchecked; other arrays take the per-column route
+    values = np.concatenate([np.array(SPECIAL_FLOATS), np.linspace(-3.0, 7.0, 1500) ** 7])
+    table = np.column_stack((values, -values, values[::-1]))
+    path = tmp_path / "a.csv"
+    write_csv(path, ["a", "b", "c"], table)
+    assert written(path) == reference_csv(["a", "b", "c"], table)
+    for other in (table.astype(np.float32), np.arange(-6, 6).reshape(4, 3) * 10**13):
+        write_csv(path, ["a", "b", "c"], other)
+        assert written(path) == reference_csv(["a", "b", "c"], other)
+    with pytest.raises(ValueError, match="row of width 3 does not match 2 columns"):
+        write_csv(tmp_path / "w.csv", ["a", "b"], table)
 
 
 def test_csv_accepts_any_iterable_of_rows(tmp_path):
@@ -211,7 +228,9 @@ def test_scenario_tables_match_oracle(tmp_path, monkeypatch, scenario, control):
     tables = []
 
     def checked_write_csv(path, columns, rows):
-        rows = list(rows)
+        # a 2-D array goes to the writer as it is, and the oracle reads its rows
+        if not isinstance(rows, np.ndarray):
+            rows = list(rows)
         write_csv(path, columns, rows)
         assert written(path) == reference_csv(columns, rows), path
         tables.append(len(rows))
@@ -234,3 +253,17 @@ def test_scenario_svg_matches_point_by_point_oracle(tmp_path, monkeypatch):
     [(path, x, series)] = plots
     assert len(x) == 4096 and len(series) == 2
     assert drawn_marks(path) == reference_marks(x, series)
+
+
+def test_sink_makes_its_directory_once(tmp_path, monkeypatch):
+    made = []
+    makedirs = os.makedirs
+
+    def counted_makedirs(*args, **kwargs):
+        made.append(args[0])
+        return makedirs(*args, **kwargs)
+
+    monkeypatch.setattr(os, "makedirs", counted_makedirs)
+    out = tmp_path / "out"
+    assert main(["spectrum", "--out", str(out)]) == 0
+    assert made == [str(out)] and len(os.listdir(out)) == 4

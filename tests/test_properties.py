@@ -6,20 +6,27 @@ soliton concentration and a two-photon convention, and checks every point
 of its default detuning grid with one stacked Lindblad solve: the steady
 states are physical, and the weak-probe chi is passive.  The coupling
 check adds a wavevector and sets the exact overlap sums of all five state
-pairs against the trapezoid oracle, parity classes included.
+pairs against the trapezoid oracle, parity classes included.  The grid
+check sets the default detuning grid against the loop it replaced
+(detuning_grid_oracle), bit for bit, up to controls where the step floor
+binds.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from detuning_grid_oracle import oracle_detunings
 from trapezoid_oracle import trapezoid_coupling
 
-from slowsound.bloch import steady_state_lindblad
+from slowsound import response
+from slowsound.bloch import drive_from_params, steady_state_lindblad
 from slowsound.coupling import g_quadrature
+from slowsound.decay import decay_rates
 from slowsound.params import REFERENCE
 from slowsound.qutrit import qutrit_window_in_coupling_ratio
 from slowsound.response import susceptibility_curve
@@ -65,3 +72,28 @@ def test_exact_couplings_match_trapezoid_oracle_and_keep_parity(params, k):
         assert g == pytest.approx(trapezoid_coupling(l, lp, k, params), rel=1e-8), (l, lp)
         # odd state pairs give real elements, even pairs imaginary ones
         assert abs(g.real if l == lp else g.imag) <= 1e-12 * abs(g), (l, lp)
+
+
+def grids(params):
+    """The default detuning grid at params, and the oracle's."""
+    rates = decay_rates(params)
+    drive = drive_from_params(params, rates)
+    return response._default_detunings(rates, drive), oracle_detunings(rates, drive)
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(window_point(), st.floats(-1.0, 3.5), st.sampled_from(["track", "fixed"]))
+@example(REFERENCE, 3.5, "track")
+# line widths of about 1e-202, whose squares underflow in absolute units
+@example(replace(REFERENCE, density_xi=1e200), math.log10(4.5), "track")
+def test_default_grid_equals_the_list_minimum_loop_bit_for_bit(point, log_control, mode):
+    params = replace(point, control_rabi_gamma0=10.0**log_control, delta_mode=mode)
+    grid, expected = grids(params)
+    assert np.array_equal(np.signbit(grid), np.signbit(expected))
+    assert grid.tobytes() == expected.tobytes()
+
+
+def test_step_floor_binds_at_the_top_of_the_drawn_controls():
+    grid, _ = grids(replace(REFERENCE, control_rabi_gamma0=10.0**3.5))
+    floor = 1e-6 * grid[-1]
+    assert np.min(np.diff(grid)) == pytest.approx(floor, rel=1e-9)

@@ -2,14 +2,14 @@
 
 The golden check pins validate's (check, status) pairs in track mode; the
 pairs in fixed mode, one check run on its own, and the number of overlap
-and susceptibility evaluations behind validate and susceptibility are
-pinned here.
+evaluations, rates resolutions and default detuning grids behind validate
+and susceptibility are pinned here.
 """
 from dataclasses import replace
 
 import pytest
 
-from slowsound import scenarios
+from slowsound import decay, response, scenarios
 from slowsound.decay import decay_rates
 from slowsound.params import REFERENCE
 from test_qutrit import RowSink
@@ -59,6 +59,20 @@ def counted(monkeypatch, name):
     return calls
 
 
+def counted_rates(monkeypatch):
+    """Wrap decay_rates where scenarios, response and decay call it, and
+    return the list its calls are recorded in."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append((args, kwargs))
+        return decay_rates(*args, **kwargs)
+
+    for module in (scenarios, response, decay):
+        monkeypatch.setattr(module, "decay_rates", wrapper)
+    return calls
+
+
 def test_fixed_mode_rows_in_order():
     summary = scenarios.scenario_validate(replace(REFERENCE, delta_mode="fixed"), RowSink())
     assert [(row["check"], row["status"]) for row in summary["rows"]] == FIXED_MODE_ROWS
@@ -85,9 +99,34 @@ def test_validate_evaluates_each_overlap_curve_once(monkeypatch):
     assert len(calls) == 6
 
 
+def test_validate_resolves_the_rates_once_besides_the_route_check(monkeypatch):
+    # one resolution at params, handed to every check; the decay route
+    # check resolves its own at each of its ten window points
+    calls = counted_rates(monkeypatch)
+    scenarios.scenario_validate(REFERENCE, RowSink())
+    resolved = [args[0] for args, _ in calls]
+    assert len(resolved) == 11
+    assert resolved.count(REFERENCE) == 1
+    assert len(set(resolved)) == 11
+
+
 def test_susceptibility_builds_each_control_sweep_once(monkeypatch):
-    calls = counted(monkeypatch, "susceptibility_curve")
+    # the rates are resolved for the configured coupling ratio and for the
+    # comparison family's two; the control scans and the Autler-Townes
+    # sweep reuse the first
+    calls = counted_rates(monkeypatch)
+    grids = []
+    original = response._default_detunings
+
+    def default_detunings(rates, drive):
+        grids.append((rates, drive.control_rabi, drive.probe_rabi, drive.delta_mode))
+        return original(rates, drive)
+
+    monkeypatch.setattr(response, "_default_detunings", default_detunings)
     scenarios.scenario_susceptibility(REFERENCE, RowSink())
-    default_sweeps = [args[0] for args, kwargs in calls if kwargs.get("detunings") is None]
-    assert len(default_sweeps) == len(set(default_sweeps))
-    assert len(calls) == 15
+    assert [args[0].coupling_ratio for args, _ in calls] == [REFERENCE.coupling_ratio, 1.1, 1.85]
+    # the configured control, nine distinct scan controls and the
+    # Autler-Townes control, all at the configured rates
+    assert len(grids) == 11
+    assert len({grid[1:] for grid in grids}) == 11
+    assert all(grid[0] == decay_rates(REFERENCE) for grid in grids)
