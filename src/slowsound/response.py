@@ -25,10 +25,13 @@ weak_probe_coherences directly, and a central difference of it at the
 window centre checks the slope.  Params is the only physics input: each
 sweep resolves its rates, drive and carrier once (decay_rates, which
 also returns k0 and |g0(k0)|^2), so a scan is
-susceptibility_curve(replace(params, ...)), and propagate_envelope reads
-v_g(0) and chi on its FFT grid at the rates of its base sweep.  No rate
-depends on the drive, so a scan of the control alone resolves the rates
-once and sweeps each control through susceptibility_at_rates.
+susceptibility_curve(replace(params, ...)).  No rate depends on the
+drive, so a scan of the control alone resolves the rates once and sweeps
+each control through susceptibility_at_rates.  Each observable is one
+function of the SusceptibilityCurve it reads, which keeps the params it
+was built from: group_velocity_curve(curve), dispersion_curve(curve) and
+propagate_envelope(curve, distance), which reads v_g(0) off the curve
+and chi on its FFT grid at the curve's params and rates.
 
 The default sweep spans +-max(20 gamma_0, 3 Omega_c) on a grid sized by
 the poles and zero of chi: dense across the transparency window and the
@@ -69,7 +72,8 @@ SOUND_SPEED = math.sqrt(2.0)  # reduced phonon slope
 
 @dataclass
 class SusceptibilityCurve:
-    """chi sampled over probe detunings, with the carrier bookkeeping."""
+    """chi sampled over probe detunings, with the carrier bookkeeping and
+    the params and rates it was built from."""
 
     detunings: np.ndarray
     chi: np.ndarray
@@ -78,6 +82,7 @@ class SusceptibilityCurve:
     carrier_velocity: float  # eps(k0)/k0
     drive: DriveConfig
     rates: DecayRates
+    params: Params
 
     @property
     def absorption(self):
@@ -185,24 +190,6 @@ def _default_detunings(rates: DecayRates, drive: DriveConfig):
     return np.concatenate([-side[::-1], [0.0], side])
 
 
-def _sweep(params: Params, rates: DecayRates, drive: DriveConfig, detunings):
-    """chi over detunings at resolved rates and drive, carrier from the rates."""
-    detunings = np.asarray(detunings, dtype=float)
-    k0 = rates.carrier_k
-    eps0 = float(dispersion(k0))
-    prefactor = params.soliton_concentration * rates.carrier_coupling / eps0
-    rho_e1g, _ = weak_probe_coherences(rates, drive, detunings)
-    return SusceptibilityCurve(
-        detunings=detunings,
-        chi=prefactor * rho_e1g / drive.probe_rabi,
-        carrier_k=k0,
-        carrier_energy=eps0,
-        carrier_velocity=eps0 / k0,
-        drive=drive,
-        rates=rates,
-    )
-
-
 def susceptibility_curve(params: Params, detunings=None):
     """Sweep the weak-probe chi over probe detunings.
 
@@ -223,12 +210,27 @@ def susceptibility_at_rates(params: Params, rates: DecayRates, detunings=None):
     rates must be decay_rates of params, or of parameters that differ from
     params only in the drive: no rate depends on the control or the probe,
     so a control scan resolves its rates once and sweeps each
-    replace(params, control_rabi_gamma0=...) here.
+    replace(params, control_rabi_gamma0=...) here.  The carrier comes
+    from the rates.
     """
     drive = drive_from_params(params, rates)
     if detunings is None:
         detunings = _default_detunings(rates, drive)
-    return _sweep(params, rates, drive, detunings)
+    detunings = np.asarray(detunings, dtype=float)
+    k0 = rates.carrier_k
+    eps0 = float(dispersion(k0))
+    prefactor = params.soliton_concentration * rates.carrier_coupling / eps0
+    rho_e1g, _ = weak_probe_coherences(rates, drive, detunings)
+    return SusceptibilityCurve(
+        detunings=detunings,
+        chi=prefactor * rho_e1g / drive.probe_rabi,
+        carrier_k=k0,
+        carrier_energy=eps0,
+        carrier_velocity=eps0 / k0,
+        drive=drive,
+        rates=rates,
+        params=params,
+    )
 
 
 @dataclass(frozen=True)
@@ -352,7 +354,7 @@ def _chi_slope(curve: SusceptibilityCurve):
     return -curve.chi * d_denom / denom
 
 
-def _group_velocity(curve: SusceptibilityCurve):
+def group_velocity_curve(curve: SusceptibilityCurve):
     """Group velocity over a sweep, from the closed slope of Re chi."""
     d = curve.detunings
     slope = np.real(_chi_slope(curve))
@@ -370,11 +372,6 @@ def _group_velocity(curve: SusceptibilityCurve):
     )
 
 
-def group_velocity_curve(params: Params, detunings=None):
-    """Group velocity over the sweep, from the slope of Re chi."""
-    return _group_velocity(susceptibility_curve(params, detunings=detunings))
-
-
 @dataclass
 class DispersionCurve:
     """Probe wavenumber q(omega_p) = (omega_p/u) Re n against the free line."""
@@ -385,17 +382,12 @@ class DispersionCurve:
     curve: SusceptibilityCurve
 
 
-def _dispersion(curve: SusceptibilityCurve):
+def dispersion_curve(curve: SusceptibilityCurve):
     """Dressed probe wavenumber over a sweep."""
     omega_p = curve.rates.omega_0 + curve.detunings
     q_free = omega_p / curve.carrier_velocity
     q = q_free * np.real(curve.index)
     return DispersionCurve(omega_p=omega_p, q=q, q_free=q_free, curve=curve)
-
-
-def dispersion_curve(params: Params):
-    """Dressed probe wavenumber over the default sweep."""
-    return _dispersion(susceptibility_curve(params))
 
 
 @dataclass
@@ -434,7 +426,7 @@ class OpaqueMedium(ValueError):
     """propagate_envelope's refusal: the medium has no transparency window."""
 
 
-def propagate_envelope(params: Params, distance, window_fraction=0.1):
+def propagate_envelope(curve: SusceptibilityCurve, distance, window_fraction=0.1):
     """Propagate a Gaussian probe pulse a given distance through the gas.
 
     A carrier-frame envelope component A(Delta) e^{-i Delta t} acquires
@@ -451,28 +443,26 @@ def propagate_envelope(params: Params, distance, window_fraction=0.1):
     window edges visibly distorts the envelope).  The measured delay
     is the quadratically interpolated peak shift of |envelope|^2.
 
-    Raises OpaqueMedium (a ValueError) when the medium has no
+    curve is the sweep the pulse reads: its transparency window, v_g at
+    its detuning nearest zero (the default grid holds zero), and its
+    params and rates, at which chi is re-evaluated on the FFT grid.
+    Raises ValueError unless distance and window_fraction are finite and
+    positive, and OpaqueMedium (a ValueError) when the medium has no
     transparency window to carry the pulse.
     """
-    if distance <= 0:
-        raise ValueError("distance must be positive")
-    if not window_fraction > 0:
-        raise ValueError("window_fraction must be positive")
-    return _propagate(params, susceptibility_curve(params), distance, window_fraction)
-
-
-def _propagate(params: Params, base: SusceptibilityCurve, distance, window_fraction=0.1):
-    """propagate_envelope over base, the default sweep at params."""
-    window = transparency_width(base)
+    for name, value in (("distance", distance), ("window_fraction", window_fraction)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    window = transparency_width(curve)
     if isinstance(window, NoTransparency):
         raise OpaqueMedium(f"cannot propagate through opaque medium: {window.reason}")
     bandwidth = window_fraction * window.width
     warn = bandwidth > window.width / 3.0
 
-    # v_g at the centre from the base sweep (its grid holds Delta = 0), and
-    # chi on the FFT grid at the base sweep's rates
-    vg_center = _group_velocity(base).at_center
-    u = base.carrier_velocity
+    # v_g at the centre from the sweep (the default grid holds Delta = 0),
+    # and chi on the FFT grid at the sweep's params and rates
+    vg_center = group_velocity_curve(curve).at_center
+    u = curve.carrier_velocity
     free_transit = distance / u
     predicted = distance / (vg_center * SOUND_SPEED) - free_transit
 
@@ -484,8 +474,8 @@ def _propagate(params: Params, base: SusceptibilityCurve, distance, window_fract
     envelope_in = np.exp(-0.5 * (t / sigma_t) ** 2)
 
     freqs = 2.0 * math.pi * np.fft.fftfreq(_PULSE_SAMPLES, d=dt)
-    chi_f = _sweep(params, base.rates, base.drive, freqs).chi
-    transfer = np.exp(0.5j * base.carrier_k * chi_f * distance)
+    chi_f = susceptibility_at_rates(curve.params, curve.rates, freqs).chi
+    transfer = np.exp(0.5j * curve.carrier_k * chi_f * distance)
     envelope_out = fft(ifft(envelope_in) * transfer)
 
     def peak_time(env):

@@ -54,9 +54,6 @@ from slowsound.response import (
     susceptibility_at_rates,
     susceptibility_curve,
     transparency_width,
-    _dispersion,
-    _group_velocity,
-    _propagate,
 )
 
 __all__ = ["SCENARIOS"]
@@ -452,7 +449,7 @@ def _merge_edge(curve):
 
 def scenario_dispersion(params: Params, sink):
     """Dressed probe dispersion against the bare phonon branch."""
-    curve = dispersion_curve(params)
+    curve = dispersion_curve(susceptibility_curve(params))
     bare = np.asarray(dispersion(curve.q))
     rows = np.column_stack((curve.q, curve.omega_p, bare, curve.q_free))
     sink.csv(
@@ -468,7 +465,7 @@ def scenario_dispersion(params: Params, sink):
     hi = min(ic + 2, len(curve.q) - 1)
     slope = (curve.omega_p[hi] - curve.omega_p[lo]) / (curve.q[hi] - curve.q[lo])
     # the default sweep holds Delta = 0 exactly, so v_g there comes from it
-    vg_center = _group_velocity(curve.curve).at_center * SOUND_SPEED
+    vg_center = group_velocity_curve(curve.curve).at_center * SOUND_SPEED
     summary = {
         "edge_relative_deviation": edge,
         "merges_with_bare_branch": edge < 0.01,
@@ -523,7 +520,7 @@ def _transparency_point_minimum(gv):
 
 def scenario_groupvel(params: Params, sink):
     """Group velocity across the probe line; headline minimum in the JSON."""
-    gv = group_velocity_curve(params)
+    gv = group_velocity_curve(susceptibility_curve(params))
     rows = np.column_stack((gv.detunings, gv.detunings / gv.curve.rates.gamma_0,
                             gv.vg_over_cs, gv.refraction_slope))
     sink.csv(
@@ -639,7 +636,7 @@ def scenario_eigenstates(params: Params, sink):
 
 def scenario_pulse(params: Params, sink):
     """Gaussian probe pulse sent across the gas: delay and transmission."""
-    report = propagate_envelope(params, distance=params.box_length_xi)
+    report = propagate_envelope(susceptibility_curve(params), distance=params.box_length_xi)
     rows = np.column_stack(
         (report.times, np.abs(report.envelope_in), np.abs(report.envelope_out))
     )
@@ -966,7 +963,7 @@ def check_transparency(params, rates):
 
     # v_g, the dispersion branches and the pulse read one default sweep
     base = susceptibility_at_rates(params, rates)
-    min_vg, min_at, _ = _transparency_point_minimum(_group_velocity(base))
+    min_vg, min_at, _ = _transparency_point_minimum(group_velocity_curve(base))
     yield _row(
         "group_velocity_minimum",
         "PASS" if 0.03 <= min_vg <= 0.12 else "FAIL",
@@ -976,7 +973,7 @@ def check_transparency(params, rates):
         "within [0.03, 0.12] across the transparency-point band",
     )
 
-    edge = _merge_edge(_dispersion(base))
+    edge = _merge_edge(dispersion_curve(base))
     yield _row(
         "dispersion_branch_merge",
         "PASS" if edge < 0.01 else "FAIL",
@@ -985,7 +982,7 @@ def check_transparency(params, rates):
     )
 
     try:
-        pulse = _propagate(params, base, params.box_length_xi)
+        pulse = propagate_envelope(base, params.box_length_xi)
         pulse_ok = pulse.relative_delay_error < 0.1
         pulse_measured = (
             f"measured {pulse.measured_delay:.1f} vs predicted {pulse.predicted_delay:.1f} "

@@ -1,0 +1,134 @@
+"""Check that two source trees write the same outputs, byte for byte.
+
+    python tests/same_outputs.py PARENT_TREE CHANGE_TREE
+
+Each tree is a checkout of this repository.  In a fresh interpreter per
+tree, with that tree's src/ on the path, the script runs one cli.main call
+per run of this set (419 runs):
+
+* the nine scenarios at REFERENCE, in track and in fixed delta mode;
+* the operations of perfbench's drive_sweep workload at seeds 7 and 131;
+* the operation of perfbench's bound_states workload at seed 3.
+
+The operations are read from the tree's perfbench/workloads.py, which is
+left unchanged.  Each run writes into its own directory, named by its
+position in the set, and records its exit code, stdout and stderr.  The
+two trees must then agree on every exit code, stdout and stderr, on the
+set of files written, and on every CSV, JSON and SVG byte for byte; a
+manifest.json may differ only in its generated_at stamp.
+
+Exits 0 when the trees agree, and 1 after listing the differences.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SCENARIOS = (
+    "spectrum",
+    "decay",
+    "couplings",
+    "susceptibility",
+    "dispersion",
+    "groupvel",
+    "eigenstates",
+    "pulse",
+    "validate",
+)
+WORKLOAD_SEEDS = (("drive_sweep", 7), ("drive_sweep", 131), ("bound_states", 3))
+VOLATILE = "generated_at"  # the manifest's only field that differs between reruns
+SHOWN = 20  # differences listed at most
+
+# Run in the tree's interpreter with the working directory at the run root:
+# argv[1] is the tree, argv[2] the JSON file the run records go to.
+CHILD = """
+import contextlib, io, json, sys
+tree, record_path = sys.argv[1], sys.argv[2]
+sys.path[:0] = [tree + "/src", tree + "/perfbench"]
+import workloads
+from slowsound.cli import main
+runs = [[name] for name in %r] + [[name, "--delta-mode", "fixed"] for name in %r]
+for workload, seed in %r:
+    runs += [list(op.argv) for op in workloads.generate(workload, seed)]
+records = []
+for i, argv in enumerate(runs):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([*argv, "--out", "runs/%%04d" %% i])
+        except SystemExit as exc:
+            code = exc.code
+    records.append({"argv": argv, "code": code, "stdout": out.getvalue(),
+                    "stderr": err.getvalue()})
+with open(record_path, "w") as fh:
+    json.dump(records, fh)
+""" % (SCENARIOS, SCENARIOS, WORKLOAD_SEEDS)
+
+
+def run_tree(tree, root):
+    """Run the set from tree with root as working directory; return its records."""
+    root.mkdir()
+    record_path = root / "records.json"
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env.pop("PYTHONPATH", None)
+    subprocess.run([sys.executable, "-c", CHILD, str(Path(tree).resolve()), str(record_path)],
+                   cwd=root, env=env, check=True)
+    with open(record_path) as fh:
+        return json.load(fh)
+
+
+def _files(root):
+    return {str(p.relative_to(root)): p for p in sorted((root / "runs").rglob("*")) if p.is_file()}
+
+
+def _same_file(a, b):
+    if a.name != "manifest.json":
+        return a.read_bytes() == b.read_bytes()
+    manifests = []
+    for path in (a, b):
+        with open(path) as fh:
+            payload = json.load(fh)
+        payload.pop(VOLATILE, None)
+        manifests.append(payload)
+    return manifests[0] == manifests[1]
+
+
+def differences(parent_root, parent_records, change_root, change_records):
+    """Yield a line for every way the change's runs depart from the parent's."""
+    if len(parent_records) != len(change_records):
+        yield f"run count {len(parent_records)} != {len(change_records)}"
+    for i, (p, c) in enumerate(zip(parent_records, change_records)):
+        for key in ("argv", "code", "stdout", "stderr"):
+            if p[key] != c[key]:
+                yield f"run {i:04d} {' '.join(p['argv'])}: {key} {p[key]!r} != {c[key]!r}"
+    parent_files, change_files = _files(parent_root), _files(change_root)
+    for name in sorted(parent_files.keys() ^ change_files.keys()):
+        side = "parent" if name in parent_files else "change"
+        yield f"{name}: written by the {side} only"
+    for name in sorted(parent_files.keys() & change_files.keys()):
+        if not _same_file(parent_files[name], change_files[name]):
+            yield f"{name}: contents differ"
+
+
+def main(argv):
+    if len(argv) != 2:
+        sys.exit("usage: python tests/same_outputs.py PARENT_TREE CHANGE_TREE")
+    with tempfile.TemporaryDirectory() as workdir:
+        roots = [Path(workdir) / side for side in ("parent", "change")]
+        records = [run_tree(tree, root) for tree, root in zip(argv, roots)]
+        found = list(differences(roots[0], records[0], roots[1], records[1]))
+        n_files = len(_files(roots[0]))
+    for line in found[:SHOWN]:
+        print(line)
+    if len(found) > SHOWN:
+        print(f"... and {len(found) - SHOWN} more")
+    print(f"{len(records[0])} runs, {n_files} files: "
+          f"{len(found)} difference{'s' if len(found) != 1 else ''}")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

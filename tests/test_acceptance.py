@@ -176,8 +176,9 @@ def test_criterion_07_slow_sound_headline(tmp_path):
 
 def test_criterion_08_envelope_delay_consistency():
     distance = REFERENCE.box_length_xi
-    wide = propagate_envelope(REFERENCE, distance=distance, window_fraction=0.1)
-    narrow = propagate_envelope(REFERENCE, distance=distance, window_fraction=0.02)
+    curve = susceptibility_curve(REFERENCE)
+    wide = propagate_envelope(curve, distance=distance, window_fraction=0.1)
+    narrow = propagate_envelope(curve, distance=distance, window_fraction=0.02)
     ok = (
         wide.relative_delay_error < 0.10
         and narrow.relative_delay_error < 0.02

@@ -1,7 +1,7 @@
 """Golden numeric check: every scenario at REFERENCE against a snapshot.
 
-Each scenario runs through the command line into a temporary directory and
-its output files are reduced to a digest:
+Each scenario runs through the command line into a temporary directory, in
+each delta mode, and its output files are reduced to a digest:
 
 * JSON summaries in full, except validate's, which is reduced to its exact
   (check, status) pairs and the pass/fail/report counts (its measured
@@ -9,11 +9,17 @@ its output files are reduced to a digest:
 * for each CSV, the row count and every numeric column sampled at no more
   than 50 evenly spaced rows.
 
+The track-mode snapshot is `golden/reference.json`, and its exit codes are
+fixed here (validate exits 4, every other scenario 0).  The fixed-mode
+snapshot (`--delta-mode fixed`) is `golden/fixed.json`, and it records each
+scenario's exit code with its digest: pulse exits 2 there (the pinned
+two-photon detuning leaves no transparency window) and writes nothing.
+
 Numbers must match the snapshot to a relative 1e-9, with an absolute floor
 of 1e-12 for roundoff residuals; strings, booleans and counts must match
 exactly.  A number that moves further is a change of results, to be
 explained, not re-snapshotted silently.  After such a change is understood
-and recorded, regenerate the snapshot with
+and recorded, regenerate both snapshots with
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -29,7 +35,13 @@ import pytest
 
 from slowsound.cli import main
 
-SNAPSHOT = Path(__file__).with_name("golden") / "reference.json"
+GOLDEN = Path(__file__).with_name("golden")
+# delta mode -> (snapshot, extra command-line arguments)
+MODES = {
+    "track": (GOLDEN / "reference.json", []),
+    "fixed": (GOLDEN / "fixed.json", ["--delta-mode", "fixed"]),
+}
+TRACK_EXIT_CODES = {"validate": 4}
 SCENARIOS = (
     "spectrum",
     "decay",
@@ -66,12 +78,18 @@ def _csv_digest(path):
     return {"rows": len(rows), "sampled_rows": [int(i) for i in picks], "columns": columns}
 
 
-def digest(scenario, outdir):
-    """Run one scenario at REFERENCE and reduce its outputs to the digest."""
-    code = main([scenario, "--out", str(outdir), "--format", "csv,json"])
-    assert code == (4 if scenario == "validate" else 0), (scenario, code)
+def digest(scenario, outdir, mode="track"):
+    """Run one scenario at REFERENCE in a delta mode and reduce its outputs
+    to the digest; in fixed mode the digest holds the exit code too."""
+    code = main([scenario, *MODES[mode][1], "--out", str(outdir), "--format", "csv,json"])
     result = {"json": {}, "csv": {}}
-    for path in sorted(Path(outdir).iterdir()):
+    if mode == "track":
+        assert code == TRACK_EXIT_CODES.get(scenario, 0), (scenario, code)
+    else:
+        result["exit_code"] = code
+    # a refused run leaves no output directory
+    paths = sorted(Path(outdir).iterdir()) if Path(outdir).exists() else []
+    for path in paths:
         if path.name == "manifest.json":
             continue
         if path.suffix == ".csv":
@@ -113,25 +131,35 @@ def _mismatches(expected, actual, where):
         yield f"{where}: {actual!r} != {expected!r}"
 
 
-def _load_snapshot():
-    with open(SNAPSHOT) as fh:
+def _load_snapshot(mode):
+    with open(MODES[mode][0]) as fh:
         return json.load(fh)
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_scenario_matches_golden_snapshot(tmp_path, scenario):
-    expected = _load_snapshot()[scenario]
+    expected = _load_snapshot("track")[scenario]
     actual = digest(scenario, tmp_path / scenario)
     problems = list(_mismatches(expected, actual, scenario))
     assert not problems, "\n".join(problems[:20])
 
 
-def _write_snapshot(workdir):
-    snapshot = {name: digest(name, Path(workdir) / name) for name in SCENARIOS}
-    SNAPSHOT.parent.mkdir(exist_ok=True)
-    with open(SNAPSHOT, "w", newline="\n") as fh:
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_fixed_mode_scenario_matches_golden_snapshot(tmp_path, scenario):
+    expected = _load_snapshot("fixed")[scenario]
+    actual = digest(scenario, tmp_path / scenario, mode="fixed")
+    problems = list(_mismatches(expected, actual, scenario))
+    assert not problems, "\n".join(problems[:20])
+
+
+def _write_snapshot(workdir, mode):
+    snapshot = {name: digest(name, Path(workdir) / mode / name, mode) for name in SCENARIOS}
+    path = MODES[mode][0]
+    path.parent.mkdir(exist_ok=True)
+    with open(path, "w", newline="\n") as fh:
         json.dump(snapshot, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    return path
 
 
 if __name__ == "__main__":
@@ -140,5 +168,5 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as workdir:
-        _write_snapshot(workdir)
-    print(f"wrote {SNAPSHOT}")
+        for mode in MODES:
+            print(f"wrote {_write_snapshot(workdir, mode)}")

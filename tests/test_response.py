@@ -6,13 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from slowsound import coupling, response
+from slowsound import coupling, response, scenarios
 from slowsound.bloch import drive_from_params, steady_state_lindblad, weak_probe_coherences
 from slowsound.decay import decay_rates
 from slowsound.numerics import hilbert_transform
 from slowsound.params import REFERENCE
 from slowsound.response import (
     NoTransparency,
+    SusceptibilityCurve,
     TransparencyWindow,
     dispersion_curve,
     group_velocity_curve,
@@ -45,6 +46,15 @@ def test_params_is_the_only_physics_input():
         assert "rates" not in names and "drive" not in names, fn.__name__
     for fn in (decay_rates, susceptibility_curve, group_velocity_curve):
         assert "route" not in inspect.signature(fn).parameters, fn.__name__
+    # each observable reads the sweep it is handed, and nothing else physical
+    for fn in (group_velocity_curve, dispersion_curve, propagate_envelope):
+        parameters = inspect.signature(fn).parameters
+        assert next(iter(parameters.values())).annotation is SusceptibilityCurve, fn.__name__
+        assert "params" not in parameters, fn.__name__
+    # and the scenarios reach the response layer through its public names only
+    private = [name for name, value in vars(scenarios).items()
+               if name.startswith("_") and getattr(value, "__module__", None) == response.__name__]
+    assert private == []
 
 
 @pytest.mark.parametrize("params", [REFERENCE], ids=["closed"])
@@ -65,7 +75,7 @@ def test_one_pulse_resolves_the_rates_once(params, monkeypatch):
 
     counted(response, "decay_rates")
     counted(coupling, "g_quadrature")
-    propagate_envelope(params, distance=params.box_length_xi)
+    propagate_envelope(susceptibility_curve(params), distance=params.box_length_xi)
     assert calls == {"decay_rates": 1, "g_quadrature": 0}
 
 
@@ -167,7 +177,7 @@ def test_kramers_kronig_on_wide_grid():
 # -- group velocity and dispersion -------------------------------------------
 
 def test_group_velocity_slow_at_center_fast_at_edges():
-    gv = group_velocity_curve(REFERENCE)
+    gv = group_velocity_curve(susceptibility_curve(REFERENCE))
     ic = int(np.argmin(np.abs(gv.detunings)))
     center = gv.vg_over_cs[ic]
     edges = 0.5 * (gv.vg_over_cs[0] + gv.vg_over_cs[-1])
@@ -178,7 +188,7 @@ def test_group_velocity_slow_at_center_fast_at_edges():
 def test_group_velocity_matches_refraction_slope():
     """v_g comes from the refraction derivative; check one point by a
     finite difference of the susceptibility itself."""
-    gv = group_velocity_curve(REFERENCE)
+    gv = group_velocity_curve(susceptibility_curve(REFERENCE))
     ic = int(np.argmin(np.abs(gv.detunings)))
     h = 1e-3 * RATES.gamma_0
     dets = np.array([-h, h])
@@ -193,7 +203,7 @@ def test_flagged_counts_the_nan_points():
     # a share of the sweep only on a uniform grid: this one has step
     # gamma_0/50 over +-20 gamma_0.
     uniform = RATES.gamma_0 / 50.0 * np.arange(-1000, 1001)
-    gv = group_velocity_curve(REFERENCE, detunings=uniform)
+    gv = group_velocity_curve(susceptibility_curve(REFERENCE, detunings=uniform))
     n_nan = int(np.sum(~np.isfinite(gv.vg_over_cs)))
     assert gv.flagged == n_nan
     assert n_nan < 0.1 * len(gv.detunings)
@@ -202,7 +212,7 @@ def test_flagged_counts_the_nan_points():
 def test_flagged_share_of_the_default_sweep():
     # the default grid crowds points onto the dressed lines, where the
     # flagged band lies, so the share is weighted by detuning span
-    gv = group_velocity_curve(REFERENCE)
+    gv = group_velocity_curve(susceptibility_curve(REFERENCE))
     d = gv.detunings
     weights = np.zeros_like(d)
     weights[1:] += 0.5 * np.diff(d)
@@ -219,7 +229,7 @@ def test_closed_slope_matches_central_differences(mode, control_over_gamma0):
     chi on a uniform stencil of step 1e-5 gamma_0 about every default
     sweep point; the stencil's truncation error is (h / line width)^2."""
     params = at_control(control_over_gamma0, mode)
-    gv = group_velocity_curve(params)
+    gv = group_velocity_curve(susceptibility_curve(params))
     h = 1e-5 * RATES.gamma_0
     stencil = np.concatenate([gv.detunings - h, gv.detunings + h])
     re_chi = susceptibility_curve(params, detunings=stencil).refraction.reshape(2, -1)
@@ -234,7 +244,7 @@ def test_lindblad_centre_slope_matches_closed_slope():
     window centre, in units of chi, agrees with the closed form there to
     1%.  chi is a real multiple of the weak-probe coherence."""
     h = RATES.gamma_0 / 50.0
-    gv = group_velocity_curve(REFERENCE, detunings=[0.0])
+    gv = group_velocity_curve(susceptibility_curve(REFERENCE, detunings=[0.0]))
     chi_per_coherence = gv.curve.chi[0] / weak_probe_coherences(RATES, DRIVE, [0.0])[0][0]
     lind = steady_state_lindblad(RATES, DRIVE, [-h, h])[:, 1, 0]
     central = np.real(chi_per_coherence * (lind[1] - lind[0])) / (2.0 * h)
@@ -269,7 +279,7 @@ def test_default_grid_bounded_when_line_widths_underflow():
 
 
 def test_dispersion_branches_merge_at_edges():
-    dc = dispersion_curve(REFERENCE)
+    dc = dispersion_curve(susceptibility_curve(REFERENCE))
     for idx in (0, -1):
         assert dc.q[idx] == pytest.approx(dc.q_free[idx], rel=0.01)
     # inside the window the dressed branch departs from the free one
@@ -281,7 +291,7 @@ def test_dispersion_branches_merge_at_edges():
 # -- pulse propagation --------------------------------------------------------
 
 def test_pulse_delay_matches_analytic_group_velocity():
-    rep = propagate_envelope(REFERENCE, distance=REFERENCE.box_length_xi)
+    rep = propagate_envelope(susceptibility_curve(REFERENCE), distance=REFERENCE.box_length_xi)
     assert rep.measured_delay == pytest.approx(rep.predicted_delay, rel=0.10)
     assert 0.0 < rep.transmitted_fraction <= 1.0
     assert not rep.bandwidth_warning
@@ -289,26 +299,32 @@ def test_pulse_delay_matches_analytic_group_velocity():
 
 def test_pulse_delay_converges_with_narrowing_band():
     err = []
+    curve = susceptibility_curve(REFERENCE)
     for frac in (0.1, 0.02):
-        rep = propagate_envelope(REFERENCE, distance=REFERENCE.box_length_xi,
-                                 window_fraction=frac)
+        rep = propagate_envelope(curve, distance=REFERENCE.box_length_xi, window_fraction=frac)
         err.append(abs(rep.measured_delay - rep.predicted_delay) / rep.predicted_delay)
     assert err[1] < err[0]
     assert err[1] < 0.02
 
 
 def test_pulse_is_actually_slow():
-    rep = propagate_envelope(REFERENCE, distance=REFERENCE.box_length_xi)
+    rep = propagate_envelope(susceptibility_curve(REFERENCE), distance=REFERENCE.box_length_xi)
     # the medium transit must exceed the free transit by an order of magnitude
     assert rep.measured_delay > 5.0 * rep.free_transit
 
 
 def test_wideband_pulse_warns():
-    rep = propagate_envelope(REFERENCE, distance=20.0, window_fraction=0.5)
+    rep = propagate_envelope(susceptibility_curve(REFERENCE), distance=20.0, window_fraction=0.5)
     assert rep.bandwidth_warning
 
 
-@pytest.mark.parametrize("fraction", [0.0, -0.1])
+@pytest.mark.parametrize("fraction", [0.0, -0.1, float("nan"), float("inf"), float("-inf")])
 def test_pulse_rejects_nonpositive_window_fraction(fraction):
-    with pytest.raises(ValueError):
-        propagate_envelope(REFERENCE, distance=20.0, window_fraction=fraction)
+    with pytest.raises(ValueError, match="window_fraction"):
+        propagate_envelope(susceptibility_curve(REFERENCE), distance=20.0, window_fraction=fraction)
+
+
+@pytest.mark.parametrize("distance", [0.0, -20.0, float("nan"), float("inf"), float("-inf")])
+def test_pulse_rejects_nonpositive_distance(distance):
+    with pytest.raises(ValueError, match="distance"):
+        propagate_envelope(susceptibility_curve(REFERENCE), distance=distance)
