@@ -44,10 +44,12 @@ line's term, M = 1/(i(dk + dp) - gamma_1/2) and D = 1 - E_k P_p with E_k =
 e^{(i dk - gamma_1/2) t} and |P_p| = |e^{i dp t}| = 1.  Splitting D =
 (1 - P) + P (1 - E) turns the double sum of |b_kp|^2 into time-independent
 sums and two (times x p) @ (p x k) products, one with M and one with
-|M|^2; every term is exactly 0 at t = 0.  Only real (k, p) arrays are
-kept: M = -q (gamma_1/2 + i(dk + dp)) with q = |M|^2 and s = q (dk + dp),
-so every product with M is a real matrix product with q and s, and the
-t -> infinity first line is a few matrix-vector products with them.
+|M|^2; every term is exactly 0 at t = 0.  Only real (k, p) arrays enter:
+M = -q (gamma_1/2 + i(dk + dp)) with q = |M|^2 and s = q (dk + dp), so
+every product with M is a real matrix product with q and s, and the
+t -> infinity first line is a few matrix-vector products with them.  q
+and s are built a block of k rows at a time into two cache-sized buffers,
+and every product is taken in that one pass, so no (k, p) array is kept.
 """
 
 import math
@@ -57,6 +59,7 @@ import numpy as np
 
 from .bogoliubov import dispersion, dispersion_derivative, resonant_wavevector
 from .coupling import csch, g0_closed, g1_closed
+from .numerics import NumericsError
 from .params import Params
 from .qutrit import NotAQutrit, spectrum
 
@@ -71,6 +74,12 @@ __all__ = [
 ]
 
 GAMMA1_DENOMINATOR = 30 * 896 ** 2  # exact prefactor, = 24084480
+# Bytes of each (k, p) block buffer of the cascade: 192-512 KiB ran its
+# REFERENCE cascades equally fast (2 MiB L2), 32 KiB and 2 MiB about 20% slower.
+_BLOCK_BYTES = 3 * 2 ** 17
+# Largest (k, p) grid the cascade runs: at 9.6e7 points it took 0.43 s for
+# 3 sample times and 2.2 s for 26 (one BLAS thread), about 5 times that at 3.3e8.
+MAX_GRID_POINTS = 10 ** 8
 
 
 def gamma_closed(params: Params, omega, which, g12=None):
@@ -197,13 +206,13 @@ def _trapezoid_weights(x):
 
 @dataclass
 class CascadeResult:
-    """Cascade amplitudes and sector norms over a set of sample times.
+    """Cascade amplitudes, sector norms and first line over a set of times.
 
     b_k rows are the one-phonon amplitudes over k_grid at each time.  The
-    two-phonon norm is summed from the real (k, p) arrays q and s, without
-    the complex b_kp (module docstring); two_phonon_amplitudes builds b_kp
-    at one time, the direct route the tests check that sum against.
-    measure is the continuum weight m in sum_k -> m * integral dk.
+    two-phonon norm and the first line are summed in one pass over blocks
+    of q and s (module docstring); two_phonon_amplitudes builds b_kp at one
+    time from one full-size block, the direct route the tests check those
+    sums against.  measure is the continuum weight m in sum_k -> m * dk.
     """
 
     times: np.ndarray
@@ -227,12 +236,6 @@ class CascadeResult:
         self._dp = np.asarray(dispersion(self.p_grid)) - self.rates.omega_0
         self._denom_p = 1j * self._dp - 0.5 * g0
         self._amp_k = np.conj(self._g1_k) / (1j * self._dk - 0.5 * (g1 - g0))
-        # the real q = |M|^2 and s = q (dk + dp) over the (k, p) grid (module docstring)
-        self._s = np.add.outer(self._dk, self._dp)
-        self._q = self._s * self._s
-        self._q += 0.25 * g1 * g1
-        np.reciprocal(self._q, out=self._q)
-        self._s *= self._q
 
         # Both sectors at every time at once, times down the rows.
         t = self.times[:, None]
@@ -243,19 +246,32 @@ class CascadeResult:
         phase = np.exp(1j * self._dp * t)
         c_p = (np.exp(self._denom_p * t) - 1.0) / self._denom_p
         a_k, b_p = w_k * np.abs(self._amp_k) ** 2, w_p * np.abs(self._g0_p) ** 2
-        a_q, a_s = a_k @ self._q, a_k @ self._s  # a_k @ M = -(g1/2) a_q - i a_s
+        r_p = 1.0 / self._denom_p  # first_line_spectrum's lower-line term
         # cross = (b_p (phase - 1)) @ q.T + x @ M.T = z @ q.T - i x @ s.T
         x = b_p * np.conj(c_p) * phase
         z = b_p * (phase - 1.0) - 0.5 * g1 * x
-        cross = _real_product(z, self._q.T) - 1j * _real_product(x, self._s.T)
+        # One pass: per k, q's p sums against b_p, the first line's q weight,
+        # Re z, Im z and s's against its s weight, Im x, -Re x; a_k @ q and @ s.
+        by_q = np.column_stack((b_p, b_p * (1.0 + g1 * r_p.real), z.real.T, z.imag.T))
+        by_s = np.column_stack((2.0 * b_p * r_p.imag, x.imag.T, -x.real.T))
+        q_sums, s_sums = np.empty((len(a_k), len(by_q.T))), np.empty((len(a_k), len(by_s.T)))
+        a_q, a_s = np.zeros_like(b_p), np.zeros_like(b_p)  # a_k @ M = -(g1/2) a_q - i a_s
+        for rows, q, s in _qs_blocks(self._dk, self._dp, g1, _BLOCK_BYTES // self._dp.nbytes):
+            np.matmul(q, by_q, out=q_sums[rows])
+            np.matmul(s, by_s, out=s_sums[rows])
+            a_q += a_k[rows] @ q
+            a_s += a_k[rows] @ s
+        cross_re, cross_im = np.hsplit(q_sums[:, 2:] + s_sums[:, 1:], 2)  # cross.T
         u = b_p * c_p * np.conj(1.0 - phase)  # 2 Re(u @ conj(a_k @ M)) below
         self.norm_two_phonon = self.measure ** 2 * (
             np.sum(a_k) * (np.abs(c_p) ** 2 @ b_p)
             + (b_p * np.abs(1.0 - phase) ** 2) @ a_q
-            + np.abs(1.0 - e_k) ** 2 @ (a_k * (self._q @ b_p))
+            + np.abs(1.0 - e_k) ** 2 @ (a_k * q_sums[:, 0])
             - 2.0 * (u.real @ (0.5 * g1 * a_q) + u.imag @ a_s)
-            + 2.0 * np.real(((1.0 - e_k) * cross) @ a_k)
+            + 2.0 * np.real(((1.0 - e_k) * (cross_re + 1j * cross_im).T) @ a_k)
         )
+        line = q_sums[:, 1] + s_sums[:, 0] + b_p @ np.abs(r_p) ** 2
+        self._first_line = self.measure * np.abs(self._amp_k) ** 2 * line
 
     @property
     def norm_total(self):
@@ -269,11 +285,12 @@ class CascadeResult:
         are evaluated.
         """
         g0, g1 = self.rates.gamma_0, self.rates.gamma_1
+        ((_, q, s),) = _qs_blocks(self._dk, self._dp, g1, len(self._dk))
         term_p = (np.exp((1j * self._dp - 0.5 * g0) * t) - 1.0) / self._denom_p
         # b_kp = pref_kp (term_p + (1 - phase) M), built in place
         b = np.multiply.outer(np.exp((1j * self._dk - 0.5 * g1) * t), np.exp(1j * self._dp * t))
         np.subtract(1.0, b, out=b)
-        b *= -0.5 * g1 * self._q - 1j * self._s
+        b *= -0.5 * g1 * q - 1j * s
         b += term_p[None, :]
         b *= np.multiply.outer(self._amp_k, np.conj(self._g0_p))
         return b
@@ -286,16 +303,23 @@ class CascadeResult:
         r_p = 1/(i dp - gamma_0/2), and |M - r_p|^2 = q + gamma_1 q Re r_p
         + 2 s Im r_p + |r_p|^2 makes the sum over p matrix-vector products.
         """
-        r_p, g1 = 1.0 / self._denom_p, self.rates.gamma_1
-        b_p = _trapezoid_weights(self.p_grid) * np.abs(self._g0_p) ** 2
-        line = self._q @ (b_p * (1.0 + g1 * r_p.real)) + self._s @ (2.0 * b_p * r_p.imag)
-        line += b_p @ np.abs(r_p) ** 2
-        return self.k_grid, self.measure * np.abs(self._amp_k) ** 2 * line
+        return self.k_grid, self._first_line
 
 
-def _real_product(x, real_matrix):
-    """x @ real_matrix for a complex x, without a complex copy of the matrix."""
-    return x.real @ real_matrix + 1j * (x.imag @ real_matrix)
+def _qs_blocks(dk, dp, gamma_1, rows):
+    """Yield (k slice, q, s) per block of at most `rows` k rows, q = |M|^2 and
+    s = q (dk + dp) written into two buffers that every block reuses."""
+    rows = max(1, min(rows, len(dk)))
+    s_buf, q_buf = np.empty((rows, len(dp))), np.empty((rows, len(dp)))
+    for start in range(0, len(dk), rows):
+        k = slice(start, start + rows)
+        s, q = s_buf[: len(dk[k])], q_buf[: len(dk[k])]
+        np.add.outer(dk[k], dp, out=s)
+        np.multiply(s, s, out=q)
+        q += 0.25 * gamma_1 * gamma_1
+        np.reciprocal(q, out=q)
+        s *= q
+        yield k, q, s
 
 
 def cascade(params: Params, times, rates=None):
@@ -307,20 +331,26 @@ def cascade(params: Params, times, rates=None):
     conserved (up to the Lorentzian tail mass outside the finite grids and
     trapezoid error).
     The k and p grids are emission_grid around the upper and lower
-    transition lines, stepped at a sixth of the narrowest linewidth.
-    rates, when given, must be decay_rates(params), already resolved by
-    the caller.
+    transition lines, stepped at a sixth of min(gamma_0, gamma_1, |gamma_0 -
+    gamma_1|); near gamma_0 = gamma_1 a grid whose cores exceed
+    MAX_GRID_POINTS is refused (NumericsError) before it is built.  times
+    must be finite, 1-D and >= 0.  rates, when given, must be
+    decay_rates(params), already resolved by the caller.
     """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not np.all(np.isfinite(times) & (times >= 0)):
+        raise ValueError(f"times must be a 1-D array of finite values >= 0, got {times!r}")
     if rates is None:
         rates = decay_rates(params)
     g0_rate, g1_rate = rates.gamma_0, rates.gamma_1
     narrow = min(g0_rate, g1_rate, abs(g0_rate - g1_rate) or math.inf)
+    n_k, n_p = (2 * math.ceil(15.0 * w / (narrow / 6.0)) + 1 for w in (g0_rate + g1_rate, g0_rate))
+    if n_k * n_p > MAX_GRID_POINTS:
+        raise NumericsError(f"cascade at gamma_0/gamma_1 = {g0_rate / g1_rate:.9g}: the (k, p) "
+                            f"grid's cores alone are K x P = {n_k} x {n_p} = {n_k * n_p:.3g} "
+                            f"points, above {MAX_GRID_POINTS:.0e}")
     k_grid = emission_grid(rates.omega_1, g0_rate + g1_rate, narrow)
     p_grid = emission_grid(rates.omega_0, g0_rate, narrow)
-
-    times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
-        raise ValueError("times must be >= 0")
 
     return CascadeResult(
         times=times,

@@ -8,6 +8,8 @@ that integration.
 """
 
 import math
+import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,13 +17,16 @@ import pytest
 
 from slowsound.bogoliubov import dispersion, dispersion_derivative, resonant_wavevector
 from slowsound.coupling import csch, g0_closed
+from slowsound.cli import main
 from slowsound.decay import (
     GAMMA1_DENOMINATOR,
+    MAX_GRID_POINTS,
     cascade,
     decay_rates,
     emission_grid,
     gamma_closed,
 )
+from slowsound.numerics import NumericsError, find_root
 from slowsound.params import REFERENCE, coupling_ratio_for_nu
 from slowsound.qutrit import spectrum
 from slowsound.scenarios import SCENARIOS
@@ -303,6 +308,58 @@ def test_first_line_peaks_at_resonance():
 def test_cascade_rejects_negative_times():
     with pytest.raises(ValueError):
         cascade(REFERENCE, np.array([-1.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "times",
+    [
+        np.array([0.0, float("nan")]),
+        np.array([0.0, float("inf")]),
+        np.array([float("-inf"), 1.0]),
+        1.0,
+        np.array([[0.0, 1.0], [2.0, 3.0]]),
+    ],
+    ids=["nan", "inf", "-inf", "scalar", "2-D"],
+)
+def test_cascade_requires_finite_one_dimensional_times(times):
+    with pytest.raises(ValueError, match="times"):
+        cascade(REFERENCE, times)
+
+
+def test_cascade_keeps_no_grid_sized_array_and_peaks_below_one():
+    """The blocked (k, p) pass: the traced peak stays below the bytes of
+    one K x P float64 array, and the result holds none."""
+    times = np.array([0.5, 1.0, 3.0]) / decay_rates(REFERENCE).gamma_1
+    cascade(REFERENCE, times)  # first-call imports and caches out of the count
+    tracemalloc.start()
+    try:
+        res = cascade(REFERENCE, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grid_points = len(res.k_grid) * len(res.p_grid)
+    assert peak < 8 * grid_points, (peak, grid_points)
+    kept = {name: value.size for name, value in vars(res).items() if isinstance(value, np.ndarray)}
+    assert max(kept.values()) < grid_points, kept
+
+
+def test_cascade_refuses_grid_near_equal_rates(tmp_path, capsys):
+    """Near gamma_0 = gamma_1 the grids step at |gamma_0 - gamma_1| / 6:
+    1e-4 above the crossing they would hold about 3e11 (k, p) points."""
+    def rate_gap(ratio):
+        rates = decay_rates(replace(REFERENCE, coupling_ratio=ratio))
+        return rates.gamma_0 - rates.gamma_1
+
+    crossing = find_root(rate_gap, 1.4, 1.6)
+    params = replace(REFERENCE, coupling_ratio=crossing * (1.0 + 1e-4))
+    with pytest.raises(NumericsError, match=r"cascade at gamma_0/gamma_1 = 1\.000.*K x P"):
+        cascade(params, [0.0, 1.0])
+    start = time.perf_counter()
+    code = main(["decay", "--set", f"coupling_ratio={params.coupling_ratio!r}",
+                 "--out", str(tmp_path / "decay")])
+    assert code == 3
+    assert time.perf_counter() - start < 1.0
+    assert f"above {MAX_GRID_POINTS:.0e}" in capsys.readouterr().err
 
 
 def test_emission_grid_resolves_line():
