@@ -5,9 +5,12 @@
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 validation-suite failure (the validate scenario reported FAIL rows).
-Outputs for a given configuration are byte-identical across reruns except
-for the manifest's generated_at stamp.  On error, partially written
-outputs are removed.
+main() maps them in one try with one except clause per exit code: any
+ValueError (ConfigError, an --out that cannot be written, a parameter
+outside the qutrit window) is a configuration error, and a NumericsError
+or ArithmeticError a numerical failure.  Outputs for a given configuration
+are byte-identical across reruns except for the manifest's generated_at
+stamp.  On error, partially written outputs are removed.
 
 Heavy imports happen inside main() so that --threads can pin the BLAS
 thread pools before numpy first loads; the physics itself is
@@ -72,11 +75,8 @@ _PARSER = _build_parser()
 
 def main(argv=None):
     args = _PARSER.parse_args(argv)
-
-    if args.threads is not None:
-        if args.threads < 1:
-            print("config error: --threads must be >= 1", file=sys.stderr)
-            return 2
+    if args.threads is not None and args.threads >= 1:
+        # the thread pools read these once, when numpy first loads below
         for var in (
             "OMP_NUM_THREADS",
             "OPENBLAS_NUM_THREADS",
@@ -87,38 +87,23 @@ def main(argv=None):
 
     from slowsound.numerics import NumericsError
     from slowsound.output import OutputSink, write_manifest
-    from slowsound.params import ConfigError, apply_overrides, params_from_mapping, parse_config_text
+    from slowsound.params import ConfigError, apply_overrides, params_from_mapping, read_config
     from slowsound.scenarios import SCENARIOS
 
-    formats = tuple(part.strip() for part in args.format.split(",") if part.strip())
-    bad = [f for f in formats if f not in _FORMATS]
-    if bad or not formats:
-        print(
-            f"config error: --format must list a subset of {','.join(_FORMATS)}, "
-            f"got {args.format!r}",
-            file=sys.stderr,
-        )
-        return 2
-
+    outdir = args.out if args.out is not None else os.path.join("out", args.scenario)
     try:
-        mapping = {}
-        if args.config is not None:
-            try:
-                with open(args.config) as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise ConfigError(f"cannot read config file: {exc}") from exc
-            mapping = parse_config_text(text)
+        if args.threads is not None and args.threads < 1:
+            raise ConfigError("--threads must be >= 1")
+        formats = tuple(part.strip() for part in args.format.split(",") if part.strip())
+        if not formats or any(f not in _FORMATS for f in formats):
+            raise ConfigError(
+                f"--format must list a subset of {','.join(_FORMATS)}, got {args.format!r}"
+            )
+        mapping = {} if args.config is None else read_config(args.config)
         if args.delta_mode is not None:
             mapping["delta_mode"] = args.delta_mode
         mapping = apply_overrides(mapping, args.set)
         params = params_from_mapping(mapping)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    outdir = args.out if args.out is not None else os.path.join("out", args.scenario)
-    try:
         with OutputSink(outdir, formats) as sink:
             summary = SCENARIOS[args.scenario](params, sink)
             produced = list(sink.written)
@@ -126,20 +111,15 @@ def main(argv=None):
                 sink.path("manifest.json"), params, args.scenario, produced,
                 extra={"formats": list(formats)},
             )
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         # Domain violations (parameters outside the qutrit window, opaque
         # medium, bad state indices) are configuration-class problems.
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NumericsError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except ArithmeticError as exc:
+    except (NumericsError, ArithmeticError) as exc:
         # overflow or division by zero inside the physics at extreme inputs
-        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        detail = exc if isinstance(exc, NumericsError) else f"{type(exc).__name__}: {exc}"
+        print(f"numerical failure: {detail}", file=sys.stderr)
         return 3
 
     if args.scenario == "validate":

@@ -123,7 +123,7 @@ class EigenstateReport:
 
     def overlap_with_analytic(self, n):
         """|<numeric n | analytic n>| against the closed-form bound shape."""
-        profile, _ = poschl_teller_state(n, self.nu)
+        profile = poschl_teller_state(n, self.nu)
         sampled = profile(self.grid.x).astype(complex)
         sampled /= math.sqrt(float(np.sum(np.abs(sampled) ** 2) * self.grid.dx))
         return abs(complex(np.vdot(sampled, self.states[n]) * self.grid.dx))

@@ -24,6 +24,7 @@ import os
 
 import numpy as np
 
+from .params import ConfigError
 from .svg import line_plot
 
 __all__ = ["OutputSink", "format_number", "write_csv", "write_json", "write_manifest"]
@@ -142,7 +143,8 @@ class OutputSink:
     directory is made when path() registers the first file, so a run that
     fails before that leaves none.  Use as a context manager: files
     registered through path() are removed if the block raises, and kept on
-    success.
+    success.  An OSError in the block (the directory or a file cannot be
+    made or written) is raised again as ConfigError("cannot write outputs").
     """
 
     def __init__(self, outdir, formats):
@@ -179,4 +181,6 @@ class OutputSink:
                     os.remove(full)
                 except OSError:
                     pass
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write outputs: {exc}") from exc
         return False

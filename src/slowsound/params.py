@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
+import numpy as np
+
 __all__ = [
     "ConfigError",
     "Params",
@@ -28,6 +30,7 @@ __all__ = [
     "nu_from_ratios",
     "coupling_ratio_for_nu",
     "parse_config_text",
+    "read_config",
     "apply_overrides",
     "params_from_mapping",
 ]
@@ -42,10 +45,11 @@ def nu_from_ratios(coupling_ratio, mass_ratio):
 
     nu = (-1 + sqrt(1 + 4 r_g r_m)) / 2; the impurity bound in the soliton
     notch sees a sech^2 well whose depth enters only through this combination.
+    Works element by element on arrays; a scalar gives a numpy float64.
     """
-    if coupling_ratio < 0 or mass_ratio <= 0:
+    if np.any(coupling_ratio < 0) or np.any(mass_ratio <= 0):
         raise ConfigError("coupling_ratio must be >= 0 and mass_ratio > 0")
-    return 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * coupling_ratio * mass_ratio))
+    return 0.5 * (-1.0 + np.sqrt(1.0 + 4.0 * coupling_ratio * mass_ratio))
 
 
 def coupling_ratio_for_nu(nu, mass_ratio):
@@ -131,8 +135,8 @@ class Params:
 
     @property
     def nu(self):
-        """Soliton-well parameter for these ratios."""
-        return nu_from_ratios(self.coupling_ratio, self.mass_ratio)
+        """Soliton-well parameter for these ratios, a Python float."""
+        return float(nu_from_ratios(self.coupling_ratio, self.mass_ratio))
 
     @property
     def impurity_norm(self):
@@ -199,6 +203,16 @@ def parse_config_text(text):
         key = key.strip()
         mapping[key] = _coerce(key, raw)
     return mapping
+
+
+def read_config(path):
+    """Parse the configuration file at path; an unreadable file is a ConfigError."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
+    return parse_config_text(text)
 
 
 def apply_overrides(mapping, assignments):

@@ -16,6 +16,10 @@ energy difference regardless of level ordering (for nu < 3/2 the formula's
 "second excited" level lies below the first).  The three-level (qutrit)
 regime is the exact half-open window 4/5 <= nu < 9/7.
 
+ladder(), is_qutrit() and bound_state_count() are the one home of these
+formulas; they work element by element on arrays, with the scalar bits,
+and spectrum() is their scalar view in Python floats, ints and bools.
+
 Two wavefunction families are exposed:
 
 * the closed-form ansatz family phi_0 = A0 sech^alpha, phi_1 = 2 A1 tanh
@@ -40,13 +44,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import NumericsError, gamma_fn, hyp2f1
-from .params import Params, nu_from_ratios
+from .params import Params, coupling_ratio_for_nu, nu_from_ratios
 
 __all__ = [
     "QUTRIT_NU_MIN",
     "QUTRIT_NU_MAX",
     "bound_state_count",
     "is_qutrit",
+    "ladder",
     "qutrit_window_in_coupling_ratio",
     "QutritSpectrum",
     "NotAQutrit",
@@ -74,18 +79,31 @@ def bound_state_count(nu):
 
     The floor argument is exactly integral at the rational window edges
     (3 at nu = 4/5, 4 at nu = 9/7), so a 1e-12 epsilon guards against the
-    float evaluation landing just below the integer.
+    float evaluation landing just below the integer.  Works element by
+    element on arrays and returns numpy integers.
     """
-    if nu < 0:
+    if np.any(nu < 0):
         raise ValueError(f"nu must be >= 0, got {nu!r}")
-    return int(math.floor(nu + 1.0 + math.sqrt(nu * (1.0 + nu)) + 1e-12))
+    return np.floor(nu + 1.0 + np.sqrt(nu * (1.0 + nu)) + 1e-12).astype(int)
 
 
 def is_qutrit(nu):
-    """True when nu lies in the half-open three-level window [4/5, 9/7)."""
-    if nu < 0:
+    """True where nu lies in the half-open three-level window [4/5, 9/7)."""
+    if np.any(nu < 0):
         raise ValueError(f"nu must be >= 0, got {nu!r}")
-    return QUTRIT_NU_MIN <= nu < QUTRIT_NU_MAX
+    return (QUTRIT_NU_MIN <= nu) & (nu < QUTRIT_NU_MAX)
+
+
+def ladder(nu, mass_ratio):
+    """(omega_0, omega_1, (E'_0, E'_1, E'_2)) of the Poschl-Teller ladder.
+
+    The squares use np.float_power, the C pow of a Python float's **; an
+    array's ** 2 is x * x, which differs in the last bit about once in 1000.
+    """
+    omega_0 = (2.0 * nu - 1.0) / (2.0 * mass_ratio)
+    omega_1 = abs(2.0 * nu - 3.0) / (2.0 * mass_ratio)
+    energies = tuple(-np.float_power(nu - n, 2) / (2.0 * mass_ratio) for n in range(3))
+    return omega_0, omega_1, energies
 
 
 def qutrit_window_in_coupling_ratio(mass_ratio):
@@ -93,8 +111,8 @@ def qutrit_window_in_coupling_ratio(mass_ratio):
 
     hi steps down by ulps while the float nu just below it rounds onto 9/7.
     """
-    lo = QUTRIT_NU_MIN * (QUTRIT_NU_MIN + 1.0) / mass_ratio
-    hi = QUTRIT_NU_MAX * (QUTRIT_NU_MAX + 1.0) / mass_ratio
+    lo = coupling_ratio_for_nu(QUTRIT_NU_MIN, mass_ratio)
+    hi = coupling_ratio_for_nu(QUTRIT_NU_MAX, mass_ratio)
     while not is_qutrit(nu_from_ratios(math.nextafter(hi, 0.0), mass_ratio)):
         hi = math.nextafter(hi, 0.0)
     return lo, hi
@@ -132,7 +150,7 @@ def spectrum(params: Params):
     Returns QutritSpectrum inside the window, NotAQutrit outside.
     """
     nu = params.nu
-    n_bound = bound_state_count(nu)
+    n_bound = int(bound_state_count(nu))
     if not is_qutrit(nu):
         side = "below" if nu < QUTRIT_NU_MIN else "above"
         return NotAQutrit(
@@ -140,10 +158,8 @@ def spectrum(params: Params):
             n_bound=n_bound,
             reason=f"nu={nu:.6g} lies {side} the qutrit window [4/5, 9/7)",
         )
-    r_m = params.mass_ratio
-    energies = tuple(-((nu - n) ** 2) / (2.0 * r_m) for n in range(3))
-    omega_0 = (2.0 * nu - 1.0) / (2.0 * r_m)
-    omega_1 = abs(2.0 * nu - 3.0) / (2.0 * r_m)
+    omega_0, omega_1, energies = ladder(nu, params.mass_ratio)
+    energies = tuple(map(float, energies))
     return QutritSpectrum(
         nu=nu, energies=energies, omega_0=omega_0, omega_1=omega_1, n_bound=n_bound
     )
@@ -318,9 +334,8 @@ def _sech_moment(a):
 def poschl_teller_state(n, nu):
     """Exact normalized eigenfunction of the -nu(nu+1)/2 sech^2 well.
 
-    Returns (profile, binding) where profile is a callable over x and
-    binding is the dimensionless factor (nu - n)^2 entering
-    E'_n = -binding/(2 r_m).  Only n = 0, 1, 2 are implemented:
+    Returns the profile, a callable over x; its energy is ladder()'s
+    E'_n.  Only n = 0, 1, 2 are implemented:
 
         n = 0:  sech^nu(x)
         n = 1:  tanh(x) sech^(nu-1)(x)
@@ -359,4 +374,4 @@ def poschl_teller_state(n, nu):
     def profile(x):
         return scale * shape(np.asarray(x, dtype=float))
 
-    return profile, (nu - n) ** 2
+    return profile

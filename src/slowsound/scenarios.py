@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -33,13 +33,15 @@ from slowsound.coupling import g0_closed, g1_closed, g_quadrature
 from slowsound.decay import cascade, decay_rates, gamma_closed
 from slowsound.gpe import frozen_well, well_eigenstates
 from slowsound.numerics import hilbert_transform
-from slowsound.params import Params, coupling_ratio_for_nu
+from slowsound.params import Params, coupling_ratio_for_nu, nu_from_ratios
 from slowsound.qutrit import (
     QUTRIT_NU_MAX,
     QUTRIT_NU_MIN,
     ImpurityStates,
     QutritSpectrum,
     bound_state_count,
+    is_qutrit,
+    ladder,
     qutrit_window_in_coupling_ratio,
     spectrum,
 )
@@ -81,37 +83,22 @@ def _autler_townes(params, rates):
 # spectrum
 # ----------------------------------------------------------------------
 
-def _ladder(ratios, r_m):
-    """(nu, omega_0, omega_1) at an array of coupling ratios, as qutrit.spectrum computes them."""
-    nu = 0.5 * (-1.0 + np.sqrt(1.0 + 4.0 * ratios * r_m))
-    return nu, (2.0 * nu - 1.0) / (2.0 * r_m), np.abs(2.0 * nu - 3.0) / (2.0 * r_m)
-
-
 def scenario_spectrum(params: Params, sink):
     """Level structure across the coupling-ratio sweep, window marked.
 
-    The sweep evaluates qutrit.spectrum's closed forms on whole arrays,
-    with the same floating-point operations, so every row equals the
-    scalar spectrum at its coupling ratio bit for bit.
+    The sweep calls qutrit's ladder, window test and level count on whole
+    arrays, so every row equals the scalar spectrum at its coupling ratio
+    bit for bit.
     """
     r_m = params.mass_ratio
     lo_rg, hi_rg = qutrit_window_in_coupling_ratio(r_m)
     ratios = np.linspace(0.9, 1.9, 201)
-    nu, omega_0, omega_1 = _ladder(ratios, r_m)
-    n_bound = np.floor(nu + 1.0 + np.sqrt(nu * (1.0 + nu)) + 1e-12).astype(int)
-    qutrit = (QUTRIT_NU_MIN <= nu) & (nu < QUTRIT_NU_MAX)
-    # float_power calls C pow as Python's float ** does; an array's ** 2
-    # is x * x, which differs from pow in the last bit about once in 1000
-    levels = [
-        np.where(qutrit, level, math.nan)
-        for level in (
-            omega_0,
-            omega_1,
-            *(-np.float_power(nu - n, 2) / (2.0 * r_m) for n in range(3)),
-        )
-    ]
+    nu = nu_from_ratios(ratios, r_m)
+    qutrit = is_qutrit(nu)
+    omega_0, omega_1, energies = ladder(nu, r_m)
+    levels = [np.where(qutrit, level, math.nan) for level in (omega_0, omega_1, *energies)]
     rows = zip(
-        ratios.tolist(), nu.tolist(), n_bound.tolist(), qutrit.tolist(),
+        ratios.tolist(), nu.tolist(), bound_state_count(nu).tolist(), qutrit.tolist(),
         *(level.tolist() for level in levels),
         itertools.repeat(lo_rg), itertools.repeat(hi_rg),
     )
@@ -131,20 +118,8 @@ def scenario_spectrum(params: Params, sink):
     sink.csv("spectrum.csv", columns, rows)
 
     configured = spectrum(params)
-    if isinstance(configured, QutritSpectrum):
-        cfg = {
-            "nu": configured.nu,
-            "qutrit": True,
-            "n_bound": configured.n_bound,
-            "omega_0": configured.omega_0,
-            "omega_1": configured.omega_1,
-            "energies": list(configured.energies),
-        }
-    else:
-        cfg = {"nu": configured.nu, "qutrit": False, "n_bound": configured.n_bound,
-               "reason": configured.reason}
     summary = {
-        "configured": cfg,
+        "configured": {**asdict(configured), "qutrit": isinstance(configured, QutritSpectrum)},
         "window_nu": [QUTRIT_NU_MIN, QUTRIT_NU_MAX],
         "window_coupling_ratio": [lo_rg, hi_rg],
         "sweep": {"coupling_ratio_min": 0.9, "coupling_ratio_max": 1.9, "points": len(ratios)},
@@ -184,7 +159,8 @@ def scenario_decay(params: Params, sink):
     The window sweep is arrays that equal the scalar route bit for bit."""
     lo_rg, hi_rg = qutrit_window_in_coupling_ratio(params.mass_ratio)
     ratios = np.linspace(lo_rg, hi_rg, 122)[1:-1]
-    nu, omega_0, omega_1 = _ladder(ratios, params.mass_ratio)
+    nu = nu_from_ratios(ratios, params.mass_ratio)
+    omega_0, omega_1, _ = ladder(nu, params.mass_ratio)
     g12 = ratios / params.density_xi
     g0, g1 = gamma_closed(params, omega_0, 0, g12), gamma_closed(params, omega_1, 1, g12)
     rwa = (g0 / omega_0, g1 / omega_1)
@@ -585,19 +561,19 @@ def scenario_eigenstates(params: Params, sink):
         cols_data += [np.real(psi), np.imag(psi), densities[n]]
     sink.csv("eigenstates.csv", columns, np.column_stack(cols_data))
 
-    ladder = [-((report.nu - n) ** 2) / (2.0 * params.mass_ratio) for n in range(3)]
+    _, _, rungs = ladder(report.nu, params.mass_ratio)
     states_payload = []
     for n in range(report.states.shape[0]):
         entry = {
             "n": n,
             "energy": float(report.energies[n]),
-            "energy_ladder": ladder[n],
+            "energy_ladder": rungs[n],
             "bound": bool(report.bound[n]),
             "edge_fraction": float(report.edge_fractions[n]),
             "residual": float(report.residuals[n]),
         }
         if report.bound[n]:
-            entry["energy_relative_error"] = abs(report.energies[n] - ladder[n]) / abs(ladder[n])
+            entry["energy_relative_error"] = abs(report.energies[n] - rungs[n]) / abs(rungs[n])
         try:
             entry["overlap_with_analytic"] = report.overlap_with_analytic(n)
         except ValueError:

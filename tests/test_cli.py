@@ -67,24 +67,27 @@ def test_removed_coupling_mode_flag_is_usage_error(tmp_path):
 
 
 def test_bad_override_value(tmp_path, capsys):
-    code, _ = run(tmp_path, "spectrum", "--set", "mass_ratio=banana")
+    code, out = run(tmp_path, "spectrum", "--set", "mass_ratio=banana")
     assert code == 2
     assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_config_key(tmp_path, capsys):
     # the coupling route is not configurable: the chain runs the printed g0/g1
     for override in ("flux_capacitor=1", "coupling_mode=closed"):
-        code, _ = run(tmp_path, "spectrum", "--set", override)
+        code, out = run(tmp_path, "spectrum", "--set", override)
         assert code == 2
         err = capsys.readouterr().err
         assert "config error" in err and "unknown config key" in err
+        assert not out.exists()
 
 
 def test_bad_format_listing(tmp_path, capsys):
-    code, _ = run(tmp_path, "spectrum", "--format", "yaml")
+    code, out = run(tmp_path, "spectrum", "--format", "yaml")
     assert code == 2
     assert "--format" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -93,6 +96,21 @@ def test_missing_config_file(tmp_path, capsys):
     )
     assert code == 2
     assert "cannot read config file" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["is-a-file", "under-a-file"])
+def test_unwritable_out_is_config_error(tmp_path, capsys, below):
+    # an --out that is, or lies under, a regular file cannot be made
+    taken = tmp_path / "taken"
+    taken.write_text("keep me\n")
+    code = main(["spectrum", "--out", str(taken / below)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write outputs: ")
+    assert "Traceback" not in err
+    assert taken.read_text() == "keep me\n"
+    assert sorted(os.listdir(tmp_path)) == ["taken"]
 
 
 def test_domain_violation_maps_to_config_error(tmp_path, capsys):
@@ -176,6 +194,18 @@ def test_threads_flag_overrides_the_environment(tmp_path, monkeypatch):
     code, _ = run(tmp_path, "spectrum", "--threads", "1", "--format", "json")
     assert code == 0
     assert [os.environ[name] for name in names] == ["1"] * 4
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_config_error(tmp_path, monkeypatch, capsys, threads):
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+    for name in names:
+        monkeypatch.setenv(name, "4")
+    code, out = run(tmp_path, "spectrum", "--threads", threads)
+    assert code == 2
+    assert capsys.readouterr().err == "config error: --threads must be >= 1\n"
+    assert [os.environ[name] for name in names] == ["4"] * 4
+    assert not out.exists()
 
 
 def test_validate_reports_and_exits_four(tmp_path, capsys):

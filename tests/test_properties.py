@@ -12,10 +12,16 @@ check sets the default detuning grid against the loop it replaced
 binds.  The cascade check keeps the total norm above its 0.98 floor at
 three sample times, or sees the grid refused near gamma_0 = gamma_1; the
 norm's 1.005 ceiling fails where the grids' tails alias, a strict xfail.
+The last check runs pytest, under this repository's settings, on a toy
+failing hypothesis test: the failure must be reported, and the session
+must go on to the next test.
 """
 
 import math
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,3 +136,34 @@ def test_cascade_norm_keeps_its_floor_or_grid_is_refused(params):
 def test_cascade_norm_keeps_its_ceiling_where_the_tails_alias():
     res = cascade_at_three_times(replace(REFERENCE, mass_ratio=1.203125, coupling_ratio=2.25))
     assert np.all(res.norm_total < 1.005), res.norm_total
+
+
+TOY_SESSION = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None, derandomize=True, max_examples=5)
+@given(st.integers())
+def test_fails(n):
+    assert n < 0
+
+
+def test_runs_after():
+    pass
+"""
+
+
+def test_a_failing_property_does_not_abort_the_session(tmp_path):
+    # with filterwarnings = error, a DeprecationWarning raised inside the
+    # hypothesis plugin while it reports a failure ended the session with
+    # INTERNALERROR, and no later test ran
+    (tmp_path / "test_toy.py").write_text(TOY_SESSION)
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(pyproject), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "-q", "test_toy.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout

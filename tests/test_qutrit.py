@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from slowsound.params import REFERENCE, coupling_ratio_for_nu
+from slowsound.params import REFERENCE, coupling_ratio_for_nu, nu_from_ratios
 from slowsound.qutrit import (
     QUTRIT_NU_MAX,
     QUTRIT_NU_MIN,
@@ -20,6 +20,7 @@ from slowsound.qutrit import (
     QutritSpectrum,
     bound_state_count,
     is_qutrit,
+    ladder,
     poschl_teller_state,
     qutrit_window_in_coupling_ratio,
     spectrum,
@@ -108,6 +109,57 @@ def test_spectrum_at_window_edges_in_coupling_ratio():
     assert isinstance(spectrum(replace(REFERENCE, coupling_ratio=hi)), NotAQutrit)
 
 
+# nu across [0, 3]: a grid, the window's edges, the float just below 9/7,
+# and full-mantissa draws, among which an array's x * x and C pow(x, 2)
+# differ in the last bit about once in a thousand squares
+LADDER_NUS = np.concatenate([
+    np.linspace(0.0, 3.0, 301),
+    [QUTRIT_NU_MIN, QUTRIT_NU_MAX, math.nextafter(QUTRIT_NU_MAX, 0.0)],
+    np.random.default_rng(11).uniform(0.0, 3.0, 3000),
+])
+
+
+def bits(value):
+    return float(value).hex()
+
+
+@pytest.mark.parametrize("mass_ratio", [1.0, 1.56])
+def test_ladder_functions_on_arrays_equal_scalar_calls_bit_for_bit(mass_ratio):
+    """Each array entry equals the scalar call at its nu, and the scalar call
+    equals the Python-float formula of the ladder."""
+    omega_0, omega_1, energies = ladder(LADDER_NUS, mass_ratio)
+    counts, inside = bound_state_count(LADDER_NUS), is_qutrit(LADDER_NUS)
+    ratios = LADDER_NUS * (LADDER_NUS + 1.0) / mass_ratio
+    nus = nu_from_ratios(ratios, mass_ratio)
+    for i, nu in enumerate(LADDER_NUS.tolist()):
+        w0, w1, e = ladder(nu, mass_ratio)
+        assert [bits(omega_0[i]), bits(omega_1[i])] == [bits(w0), bits(w1)], nu
+        assert [bits(level[i]) for level in energies] == list(map(bits, e)), nu
+        assert counts[i] == bound_state_count(nu) and inside[i] == is_qutrit(nu), nu
+        ratio = float(ratios[i])
+        assert bits(nus[i]) == bits(nu_from_ratios(ratio, mass_ratio)), ratio
+
+        assert bits(w0) == bits((2.0 * nu - 1.0) / (2.0 * mass_ratio))
+        assert bits(w1) == bits(abs(2.0 * nu - 3.0) / (2.0 * mass_ratio))
+        assert list(map(bits, e)) == [bits(-((nu - n) ** 2) / (2.0 * mass_ratio)) for n in range(3)]
+        assert bound_state_count(nu) == math.floor(nu + 1.0 + math.sqrt(nu * (1.0 + nu)) + 1e-12)
+        assert is_qutrit(nu) == (4.0 / 5.0 <= nu < 9.0 / 7.0)
+        root = 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * ratio * mass_ratio))
+        assert bits(nu_from_ratios(ratio, mass_ratio)) == bits(root)
+    assert {False, True} <= set(inside.tolist())
+
+
+def test_spectrum_fields_are_python_types():
+    assert type(REFERENCE.nu) is float
+    spec = spectrum(REFERENCE)
+    assert isinstance(spec, QutritSpectrum)
+    assert [type(v) for v in (spec.nu, spec.omega_0, spec.omega_1, *spec.energies)] == [float] * 6
+    assert type(spec.n_bound) is int and type(spec.energies) is tuple
+    outside = spectrum(replace(REFERENCE, coupling_ratio=0.5))
+    assert isinstance(outside, NotAQutrit)
+    assert (type(outside.nu), type(outside.n_bound)) == (float, int)
+
+
 class RowSink:
     """Stands in for an OutputSink: keeps the tables and plotted series."""
 
@@ -162,14 +214,14 @@ def test_spectrum_sweep_matches_scalar_spectrum_bit_for_bit():
 def test_poschl_teller_states_normalized():
     nu = REFERENCE.nu
     for n in (0, 1):
-        profile, _ = poschl_teller_state(n, nu)
+        profile = poschl_teller_state(n, nu)
         assert overlap(profile, profile) == pytest.approx(1.0, rel=1e-8)
 
 
 def test_poschl_teller_parity():
     nu = REFERENCE.nu
-    even, _ = poschl_teller_state(0, nu)
-    odd, _ = poschl_teller_state(1, nu)
+    even = poschl_teller_state(0, nu)
+    odd = poschl_teller_state(1, nu)
     assert np.allclose(even(X), even(-X), atol=1e-12)
     assert np.allclose(odd(X), -odd(-X), atol=1e-12)
     assert odd(0.0) == pytest.approx(0.0, abs=1e-12)
@@ -190,7 +242,7 @@ def test_poschl_teller_solves_schroedinger():
     """
     nu, rm = 1.22, 1.56
     for n in (0, 1):
-        profile, _ = poschl_teller_state(n, nu)
+        profile = poschl_teller_state(n, nu)
         x = np.linspace(-45.0, 45.0, 90001)
         h = x[1] - x[0]
         psi = profile(x)
