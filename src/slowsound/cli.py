@@ -23,7 +23,8 @@ import argparse
 import os
 import sys
 
-_SCENARIO_NAMES = (
+# the scenario catalogue: scenarios.SCENARIOS runs each name by its scenario_<name>
+SCENARIO_NAMES = (
     "spectrum",
     "decay",
     "couplings",
@@ -44,7 +45,7 @@ def _build_parser():
         description="Slow sound in a dark-soliton gas: spectra, decay, "
         "driven response, and pulse propagation scenarios.",
     )
-    parser.add_argument("scenario", choices=_SCENARIO_NAMES, help="named run to execute")
+    parser.add_argument("scenario", choices=SCENARIO_NAMES, help="named run to execute")
     parser.add_argument("--config", metavar="PATH", help="key = value configuration file")
     parser.add_argument(
         "--out", metavar="DIR", default=None,
@@ -107,10 +108,7 @@ def main(argv=None):
         with OutputSink(outdir, formats) as sink:
             summary = SCENARIOS[args.scenario](params, sink)
             produced = list(sink.written)
-            write_manifest(
-                sink.path("manifest.json"), params, args.scenario, produced,
-                extra={"formats": list(formats)},
-            )
+            write_manifest(sink.path("manifest.json"), params, args.scenario, produced, formats)
     except ValueError as exc:
         # Domain violations (parameters outside the qutrit window, opaque
         # medium, bad state indices) are configuration-class problems.

@@ -1,6 +1,8 @@
 """Mean-field fields on a periodic grid: the soliton pair and its well.
 
-The condensate obeys the reduced nonlinear field equation
+Fields are complex numpy arrays sampled on a numerics.Grid1D, which the
+caller holds: soliton_pair and gaussian_packet return psi alone.  The
+condensate obeys the reduced nonlinear field equation
 
     i dpsi/dt = [-1/2 d^2/dx^2 + g11 |psi|^2 - 1] psi
 
@@ -33,7 +35,6 @@ from .params import Params
 from .qutrit import poschl_teller_state
 
 __all__ = [
-    "Field1D",
     "soliton_pair",
     "gaussian_packet",
     "frozen_well",
@@ -44,29 +45,6 @@ __all__ = [
 ]
 
 MIN_BOX = 40.0
-
-
-@dataclass
-class Field1D:
-    """A complex field sampled on a periodic grid."""
-
-    grid: Grid1D
-    psi: np.ndarray
-
-    def __post_init__(self):
-        self.psi = np.asarray(self.psi, dtype=complex)
-        if self.psi.shape != (self.grid.npoints,):
-            raise ValueError(
-                f"field shape {self.psi.shape} does not match grid ({self.grid.npoints},)"
-            )
-
-    @property
-    def density(self):
-        return np.abs(self.psi) ** 2
-
-    @property
-    def norm(self):
-        return float(np.sum(self.density) * self.grid.dx)
 
 
 def _require_box(grid: Grid1D):
@@ -89,15 +67,14 @@ def soliton_pair(params: Params, grid: Grid1D):
     amp = math.sqrt(params.density_xi)
     x = grid.x
     quarter = grid.length / 4.0
-    return Field1D(grid, -amp * np.tanh(x + quarter) * np.tanh(x - quarter))
+    return (-amp * np.tanh(x + quarter) * np.tanh(x - quarter)).astype(complex)
 
 
-def gaussian_packet(grid: Grid1D, center=0.0, width=1.0, momentum=0.0):
-    """Unit-norm Gaussian, the impurity seed of coupled_ground_state."""
-    x = grid.x
-    psi = np.exp(-((x - center) ** 2) / (4.0 * width ** 2) + 1j * momentum * x)
+def gaussian_packet(grid: Grid1D, center=0.0, width=1.0):
+    """Unit-norm complex Gaussian, the impurity seed of coupled_ground_state."""
+    psi = np.exp(-((grid.x - center) ** 2) / (4.0 * width ** 2) + 0j)
     psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2) * grid.dx))
-    return Field1D(grid, psi)
+    return psi
 
 
 def frozen_well(grid: Grid1D, nu, mass_ratio, center=0.0):
@@ -225,11 +202,8 @@ def _rayleigh(psi, grid: Grid1D, potential, inv_mass):
 
 @dataclass
 class CoupledGroundState:
-    """Relaxed condensate + impurity pair with a deformation summary."""
+    """Deformation summary of the relaxed condensate + impurity pair."""
 
-    condensate: Field1D
-    impurity: Field1D
-    bare_density: np.ndarray
     deformation: float  # max relative density change at fixed point
     strong_backreaction: bool
     impurity_energy: float
@@ -255,10 +229,9 @@ def coupled_ground_state(params: Params, grid: Grid1D = None, dtau=0.01, max_ste
     # The chemical-potential term pins the background density on its own
     # (imaginary time contracts toward g11 |psi|^2 = 1), so no norm fixing
     # is applied to the condensate; only the impurity is renormalized.
-    cond = soliton_pair(params, grid)
-    bare = cond.density.copy()
-    psi = cond.psi.copy()
-    chi = gaussian_packet(grid, center=-grid.length / 4.0, width=1.0).psi.copy()
+    psi = soliton_pair(params, grid)
+    bare = np.abs(psi) ** 2
+    chi = gaussian_packet(grid, center=-grid.length / 4.0, width=1.0)
 
     inv_mass = 1.0 / params.mass_ratio
     kin_c = np.exp(-0.25 * dtau * grid.k ** 2)
@@ -312,12 +285,8 @@ def coupled_ground_state(params: Params, grid: Grid1D = None, dtau=0.01, max_ste
             break
         energy_prev = energy
 
-    relaxed = Field1D(grid, psi)
-    deformation = float(np.max(np.abs(relaxed.density - bare)) / params.density_xi)
+    deformation = float(np.max(np.abs(np.abs(psi) ** 2 - bare)) / params.density_xi)
     return CoupledGroundState(
-        condensate=relaxed,
-        impurity=Field1D(grid, chi),
-        bare_density=bare,
         deformation=deformation,
         strong_backreaction=deformation > 0.2,
         impurity_energy=energy,

@@ -119,7 +119,8 @@ def write_json(path, payload):
         fh.write(text + "\n")
 
 
-def write_manifest(path, params, scenario, outputs, extra=None):
+def write_manifest(path, params, scenario, outputs, formats):
+    """The run's manifest: its parameters, written files and, as notes, formats."""
     from slowsound import __version__
 
     payload = {
@@ -129,9 +130,8 @@ def write_manifest(path, params, scenario, outputs, extra=None):
         "version": __version__,
         "outputs": sorted(os.path.basename(p) for p in outputs),
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "notes": {"formats": list(formats)},
     }
-    if extra:
-        payload["notes"] = extra
     write_json(path, payload)
 
 
@@ -143,17 +143,24 @@ class OutputSink:
     directory is made when path() registers the first file, so a run that
     fails before that leaves none.  Use as a context manager: files
     registered through path() are removed if the block raises, and kept on
-    success.  An OSError in the block (the directory or a file cannot be
-    made or written) is raised again as ConfigError("cannot write outputs").
+    success; so are the directories path() made, once empty, while a
+    directory that was there before the run is never removed.  An OSError
+    in the block (the directory or a file cannot be made or written) is
+    raised again as ConfigError("cannot write outputs").
     """
 
     def __init__(self, outdir, formats):
         self.outdir = outdir
         self.formats = tuple(formats)
         self.written = []
+        self.made = []  # directories made by path(), deepest first
 
     def path(self, name):
         if not self.written:
+            head = os.path.normpath(self.outdir)
+            while head and not os.path.lexists(head):
+                self.made.append(head)
+                head = os.path.dirname(head)
             os.makedirs(self.outdir, exist_ok=True)
         full = os.path.join(self.outdir, name)
         self.written.append(full)
@@ -176,9 +183,10 @@ class OutputSink:
 
     def __exit__(self, exc_type, exc, tb):
         if exc_type is not None:
-            for full in self.written:
+            removals = [(os.remove, f) for f in self.written] + [(os.rmdir, d) for d in self.made]
+            for remove, target in removals:
                 try:
-                    os.remove(full)
+                    remove(target)
                 except OSError:
                     pass
         if isinstance(exc, OSError):

@@ -77,7 +77,6 @@ class SusceptibilityCurve:
 
     detunings: np.ndarray
     chi: np.ndarray
-    carrier_k: float
     carrier_energy: float
     carrier_velocity: float  # eps(k0)/k0
     drive: DriveConfig
@@ -93,8 +92,9 @@ class SusceptibilityCurve:
         return np.real(self.chi)
 
     @property
-    def index(self):
-        return np.sqrt(1.0 + self.chi)
+    def center(self):
+        """Index of the sample nearest Delta = 0 (a default sweep holds 0 exactly)."""
+        return int(np.argmin(np.abs(self.detunings)))
 
 
 # Default-grid step as a fraction of the distance to the nearest pole or
@@ -224,7 +224,6 @@ def susceptibility_at_rates(params: Params, rates: DecayRates, detunings=None):
     return SusceptibilityCurve(
         detunings=detunings,
         chi=prefactor * rho_e1g / drive.probe_rabi,
-        carrier_k=k0,
         carrier_energy=eps0,
         carrier_velocity=eps0 / k0,
         drive=drive,
@@ -242,7 +241,6 @@ class TransparencyWindow:
     dip_absorption: float
     peak_left: float
     peak_right: float
-    half_level: float
 
 
 @dataclass(frozen=True)
@@ -287,7 +285,7 @@ def transparency_width(curve: SusceptibilityCurve):
     """
     a = curve.absorption
     d = curve.detunings
-    ic = int(np.argmin(np.abs(d)))
+    ic = curve.center
     if ic == 0 or ic == len(d) - 1:
         return NoTransparency("detuning grid does not bracket zero")
     left_peak = float(np.max(a[:ic]))
@@ -309,7 +307,6 @@ def transparency_width(curve: SusceptibilityCurve):
         dip_absorption=dip,
         peak_left=left_peak,
         peak_right=right_peak,
-        half_level=level,
     )
 
 
@@ -332,8 +329,7 @@ class GroupVelocityCurve:
 
     @property
     def at_center(self):
-        ic = int(np.argmin(np.abs(self.detunings)))
-        return float(self.vg_over_cs[ic])
+        return float(self.vg_over_cs[self.curve.center])
 
 
 def _chi_slope(curve: SusceptibilityCurve):
@@ -386,7 +382,7 @@ def dispersion_curve(curve: SusceptibilityCurve):
     """Dressed probe wavenumber over a sweep."""
     omega_p = curve.rates.omega_0 + curve.detunings
     q_free = omega_p / curve.carrier_velocity
-    q = q_free * np.real(curve.index)
+    q = q_free * np.real(np.sqrt(1.0 + curve.chi))
     return DispersionCurve(omega_p=omega_p, q=q, q_free=q_free, curve=curve)
 
 
@@ -475,7 +471,7 @@ def propagate_envelope(curve: SusceptibilityCurve, distance, window_fraction=0.1
 
     freqs = 2.0 * math.pi * np.fft.fftfreq(_PULSE_SAMPLES, d=dt)
     chi_f = susceptibility_at_rates(curve.params, curve.rates, freqs).chi
-    transfer = np.exp(0.5j * curve.carrier_k * chi_f * distance)
+    transfer = np.exp(0.5j * curve.rates.carrier_k * chi_f * distance)
     envelope_out = fft(ifft(envelope_in) * transfer)
 
     def peak_time(env):

@@ -29,6 +29,7 @@ from slowsound.bloch import (
     weak_probe_coherences,
 )
 from slowsound.bogoliubov import dispersion, resonant_wavevector
+from slowsound.cli import SCENARIO_NAMES
 from slowsound.coupling import g0_closed, g1_closed, g_quadrature
 from slowsound.decay import cascade, decay_rates, gamma_closed
 from slowsound.gpe import frozen_well, well_eigenstates
@@ -73,7 +74,7 @@ def _autler_townes(params, rates):
     control = curve.drive.control_rabi
     a = curve.absorption
     d = curve.detunings
-    ic = int(np.argmin(np.abs(d)))
+    ic = curve.center
     left = int(np.argmax(a[:ic]))
     right = ic + 1 + int(np.argmax(a[ic + 1 :]))
     return control, float(d[right] - d[left])
@@ -141,8 +142,11 @@ def scenario_spectrum(params: Params, sink):
 # ----------------------------------------------------------------------
 
 def _closed_rates(params: Params, lines):
-    """gamma_closed of both transitions at lines.omega_0 and lines.omega_1."""
-    return gamma_closed(params, lines.omega_0, 0), gamma_closed(params, lines.omega_1, 1)
+    """gamma_closed of both transitions at lines.omega_0 and lines.omega_1,
+    and the relative gap of lines' golden-rule rates from each."""
+    closed = gamma_closed(params, lines.omega_0, 0), gamma_closed(params, lines.omega_1, 1)
+    gaps = tuple(abs(c - g) / c for c, g in zip(closed, (lines.gamma_0, lines.gamma_1)))
+    return closed, gaps
 
 
 def _first_line(casc):
@@ -179,7 +183,7 @@ def scenario_decay(params: Params, sink):
     worst_rwa = np.max(rwa)
 
     integral = decay_rates(params)
-    closed = _closed_rates(params, integral)
+    closed, gaps = _closed_rates(params, integral)
     times = np.linspace(0.0, 5.0 / integral.gamma_1, 26)
     casc = cascade(params, times, rates=integral)
     sectors = [np.abs(casc.a) ** 2, casc.norm_one_phonon, casc.norm_two_phonon, casc.norm_total]
@@ -200,10 +204,7 @@ def scenario_decay(params: Params, sink):
     summary = {
         "rates_closed": {"gamma_0": closed[0], "gamma_1": closed[1]},
         "rates_integral": {"gamma_0": integral.gamma_0, "gamma_1": integral.gamma_1},
-        "route_relative_difference": {
-            "gamma_0": abs(closed[0] - integral.gamma_0) / closed[0],
-            "gamma_1": abs(closed[1] - integral.gamma_1) / closed[1],
-        },
+        "route_relative_difference": {"gamma_0": gaps[0], "gamma_1": gaps[1]},
         "omega_0": integral.omega_0,
         "omega_1": integral.omega_1,
         "gamma_over_omega": {
@@ -293,11 +294,6 @@ def scenario_couplings(params: Params, sink):
 # susceptibility
 # ----------------------------------------------------------------------
 
-def _chi_at_zero(curve):
-    """chi at the sweep point nearest Delta = 0 (a default sweep holds 0 exactly)."""
-    return complex(curve.chi[np.argmin(np.abs(curve.detunings))])
-
-
 def scenario_susceptibility(params: Params, sink):
     """Acoustic susceptibility of the probe transition with drive families.
 
@@ -347,8 +343,8 @@ def scenario_susceptibility(params: Params, sink):
     sweeps = {m: susceptibility_at_rates(replace(params, control_rabi_gamma0=m), rates)
               for m in controls}
     # Weak-vs-strong control contrast at the configured coupling ratio.
-    chi0 = _chi_at_zero(curve)
-    im_weak, im_strong = (_chi_at_zero(sweeps[m]).imag for m in (0.2, 2.0))
+    chi0 = complex(curve.chi[curve.center])
+    im_weak, im_strong = (float(sweeps[m].absorption[sweeps[m].center]) for m in (0.2, 2.0))
     # Transparency width at each control, None without a window.
     windows = {m: transparency_width(c) for m, c in sweeps.items()}
     width = {m: None if isinstance(w, NoTransparency) else w.width for m, w in windows.items()}
@@ -370,7 +366,7 @@ def scenario_susceptibility(params: Params, sink):
 
     summary = {
         "carrier": {
-            "k": curve.carrier_k,
+            "k": rates.carrier_k,
             "energy": curve.carrier_energy,
             "velocity": curve.carrier_velocity,
         },
@@ -436,7 +432,7 @@ def scenario_dispersion(params: Params, sink):
 
     edge = _merge_edge(curve)
     # Slope flattening at the center, against the group-velocity route.
-    ic = int(np.argmin(np.abs(curve.omega_p - curve.curve.rates.omega_0)))
+    ic = curve.curve.center
     lo = max(ic - 2, 0)
     hi = min(ic + 2, len(curve.q) - 1)
     slope = (curve.omega_p[hi] - curve.omega_p[lo]) / (curve.q[hi] - curve.q[lo])
@@ -816,13 +812,7 @@ def check_decay(params, rates):
     worst_rate = 0.0
     for nu in nus:
         p = replace(params, coupling_ratio=coupling_ratio_for_nu(float(nu), params.mass_ratio))
-        integral = decay_rates(p)
-        closed = _closed_rates(p, integral)
-        worst_rate = max(
-            worst_rate,
-            abs(closed[0] - integral.gamma_0) / closed[0],
-            abs(closed[1] - integral.gamma_1) / closed[1],
-        )
+        worst_rate = max(worst_rate, *_closed_rates(p, decay_rates(p))[1])
     yield _row(
         "decay_route_agreement",
         "PASS" if worst_rate < 1e-3 else "FAIL",
@@ -911,7 +901,8 @@ def check_transparency(params, rates):
     weak_curve, strong_curve = (
         susceptibility_at_rates(replace(params, control_rabi_gamma0=m), rates) for m in (0.2, 2.0)
     )
-    contrast = _chi_at_zero(strong_curve).imag / _chi_at_zero(weak_curve).imag
+    contrast = (strong_curve.absorption[strong_curve.center]
+                / weak_curve.absorption[weak_curve.center])
     yield _row(
         "transparency_contrast",
         "PASS" if contrast < 0.5 else "FAIL",
@@ -1031,15 +1022,5 @@ def scenario_validate(params: Params, sink):
     return summary
 
 
-SCENARIOS = {
-    "spectrum": scenario_spectrum,
-    "decay": scenario_decay,
-    "couplings": scenario_couplings,
-    "susceptibility": scenario_susceptibility,
-    "dispersion": scenario_dispersion,
-    "groupvel": scenario_groupvel,
-    "eigenstates": scenario_eigenstates,
-    "pulse": scenario_pulse,
-    "validate": scenario_validate,
-}
-
+# the command line's catalogue, each name run by its scenario_<name>
+SCENARIOS = {name: globals()[f"scenario_{name}"] for name in SCENARIO_NAMES}

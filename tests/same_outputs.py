@@ -4,11 +4,13 @@
 
 Each tree is a checkout of this repository.  In a fresh interpreter per
 tree, with that tree's src/ on the path, the script runs one cli.main call
-per run of this set (419 runs):
+per run of this set (422 runs):
 
 * the nine scenarios at REFERENCE, in track and in fixed delta mode;
 * the operations of perfbench's drive_sweep workload at seeds 7 and 131;
-* the operation of perfbench's bound_states workload at seed 3.
+* the operation of perfbench's bound_states workload at seed 3;
+* three refused runs (ERROR_RUNS), so that the exit-2 and exit-3 paths,
+  their messages and the files they leave are compared too.
 
 The operations are read from the tree's perfbench/workloads.py, which is
 left unchanged.  Each run writes into its own directory, named by its
@@ -39,6 +41,11 @@ SCENARIOS = (
     "validate",
 )
 WORKLOAD_SEEDS = (("drive_sweep", 7), ("drive_sweep", 131), ("bound_states", 3))
+ERROR_RUNS = (
+    ("decay", "--set", "coupling_ratio=1.49753"),  # exit 3: the cascade grid is refused
+    ("spectrum", "--set", "no_such_key=1"),  # exit 2: unknown config key
+    ("decay", "--set", "coupling_ratio=0.5"),  # exit 2: outside the qutrit window
+)
 VOLATILE = "generated_at"  # the manifest's only field that differs between reruns
 SHOWN = 20  # differences listed at most
 
@@ -53,6 +60,7 @@ from slowsound.cli import main
 runs = [[name] for name in %r] + [[name, "--delta-mode", "fixed"] for name in %r]
 for workload, seed in %r:
     runs += [list(op.argv) for op in workloads.generate(workload, seed)]
+runs += [list(argv) for argv in %r]
 records = []
 for i, argv in enumerate(runs):
     out, err = io.StringIO(), io.StringIO()
@@ -65,7 +73,7 @@ for i, argv in enumerate(runs):
                     "stderr": err.getvalue()})
 with open(record_path, "w") as fh:
     json.dump(records, fh)
-""" % (SCENARIOS, SCENARIOS, WORKLOAD_SEEDS)
+""" % (SCENARIOS, SCENARIOS, WORKLOAD_SEEDS, ERROR_RUNS)
 
 
 def run_tree(tree, root):

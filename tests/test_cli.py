@@ -31,6 +31,14 @@ def test_cli_import_leaves_numpy_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def test_scenario_catalogue_is_the_cli_names():
+    from slowsound.cli import SCENARIO_NAMES
+    from slowsound.scenarios import SCENARIOS
+
+    assert list(SCENARIOS) == list(SCENARIO_NAMES)
+    assert [fn.__name__ for fn in SCENARIOS.values()] == [f"scenario_{n}" for n in SCENARIO_NAMES]
+
+
 def run(tmp_path, *argv):
     out = tmp_path / "run"
     code = main([*argv, "--out", str(out)])
@@ -119,7 +127,7 @@ def test_domain_violation_maps_to_config_error(tmp_path, capsys):
     code, out = run(tmp_path, "decay", "--set", "coupling_ratio=0.5")
     assert code == 2
     assert "qutrit window" in capsys.readouterr().err
-    assert not os.path.isdir(out) or os.listdir(out) == []
+    assert not out.exists()
 
 
 def test_numerics_failure_cleans_partial_outputs(tmp_path, monkeypatch, capsys):
@@ -184,7 +192,28 @@ def test_arithmetic_failure_is_numerical_failure(tmp_path, capsys, override):
     assert code == 3
     err = capsys.readouterr().err
     assert "numerical failure" in err and "Traceback" not in err
-    assert not out.exists() or os.listdir(out) == []
+    assert not out.exists()
+
+
+def test_refused_run_removes_only_the_directories_it_made(tmp_path, capsys):
+    # decay writes decay.csv, then refuses the cascade (exit 3): the file
+    # goes, and so do the directories made for it, here two levels deep;
+    # an --out directory that was already there stays, with what it held
+    refused = ["decay", "--set", "coupling_ratio=1.49753", "--out"]
+    made = tmp_path / "new" / "out"
+    assert main([*refused, str(made)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "notes.txt").write_text("keep me\n")
+    assert main([*refused, str(kept)]) == 3
+    assert os.listdir(tmp_path) == ["kept"]
+    assert os.listdir(kept) == ["notes.txt"]
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main([*refused, str(empty)]) == 3
+    assert empty.is_dir() and os.listdir(empty) == []
 
 
 def test_threads_flag_overrides_the_environment(tmp_path, monkeypatch):

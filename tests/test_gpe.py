@@ -16,6 +16,7 @@ import pytest
 
 from dense_well_oracle import dense_eigenstates
 from slowsound.gpe import (
+    CoupledGroundState,
     coupled_ground_state,
     frozen_well,
     gaussian_packet,
@@ -30,22 +31,33 @@ from slowsound.qutrit import QUTRIT_NU_MAX, QUTRIT_NU_MIN, bound_state_count, sp
 GRID = Grid1D(256, 60.0)
 
 
-def mean_x2(field):
-    return float(np.sum(field.grid.x ** 2 * field.density) * field.grid.dx)
+def mean_x2(psi, grid):
+    return float(np.sum(grid.x ** 2 * np.abs(psi) ** 2) * grid.dx)
 
 
-def mean_p2(field):
-    spec = np.fft.fft(field.psi)
+def mean_p2(psi, grid):
+    spec = np.fft.fft(psi)
     weight = np.abs(spec) ** 2
-    return float(np.sum(weight * field.grid.k ** 2) / np.sum(weight))
+    return float(np.sum(weight * grid.k ** 2) / np.sum(weight))
 
 
 def test_gaussian_packet_moments():
     packet = gaussian_packet(GRID, center=0.0, width=1.5)
-    assert abs(packet.norm - 1.0) < 1e-12
+    assert abs(float(np.sum(np.abs(packet) ** 2) * GRID.dx) - 1.0) < 1e-12
     # minimum-uncertainty pair: <x^2> = w^2, <p^2> = 1/(4 w^2)
-    assert abs(mean_x2(packet) - 2.25) < 1e-9
-    assert abs(mean_p2(packet) - 1.0 / 9.0) < 1e-9
+    assert abs(mean_x2(packet, GRID) - 2.25) < 1e-9
+    assert abs(mean_p2(packet, GRID) - 1.0 / 9.0) < 1e-9
+
+
+def test_fields_are_complex_arrays_on_the_grid():
+    for psi in (soliton_pair(REFERENCE, GRID), gaussian_packet(GRID, center=-5.0, width=1.0)):
+        assert type(psi) is np.ndarray
+        assert psi.dtype == np.complex128 and psi.shape == (GRID.npoints,)
+
+
+def test_coupled_ground_state_keeps_only_what_is_read():
+    names = [field.name for field in dataclasses.fields(CoupledGroundState)]
+    assert names == ["deformation", "strong_backreaction", "impurity_energy"]
 
 
 def test_tanh_pair_is_stationary():
@@ -54,7 +66,7 @@ def test_tanh_pair_is_stationary():
     # the e^-L overlap of the tails; the residual is spectral roundoff
     # (4.5e-12), while a notch 0.1% too wide leaves 7.7e-4
     grid = Grid1D(512, 60.0)
-    psi = soliton_pair(REFERENCE, grid).psi
+    psi = soliton_pair(REFERENCE, grid)
     d2psi = np.fft.ifft(-grid.k ** 2 * np.fft.fft(psi))
     residual = -0.5 * d2psi + (REFERENCE.g11 * np.abs(psi) ** 2 - 1.0) * psi
     assert float(np.max(np.abs(residual))) < 1e-10 * math.sqrt(REFERENCE.density_xi)

@@ -10,7 +10,9 @@ from slowsound import coupling, response, scenarios
 from slowsound.bloch import drive_from_params, steady_state_lindblad, weak_probe_coherences
 from slowsound.decay import decay_rates
 from slowsound.numerics import hilbert_transform
+from slowsound.output import OutputSink
 from slowsound.params import REFERENCE
+from slowsound.qutrit import qutrit_window_in_coupling_ratio
 from slowsound.response import (
     NoTransparency,
     SusceptibilityCurve,
@@ -19,6 +21,7 @@ from slowsound.response import (
     group_velocity_curve,
     level_width,
     propagate_envelope,
+    susceptibility_at_rates,
     susceptibility_curve,
     transparency_width,
 )
@@ -266,6 +269,51 @@ def test_default_grid_shape(mode):
         assert 0.0 in d
         assert d[0] == -span and d[-1] == span
         assert len(d) <= 4001
+
+
+@pytest.mark.parametrize("mode", ["track", "fixed"])
+def test_default_sweeps_center_on_zero_detuning(mode):
+    """center is the sample at Delta = 0 over controls 0.1-100 gamma_0 at
+    five points across the qutrit window, and the only sample where
+    dispersion's omega_p - omega_0 is zero."""
+    lo, hi = qutrit_window_in_coupling_ratio(REFERENCE.mass_ratio)
+    for ratio in np.linspace(lo, hi, 7)[1:-1]:
+        params = replace(REFERENCE, coupling_ratio=float(ratio), delta_mode=mode)
+        rates = decay_rates(params)
+        for control in np.geomspace(0.1, 100.0, 7):
+            curve = susceptibility_at_rates(replace(params, control_rabi_gamma0=control), rates)
+            assert curve.detunings[curve.center] == 0.0
+            offsets = (rates.omega_0 + curve.detunings) - rates.omega_0
+            assert np.flatnonzero(offsets == 0.0).tolist() == [curve.center]
+
+
+def test_center_is_the_nearest_sample_of_a_grid_without_zero():
+    """On a user grid that misses Delta = 0, center is the nearest sample,
+    and the transparency window and v_g(0) both read it."""
+    step = 40.0 * RATES.gamma_0 / 400
+    d = np.arange(-200, 200) * step + 0.3 * step
+    curve = susceptibility_curve(at_control(2.0), d)
+    assert 0.0 not in d
+    assert curve.center == 200 and abs(d[200]) < abs(d[199])
+    window = transparency_width(curve)
+    assert window.dip_detuning == d[curve.center]
+    assert window.dip_absorption == curve.absorption[curve.center]
+    gv = group_velocity_curve(curve)
+    assert gv.at_center == gv.vg_over_cs[curve.center]
+
+
+def test_susceptibility_writes_chi_at_the_center(tmp_path):
+    """The chi(0) values in susceptibility.json are those of each sweep's
+    center sample."""
+    with OutputSink(str(tmp_path), ("json",)) as sink:
+        summary = scenarios.scenario_susceptibility(REFERENCE, sink)
+    curve = susceptibility_curve(REFERENCE)
+    assert summary["chi_at_zero"] == {"re": curve.chi[curve.center].real,
+                                      "im": curve.chi[curve.center].imag}
+    contrast = summary["contrast_weak_vs_strong_control"]
+    for key, control in (("im_chi0_control_0p2_gamma0", 0.2), ("im_chi0_control_2_gamma0", 2.0)):
+        sweep = susceptibility_at_rates(at_control(control), curve.rates)
+        assert contrast[key] == sweep.absorption[sweep.center]
 
 
 def test_default_grid_bounded_when_line_widths_underflow():
