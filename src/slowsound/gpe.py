@@ -17,9 +17,14 @@ the potential whose bound ladder is the analytic impurity spectrum; the
 raw product g12 |psi_soliton|^2 is twice that deep, a tension kept
 visible here by naming the two potentials separately rather than
 blending them.  The frozen well is linear, so its eigenstates come from
-a direct eigensolve of the Fourier-grid Hamiltonian, split into its
-even and odd blocks under x -> -x and checked by the operator applied
-by FFT, not from a relaxation.  The coupled pair, with the raw mutual
+a direct eigensolve of the Fourier-grid Hamiltonian, not from a
+relaxation.  It is split into its even and odd blocks under x -> -x,
+each built from strided Toeplitz and Hankel views of the kinetic column
+with no gathers; each block's eigenvalues are computed in full, and
+only the kept states get vectors, by inverse iteration with
+Rayleigh-Ritz (a solve whose shift hits an exact zero pivot is retried
+with the shift nudged down).  The states are checked by the operator
+applied by FFT.  The coupled pair, with the raw mutual
 terms, is used for backreaction estimates, not spectral checks; its
 ground state, a nonlinear problem, is relaxed in imaginary time by
 Strang-split FFT steps.
@@ -29,6 +34,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .numerics import Grid1D, NumericsError, fft, ifft
 from .params import Params
@@ -106,6 +112,65 @@ class EigenstateReport:
         return abs(complex(np.vdot(sampled, self.states[n]) * self.grid.dx))
 
 
+def _parity_block(column, diagonal, odd, out):
+    """The even or odd block of the frozen-well Hamiltonian, written into out.
+
+    column is the circulant's first column c and diagonal the well on
+    m = 0..h.  The fixed points' rows and columns of the even block are
+    scaled by sqrt(1/2), their corners by its square, so the block equals
+    the gathered one bit for bit.
+    """
+    h = len(diagonal) - 1
+    near = sliding_window_view(np.concatenate([column[h:0:-1], column[: h + 1]]), h + 1)[::-1]
+    far = sliding_window_view(np.concatenate([column, column[:1]]), h + 1)
+    if odd:
+        block = out[: (h - 1) ** 2].reshape(h - 1, h - 1)
+        np.subtract(near[1:h, 1:h], far[1:h, 1:h], out=block)
+        block.flat[:: h] += diagonal[1:h]
+        return block
+    block = out.reshape(h + 1, h + 1)
+    np.add(near, far, out=block)
+    half = math.sqrt(0.5)
+    block[[0, h]] *= np.outer([half, half], np.r_[half, np.ones(h - 1), half])
+    block[1:h, [0, h]] *= half
+    block.flat[:: h + 2] += diagonal
+    return block
+
+
+def _kept_vectors(block, values, stage):
+    """Orthonormal eigenvectors of the symmetric block at its eigenvalues values.
+
+    One inverse-iteration solve (block - value) x = 1 per value, then
+    Rayleigh-Ritz on the solves: a QR, and an eigh of the small projected
+    matrix, whose ascending Ritz vectors pair with the ascending values
+    (Ipsen, SIAM Rev. 39, 254 (1997)).  A shift that hits its eigenvalue
+    to the last bit can leave an exact zero pivot; that solve is retried
+    once with the shift nudged down by a few roundoffs of the diagonal.
+    The start vector is constant: the low states are smooth and mostly of
+    one sign on m >= 0, so it overlaps them well (a seeded Gaussian start
+    left residuals up to 2.5e-10 on 512- and 1024-point grids, the
+    constant one 1.4e-12).  The block's diagonal is shifted in place and
+    restored.  A failure raises NumericsError naming stage.
+    """
+    diagonal = block.diagonal().copy()
+    nudge = 4.0 * np.finfo(float).eps * float(np.max(np.abs(diagonal)))
+    start = np.ones(len(diagonal))
+    solves = np.empty((len(diagonal), len(values)))
+    try:
+        for j, value in enumerate(values):
+            np.fill_diagonal(block, diagonal - value)
+            try:
+                solves[:, j] = np.linalg.solve(block, start)
+            except np.linalg.LinAlgError:
+                np.fill_diagonal(block, diagonal - (value - nudge))
+                solves[:, j] = np.linalg.solve(block, start)
+        np.fill_diagonal(block, diagonal)
+        basis = np.linalg.qr(solves)[0]
+        return basis @ np.linalg.eigh(basis.T @ block @ basis)[1]
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(f"{stage}: {exc}") from exc
+
+
 def well_eigenstates(params: Params, n_states, grid: Grid1D = None, nu=None):
     """Lowest eigenstates of the frozen well, solved one parity at a time.
 
@@ -118,12 +183,21 @@ def well_eigenstates(params: Params, n_states, grid: Grid1D = None, nu=None):
     h = N/2, and commutes with c and the even well, so H splits into an
     even block c[|m-m'|] + c[(m+m') % N] on m = 0..h, scaled by sqrt(1/2)
     on the rows and columns of the fixed points m = 0 and h, and an odd
-    block c[|m-m'|] - c[m+m'] on m = 1..h-1, each plus the well.  Their
-    lowest states, merged by a stable sort on energy, unfold to
-    psi[h+-m] = v_m / sqrt(2) (v_m at the fixed points) or +-v_m / sqrt(2),
-    exactly even or odd.  Residuals apply H by FFT to the unfolded states,
-    which also checks the fold.  Each state has unit grid norm and is
-    positive where |psi| peaks on x >= 0, so reruns write identical files.
+    block c[|m-m'|] - c[m+m'] on m = 1..h-1, each plus the well.  The
+    Toeplitz term c[|m-m'|] and the Hankel term c[(m+m') % N] are strided
+    views of c, and the blocks are built in turn in one buffer, with no
+    gathers (_parity_block).  Only eigenvalues are computed in full, per
+    block; the lowest n_states of both, merged by a stable sort on
+    energy, are chosen once from them, and only those get vectors: one
+    inverse-iteration solve each, then Rayleigh-Ritz within the block,
+    with a solve that hits an exact zero pivot retried at a shift nudged
+    down (_kept_vectors).  The vectors unfold to psi[h+-m] = v_m / sqrt(2)
+    (v_m at the fixed points) or +-v_m / sqrt(2), exactly even or odd.
+    Residuals apply H by FFT to the unfolded states, which checks the
+    fold and the inverse iteration.  Each state has unit grid norm and is
+    positive where |psi| peaks on x >= 0, so reruns write identical
+    files.  A failed solve raises NumericsError naming the stage (the
+    frozen-well eigensolve), the parity block, nu and the grid size.
 
     States whose probability mass leaks to the outer half of the box
     (beyond |x| = L/4) are flagged unbound: in a periodic box the
@@ -143,24 +217,29 @@ def well_eigenstates(params: Params, n_states, grid: Grid1D = None, nu=None):
     m = np.arange(h + 1)
     # grid weight of an even basis vector on h+-m, whole at the fixed points
     unfold = np.where((m == 0) | (m == h), 1.0, math.sqrt(0.5))
-    near, far = column[np.abs(m[:, None] - m)], column[(m[:, None] + m) % n]
-    diagonal = np.diag(well[(h + m) % n])
-    even = (near + far) * np.outer(math.sqrt(0.5) / unfold, math.sqrt(0.5) / unfold) + diagonal
-    odd = (near - far + diagonal)[1:h, 1:h]
-    try:
-        even_energies, even_vectors = np.linalg.eigh(even)
-        odd_energies, odd_vectors = np.linalg.eigh(odd)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(f"frozen-well eigensolve failed: {exc}") from exc
-    energies = np.concatenate([even_energies[:n_states], odd_energies[:n_states]])
-    half = np.hstack([even_vectors[:, :n_states] * unfold[:, None],
-                      np.pad(odd_vectors[:, :n_states], ((1, 1), (0, 0))) * math.sqrt(0.5)])
-    parity = np.where(np.arange(len(energies)) < min(n_states, h + 1), 1.0, -1.0)
-    vectors = np.empty((n, len(energies)))
-    vectors[(h + m) % n] = half
-    vectors[h - m] = half * parity
+    diagonal = well[(h + m) % n]
+    buffer = np.empty((h + 1) ** 2)
+    stages = [f"frozen-well eigensolve, {name} block, nu={nu!r}, N={n}" for name in ("even", "odd")]
+    values = []
+    for odd, stage in enumerate(stages):
+        block = _parity_block(column, diagonal, odd, buffer)
+        try:
+            values.append(np.linalg.eigvalsh(block))
+        except np.linalg.LinAlgError as exc:
+            raise NumericsError(f"{stage}: {exc}") from exc
+    energies = np.concatenate([values[0][:n_states], values[1][:n_states]])
     order = np.argsort(energies, kind="stable")[:n_states]
-    energies, vectors = energies[order], vectors[:, order].T
+    even = order < len(values[0][:n_states])
+    half = np.zeros((h + 1, len(order)))
+    # the odd block is still in the buffer; the even block is built again over it
+    half[1:h, ~even] = _kept_vectors(block, energies[order[~even]], stages[1]) * math.sqrt(0.5)
+    block = _parity_block(column, diagonal, 0, buffer)
+    half[:, even] = _kept_vectors(block, energies[order[even]], stages[0]) * unfold[:, None]
+    energies = energies[order]
+    vectors = np.empty((n, len(order)))
+    vectors[(h + m) % n] = half
+    vectors[h - m] = half * np.where(even, 1.0, -1.0)
+    vectors = vectors.T
     # a unit vector is a unit grid state times sqrt(dx): its plain residual is the grid one
     applied = ifft(kinetic * fft(vectors)) + well * vectors
     residuals = np.linalg.norm(applied - energies[:, None] * vectors, axis=1)

@@ -11,15 +11,19 @@ format_number strings, so the bytes are the same either way.  A table
 handed over as a 2-D float64 array takes %.12g in every column without
 looking at its cells.  The rows are then formatted a block at a time, by
 one % operation per block.  Reruns of the same configuration produce
-byte-identical tables.  The manifest carries the fully resolved
-parameter set and the list of written files; its generated_at stamp is
-the only line expected to differ between identical reruns.
+byte-identical tables.  A JSON file is written in one recursive pass,
+in the bytes json.dumps(indent=2, sort_keys=True) writes once numpy
+values are Python ones, with NaN as null.  The manifest carries the
+fully resolved parameter set and the list of written files; its
+generated_at stamp is the only line expected to differ between
+identical reruns.
 """
 
 import dataclasses
 import datetime
 import itertools
 import json
+import math
 import os
 
 import numpy as np
@@ -94,27 +98,51 @@ def write_csv(path, columns, rows):
             fh.write((row_format * (len(chunk) // width)) % chunk)
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
+_ESCAPE = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, depth):
+    """value as JSON text, nested depth levels deep, in the bytes of
+    json.dumps(..., indent=2, sort_keys=True): keys sorted after str(),
+    strings ASCII-escaped, floats by float.__repr__ with NaN as null and
+    +-inf as +-Infinity, numpy scalars and arrays as Python ones, and a
+    complex number as {"im", "re"}."""
+    if isinstance(value, str):
+        return _ESCAPE(value)
+    if value is None:
+        return "null"
     if isinstance(value, (bool, np.bool_)):
-        return bool(value)
+        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
-        return int(value)
+        return int.__repr__(int(value))
     if isinstance(value, (float, np.floating)):
         v = float(value)
-        return None if np.isnan(v) else v
+        if v != v:
+            return "null"
+        if v in (math.inf, -math.inf):
+            return "Infinity" if v > 0 else "-Infinity"
+        return float.__repr__(v)
     if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
-    return value
+        value = {"im": value.imag, "re": value.real}
+    elif isinstance(value, np.ndarray):
+        value = value.tolist()
+    inner = "\n" + "  " * (depth + 1)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = sorted({str(k): v for k, v in value.items()}.items())
+        body = ("," + inner).join(_ESCAPE(k) + ": " + _json_text(v, depth + 1) for k, v in items)
+        return "{" + inner + body + "\n" + "  " * depth + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        body = ("," + inner).join(_json_text(v, depth + 1) for v in value)
+        return "[" + inner + body + "\n" + "  " * depth + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def write_json(path, payload):
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True)
+    text = _json_text(payload, 0)
     with open(path, "w", newline="\n") as fh:
         fh.write(text + "\n")
 

@@ -195,6 +195,24 @@ def test_arithmetic_failure_is_numerical_failure(tmp_path, capsys, override):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("routine, block", [("eigvalsh", "even"), ("solve", "odd")])
+def test_failed_eigensolve_names_its_stage(tmp_path, capsys, monkeypatch, routine, block):
+    # eigvalsh fails on the first block it sees, the even one; the kept
+    # vectors' solves run on the odd block first
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("injected failure")
+
+    monkeypatch.setattr(np.linalg, routine, fail)
+    code, out = run(tmp_path, "eigenstates")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == (
+        f"numerical failure: frozen-well eigensolve, {block} block, "
+        f"nu={REFERENCE.nu!r}, N=512: injected failure\n"
+    )
+    assert not out.exists()
+
+
 def test_refused_run_removes_only_the_directories_it_made(tmp_path, capsys):
     # decay writes decay.csv, then refuses the cascade (exit 3): the file
     # goes, and so do the directories made for it, here two levels deep;

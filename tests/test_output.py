@@ -1,12 +1,16 @@
-"""Byte oracles for the CSV and SVG writers.
+"""Byte oracles for the CSV, JSON and SVG writers.
 
 write_csv picks each column's % spec once per table and formats each
 block of rows by one % operation, and line_plot formats each run of a
 series' pixel pairs by one % operation.  The references
 here are the straightforward writers they replace, one cell or one point
 at a time; every comparison is on the bytes written, both on crafted
-tables and series and on whole scenarios' files.
+tables and series and on whole scenarios' files.  write_json writes
+its text in one recursive pass; its oracle is the json module's encoder
+behind json.dumps(indent=2, sort_keys=True), after a walk that turns
+numpy values into Python ones.
 """
+import json
 import math
 import os
 
@@ -14,8 +18,8 @@ import numpy as np
 import pytest
 
 from slowsound import output
-from slowsound.cli import main
-from slowsound.output import format_number, write_csv
+from slowsound.cli import SCENARIO_NAMES, main
+from slowsound.output import format_number, write_csv, write_json
 from slowsound.svg import _H, _MB, _ML, _MR, _MT, _PALETTE, _W, line_plot
 
 
@@ -212,6 +216,61 @@ def test_all_non_finite_series_draw_nothing(tmp_path):
     assert drawn_marks(path) == []
 
 
+def _python_values(value):
+    if isinstance(value, dict):
+        return {str(k): _python_values(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_python_values(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return [_python_values(v) for v in value.tolist()]
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        v = float(value)
+        return None if np.isnan(v) else v
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    return value
+
+
+def reference_json(payload):
+    return (json.dumps(_python_values(payload), indent=2, sort_keys=True) + "\n").encode()
+
+
+JSON_PAYLOAD = {
+    "floats": SPECIAL_FLOATS + [np.float64(2.5), np.float32(0.1), np.float64(np.nan)],
+    "ints": [0, -7, 2 ** 70, np.int64(-3), np.uint8(200)],
+    "flags": [True, False, np.bool_(True), None],
+    "texts": TEXTS + ["caf\u00e9 \u2713", "tab\there", "back\\slash", "\u0001"],
+    "arrays": {"one": np.linspace(-1.0, 1.0, 5), "two": np.arange(6).reshape(2, 3), "none": np.array([])},
+    "nested": {"empty_dict": {}, "empty_list": [], "tuple": (1, (2.0, "three")), "deep": [[{"z": [{}]}]]},
+    "complex": [1.5 - 2j, np.complex128(complex(0.0, -0.0)), complex(math.inf, 1.0)],
+    3: "int key",
+    2.5: "float key",
+    "": "empty key",
+}
+
+
+def test_json_matches_the_json_module_byte_for_byte(tmp_path):
+    path = tmp_path / "payload.json"
+    for payload in (JSON_PAYLOAD, {}, [], "alone", 1.25, None, math.nan):
+        write_json(path, payload)
+        assert written(path) == reference_json(payload), payload
+
+
+def test_json_writes_nan_inside_a_complex_as_null(tmp_path):
+    path = tmp_path / "payload.json"
+    write_json(path, {"z": complex(math.nan, 1.0)})
+    assert json.loads(written(path)) == {"z": {"im": 1.0, "re": None}}
+
+
+def test_json_refuses_what_it_cannot_write(tmp_path):
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        write_json(tmp_path / "payload.json", {"value": object()})
+
+
 # -- whole scenarios -----------------------------------------------------------
 
 # spectrum's int, bool and NaN-holding float columns take write_csv's %s
@@ -253,6 +312,21 @@ def test_scenario_svg_matches_point_by_point_oracle(tmp_path, monkeypatch):
     [(path, x, series)] = plots
     assert len(x) == 4096 and len(series) == 2
     assert drawn_marks(path) == reference_marks(x, series)
+
+
+@pytest.mark.parametrize("scenario", SCENARIO_NAMES)
+def test_scenario_json_matches_the_json_module(tmp_path, monkeypatch, scenario):
+    # the manifest is checked too, with the stamp its writer made
+    payloads = []
+
+    def checked_write_json(path, payload):
+        write_json(path, payload)
+        assert written(path) == reference_json(payload), path
+        payloads.append(path)
+
+    monkeypatch.setattr(output, "write_json", checked_write_json)
+    main([scenario, "--format", "json", "--out", str(tmp_path / "out")])
+    assert len(payloads) >= 2
 
 
 def test_sink_makes_its_directory_once(tmp_path, monkeypatch):
