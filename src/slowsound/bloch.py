@@ -21,7 +21,8 @@ limit the steady-state probe coherence has the closed form
     rho_e1g = i Omega_p / D,   D = (gamma_0 - 2i Delta_p)
                                    + Omega_c^2 / (gamma_1 - 2i dlt)
 
-which weak_probe_coherences returns, and which the full 9x9 Liouvillian
+which weak_probe_coherences returns (weak_probe_denominator writes D and
+its slope in Delta_p, once), and which the full 9x9 Liouvillian
 steady state must reproduce as Omega_p -> 0 — the two routes share no
 algebra, so their agreement is the master-equation cross-check.
 
@@ -42,6 +43,7 @@ from .params import Params
 __all__ = [
     "DriveConfig",
     "drive_from_params",
+    "weak_probe_denominator",
     "weak_probe_coherences",
     "hamiltonian",
     "liouvillian",
@@ -83,20 +85,28 @@ def drive_from_params(params: Params, rates: DecayRates):
     )
 
 
+def weak_probe_denominator(rates: DecayRates, drive: DriveConfig, probe_detuning):
+    """(D, dD/dDelta_p) of the weak-probe coherence rho_e1g = i Omega_p / D.
+
+    D = (gamma_0 - 2i Delta_p) + Omega_c^2/(gamma_1 - 2i dlt), so
+    dD/dDelta_p = -2i + 2i Omega_c^2 (d dlt/d Delta_p) / (gamma_1 - 2i dlt)^2,
+    where d dlt/d Delta_p is 1 tracking the control and 0 with the
+    two-photon detuning pinned.  probe_detuning may be an array.
+    """
+    dp = np.asarray(probe_detuning, dtype=float)
+    dlt_slope = 1.0 if drive.delta_mode == "track" else 0.0
+    inner = rates.gamma_1 - 2j * dlt_slope * dp
+    dressing = drive.control_rabi ** 2 / inner
+    return (rates.gamma_0 - 2j * dp) + dressing, -2j + 2j * dlt_slope * dressing / inner
+
+
 def weak_probe_coherences(rates: DecayRates, drive: DriveConfig, probe_detuning):
-    """Analytic weak-probe steady-state coherences (rho_e1g, rho_e2g).
+    """Analytic weak-probe steady-state probe coherence rho_e1g = i Omega_p / D.
 
     Valid to first order in Omega_p (population stays in the ground
     state).  probe_detuning may be an array.
     """
-    dp = np.asarray(probe_detuning, dtype=float)
-    dlt = dp if drive.delta_mode == "track" else np.zeros_like(dp)
-    g0, g1 = rates.gamma_0, rates.gamma_1
-    inner = g1 - 2j * dlt
-    denom = (g0 - 2j * dp) + drive.control_rabi ** 2 / inner
-    rho_e1g = 1j * drive.probe_rabi / denom
-    rho_e2g = -1j * drive.control_rabi * rho_e1g / inner
-    return rho_e1g, rho_e2g
+    return 1j * drive.probe_rabi / weak_probe_denominator(rates, drive, probe_detuning)[0]
 
 
 def hamiltonian(drive: DriveConfig, probe_detuning):
@@ -161,28 +171,16 @@ def steady_state_lindblad(rates: DecayRates, drive: DriveConfig, probe_detuning)
 
     Solves L vec(rho) = 0 with one row traded for the trace constraint, all
     detunings in one stacked solve, then validates trace, hermiticity, and
-    positivity of every state.  With no drive the unique fixed point is the
-    ground projector; if decay rates vanish too the equation degenerates and
-    the ground projector is returned by convention (every population
-    distribution would be stationary).
+    positivity of every state.  A system that is singular beyond the trace
+    freedom (no unique steady state) raises NumericsError from solve_dense.
     """
     shape = np.shape(probe_detuning) + (_DIM, _DIM)
-    if drive.probe_rabi == 0.0 and drive.control_rabi == 0.0:
-        if rates.gamma_0 == 0.0 or rates.gamma_1 == 0.0:
-            return np.broadcast_to(ground_projector(), shape).copy()
     l0 = liouvillian(rates, drive, 0.0)
     mat = l0 + np.multiply.outer(probe_detuning, liouvillian(rates, drive, 1.0) - l0)
     rhs = np.eye(_DIM * _DIM, dtype=complex)[0]
     mat[..., 0, :] = 0.0
     mat[..., 0, [0, 4, 8]] = 1.0
-    try:
-        vec = solve_dense(mat, rhs)
-    except NumericsError as exc:
-        # Singular beyond the trace freedom: dissipation-free degenerate
-        # sector.  Fall back to the undriven rest state at those points.
-        vec = np.broadcast_to(ground_projector().ravel(), mat.shape[:-1]).copy()
-        vec[~exc.failed] = solve_dense(mat[~exc.failed], rhs)
-    return _validate_state(vec.reshape(shape))
+    return _validate_state(solve_dense(mat, rhs).reshape(shape))
 
 
 def evolve_master_equation(rates: DecayRates, drive: DriveConfig, probe_detuning, rho0, times):

@@ -5,12 +5,13 @@
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 validation-suite failure (the validate scenario reported FAIL rows).
-main() maps them in one try with one except clause per exit code: any
-ValueError (ConfigError, an --out that cannot be written, a parameter
-outside the qutrit window) is a configuration error, and a NumericsError
-or ArithmeticError a numerical failure.  Outputs for a given configuration
-are byte-identical across reruns except for the manifest's generated_at
-stamp.  On error, partially written outputs are removed.
+main() maps them in one try with one except clause per exit code: a
+ConfigError (a bad key or value, an --out that cannot be written, a
+parameter outside the qutrit window, an opaque medium) is a configuration
+error, and a NumericsError, an ArithmeticError or any other ValueError a
+numerical failure.  Outputs for a given configuration are byte-identical
+across reruns except for the manifest's generated_at stamp.  On error,
+partially written outputs are removed.
 
 Heavy imports happen inside main() so that --threads can pin the BLAS
 thread pools before numpy first loads; the physics itself is
@@ -109,13 +110,14 @@ def main(argv=None):
             summary = SCENARIOS[args.scenario](params, sink)
             produced = list(sink.written)
             write_manifest(sink.path("manifest.json"), params, args.scenario, produced, formats)
-    except ValueError as exc:
+    except ConfigError as exc:
         # Domain violations (parameters outside the qutrit window, opaque
-        # medium, bad state indices) are configuration-class problems.
+        # medium) are configuration-class problems.
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NumericsError, ArithmeticError) as exc:
-        # overflow or division by zero inside the physics at extreme inputs
+    except (NumericsError, ArithmeticError, ValueError) as exc:
+        # overflow or division by zero inside the physics at extreme
+        # inputs; a ValueError past the configuration is an internal fault
         detail = exc if isinstance(exc, NumericsError) else f"{type(exc).__name__}: {exc}"
         print(f"numerical failure: {detail}", file=sys.stderr)
         return 3

@@ -12,11 +12,12 @@ where the two disagree:
 * the overlap integral g_quadrature(l, l', k) of the defining expression
   g12 * integral phi_l phi_l' psi_sol (u_k + v_k) dx with psi_sol =
   sqrt(n0) tanh(x) and the soliton-frame mode amplitudes, evaluated
-  exactly as a finite sum of Gamma-function moments of sech powers (the
-  integrand is sech^(2 alpha) e^{ikx} times a polynomial in tanh); it
-  also provides the intraband amplitudes (l = l') that the closed forms
-  do not cover.  It keeps the name of the trapezoid sum it replaced
-  (see its docstring).
+  exactly as a finite sum of the Gamma-function moments of sech powers
+  (the integrand is sech^(2 alpha) e^{ikx} times a polynomial in tanh).
+  numerics.sech_moments evaluates the moments, the same rule that gives
+  the states' norms at k = 0.  It also provides the intraband amplitudes
+  (l = l') that the closed forms do not cover, and keeps the name of the
+  trapezoid sum it replaced (see its docstring).
 
 Every function here takes a float k or an array of k, and returns a value
 or an array of k's shape.
@@ -33,7 +34,7 @@ import math
 import numpy as np
 
 from .bogoliubov import dispersion
-from .numerics import log_abs_gamma
+from .numerics import sech_moments
 from .params import Params
 from .qutrit import ImpurityStates
 
@@ -92,40 +93,6 @@ def g1_closed(k, params: Params):
     return 1j * pref * bracket * csch(math.pi * k / 2.0)
 
 
-def _sech_moments(alpha, k):
-    """M_m = integral of tanh^m sech^(2 alpha) e^{ikx} dx over the line, m = 0..7.
-
-    Three identities give every M_m exactly from F_a = integral of
-    sech^(2a) e^{ikx} dx at a = alpha, ..., alpha + 3:
-
-    * F_a = 2^(2a-1) |Gamma(a + ik/2)|^2 / Gamma(2a) (Gradshteyn & Ryzhik
-      3.985.1), so F_(a+1) = F_a (4a^2 + k^2) / (2a (2a+1));
-    * integral of tanh sech^(2a) e^{ikx} dx = (ik/2a) F_a, by parts;
-    * tanh^2 = 1 - sech^2, so M_(m+2) at a is M_m at a less M_m at a + 1.
-
-    Returns a list of eight values of k's shape, real for even m and
-    imaginary for odd m.
-    """
-    f = [
-        np.exp(
-            (2.0 * alpha - 1.0) * math.log(2.0)
-            + 2.0 * log_abs_gamma(alpha, 0.5 * k)
-            - math.lgamma(2.0 * alpha)
-        )
-    ]
-    k2 = k * k
-    for a in alpha + np.arange(3.0):
-        f.append(f[-1] * ((4.0 * a * a + k2) / (2.0 * a * (2.0 * a + 1.0))))
-    even = f
-    odd = [(0.5j / (alpha + j)) * k * f_a for j, f_a in enumerate(f)]
-    moments = []
-    while even:
-        moments += [even[0], odd[0]]
-        even = [p - q for p, q in zip(even, even[1:])]
-        odd = [p - q for p, q in zip(odd, odd[1:])]
-    return moments
-
-
 def g_quadrature(l, lp, k, params: Params):
     """Overlap-integral coupling between impurity states l and l' at wavevector k.
 
@@ -135,7 +102,7 @@ def g_quadrature(l, lp, k, params: Params):
     (ImpurityStates.polynomials) and 2 sqrt(pi) eps (u_k + v_k) e^{-ikx}
     is (k^3 + 2k) + 2ik^2 t - 2k t^2, so the integrand is s^(2 alpha)
     e^{ikx} times a polynomial in t of degree at most 7: a finite sum of
-    the moments of _sech_moments, one log-gamma per k.
+    the moments of numerics.sech_moments, one log-gamma per k.
 
     The name is that of the uniform trapezoid sum this replaced, kept
     because scenarios, tests and profiling hooks call it by name; the
@@ -149,7 +116,7 @@ def g_quadrature(l, lp, k, params: Params):
     weight = math.sqrt(params.density_xi) * np.convolve(
         states.polynomials[l], states.polynomials[lp]
     )
-    moments = _sech_moments(states.exponent, k)
+    moments = sech_moments(states.exponent, k)
     envelope = (k * k * k + 2.0 * k, 2j * k * k, -2.0 * k)
     total = sum(
         w * sum(e * moments[m + 1 + j] for j, e in enumerate(envelope))

@@ -60,7 +60,7 @@ import numpy as np
 from .bogoliubov import dispersion, dispersion_derivative, resonant_wavevector
 from .coupling import csch, g0_closed, g1_closed
 from .numerics import NumericsError
-from .params import Params
+from .params import ConfigError, Params
 from .qutrit import NotAQutrit, spectrum
 
 __all__ = [
@@ -149,12 +149,12 @@ def decay_rates(params: Params):
     N0/(n0 xi).  The lower line's resonant wavevector and |g0|^2 there are
     returned with the rates, so a sweep's chi prefactor comes from the
     same coupling as gamma_0.  Parameters outside the qutrit window raise
-    ValueError (rates of a two-level or scattering-dominated configuration
+    ConfigError (rates of a two-level or scattering-dominated configuration
     are out of scope).
     """
     spec = spectrum(params)
     if isinstance(spec, NotAQutrit):
-        raise ValueError(spec.reason)
+        raise ConfigError(spec.reason)
     weight = params.impurity_norm / params.density_xi
     k0, k1 = (float(resonant_wavevector(w)) for w in (spec.omega_0, spec.omega_1))
     g0_sq = abs(g0_closed(k0, params)) ** 2

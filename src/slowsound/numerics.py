@@ -1,9 +1,10 @@
 """Shared numerical kernels: special functions, FFT, dense solves, RK4.
 
-No integral of the chain goes through this module: state norms and mode
-overlaps are closed forms in Gamma-function moments (qutrit and coupling,
-with gamma_fn, hyp2f1 and log_abs_gamma from here), and the decay rates
-are golden-rule closed forms.  What is here serves the routes that need a
+Every integral of the chain is a closed form.  State norms and mode
+overlaps are sums of the Gamma-function moments of sech powers, whose one
+evaluator is sech_moments here (qutrit at k = 0, coupling over k); hyp2f1
+serves the printed norm constants validate reports, and the decay rates
+are golden-rule closed forms.  The rest serves the routes that need a
 grid or a solver: FFTs for the frozen-well eigensolve and the coupled
 ground state (gpe) and for pulse propagation (response), dense solves and
 RK4 for the driven Lindblad dynamics (bloch), and the Hilbert transform
@@ -28,8 +29,8 @@ __all__ = [
     "NumericsError",
     "Grid1D",
     "integrate_line",
-    "gamma_fn",
     "log_abs_gamma",
+    "sech_moments",
     "hyp2f1",
     "find_root",
     "fft",
@@ -42,8 +43,6 @@ __all__ = [
 
 class NumericsError(RuntimeError):
     """Raised when a numerical routine cannot meet its accuracy contract."""
-
-    failed = None  # set by solve_dense: which systems of the stack failed
 
 
 def _is_power_of_two(n):
@@ -171,18 +170,6 @@ def integrate_line(f, a=-math.inf, b=math.inf, tol=1e-10, max_depth=52):
 # Special functions
 # ----------------------------------------------------------------------
 
-def gamma_fn(z):
-    """Gamma function for real z > 0.
-
-    Thin wrapper over the C library implementation; the positive-real
-    domain restriction is all this package needs and keeps pole handling
-    out of callers.
-    """
-    if not (z > 0):
-        raise NumericsError(f"gamma_fn requires z > 0, got {z!r}")
-    return math.gamma(z)
-
-
 # Stirling coefficients B_2n / (2n (2n - 1)), n = 1..7
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
 
@@ -205,6 +192,42 @@ def log_abs_gamma(a, y):
     stirling = (w - 0.5) * np.log(w) - w + 0.5 * math.log(2.0 * math.pi) + series / w
     shift = np.log(np.square(a + np.arange(8.0)) + (y * y)[..., None]).sum(axis=-1)
     return stirling.real - 0.5 * shift
+
+
+def sech_moments(alpha, k):
+    """M_m = integral of tanh^m sech^(2 alpha) e^{ikx} dx over the line, m = 0..7.
+
+    Three identities give every M_m exactly from F_a = integral of
+    sech^(2a) e^{ikx} dx at a = alpha, ..., alpha + 3:
+
+    * F_a = 2^(2a-1) |Gamma(a + ik/2)|^2 / Gamma(2a) (Gradshteyn & Ryzhik
+      3.985.1), so F_(a+1) = F_a (4a^2 + k^2) / (2a (2a+1));
+    * integral of tanh sech^(2a) e^{ikx} dx = (ik/2a) F_a, by parts;
+    * tanh^2 = 1 - sech^2, so M_(m+2) at a is M_m at a less M_m at a + 1.
+
+    Returns a list of eight values of k's shape, real for even m and
+    imaginary for odd m.  This is the package's one evaluator of these
+    integrals: the norms of the impurity states (qutrit, at k = 0) and the
+    coupling overlaps (coupling.g_quadrature) are contractions of it.
+    """
+    f = [
+        np.exp(
+            (2.0 * alpha - 1.0) * math.log(2.0)
+            + 2.0 * log_abs_gamma(alpha, 0.5 * k)
+            - math.lgamma(2.0 * alpha)
+        )
+    ]
+    k2 = k * k
+    for a in alpha + np.arange(3.0):
+        f.append(f[-1] * ((4.0 * a * a + k2) / (2.0 * a * (2.0 * a + 1.0))))
+    even = f
+    odd = [(0.5j / (alpha + j)) * k * f_a for j, f_a in enumerate(f)]
+    moments = []
+    while even:
+        moments += [even[0], odd[0]]
+        even = [p - q for p, q in zip(even, even[1:])]
+        odd = [p - q for p, q in zip(odd, odd[1:])]
+    return moments
 
 
 def _hyp_series(a, b, c, z, tol, max_terms):
@@ -346,8 +369,8 @@ def solve_dense(matrix, rhs, residual_tol=1e-10):
     matrix is (n, n) or a (..., n, n) stack, rhs one length-n vector or one
     per system.  Delegates to LAPACK's partial-pivot LU via numpy and
     enforces the residual bound ||Ax - b|| <= residual_tol * max(1, ||b||)
-    on every system, raising NumericsError (failed marks which) on singular
-    or ill-conditioned systems instead of returning junk.
+    on every system, raising NumericsError (counting the failed systems) on
+    singular or ill-conditioned systems instead of returning junk.
     """
     a = np.asarray(matrix)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -360,10 +383,8 @@ def solve_dense(matrix, rhs, residual_tol=1e-10):
     residual = np.linalg.norm(a @ x - b[..., None], axis=(-2, -1))
     failed = singular | ~(residual <= residual_tol * np.maximum(1.0, np.linalg.norm(b, axis=-1)))
     if np.any(failed):
-        err = NumericsError(f"{np.count_nonzero(failed)} of {failed.size} dense solves"
+        raise NumericsError(f"{np.count_nonzero(failed)} of {failed.size} dense solves"
                             f" singular or above residual {residual_tol:g}")
-        err.failed = failed
-        raise err
     return x[..., 0]
 
 

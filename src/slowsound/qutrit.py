@@ -24,12 +24,16 @@ Two wavefunction families are exposed:
 
 * the closed-form ansatz family phi_0 = A0 sech^alpha, phi_1 = 2 A1 tanh
   phi_0, phi_2 = sqrt(2) A2 (1 - (1+3 alpha) tanh^2) phi_0 with exponent
-  alpha = sqrt(2 r_g r_m), normalized through the gamma-function moments
-  of sech powers; the printed closed constants (gamma / hypergeometric)
-  and a trapezoid sum are kept for cross-check reporting;
+  alpha = sqrt(2 r_g r_m); the printed closed constants (gamma /
+  hypergeometric) and a trapezoid sum are kept for cross-check reporting;
 * the exact eigenfunctions of the Poschl-Teller well itself
   (poschl_teller_state), the closed-form shapes the frozen-well
   eigensolve is compared against.
+
+Both families are sech^a(x) times a polynomial in tanh(x) (_profile), and
+every norm and overlap is one contraction of the polynomials' product with
+numerics.sech_moments(a, 0) (_inner), the moments that
+coupling.g_quadrature contracts over k.
 
 The ansatz phi_2 is not analytically orthogonal to phi_0 (the overlap is
 O(0.1) for window exponents); when the measured overlap exceeds 1e-3 the
@@ -43,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NumericsError, gamma_fn, hyp2f1
+from .numerics import NumericsError, hyp2f1, sech_moments
 from .params import Params, coupling_ratio_for_nu, nu_from_ratios
 
 __all__ = [
@@ -178,7 +182,7 @@ def _closed_norm_constants(alpha):
     they are computed anyway so the validation output can quantify the
     discrepancy.
     """
-    a0 = (math.sqrt(math.pi) * gamma_fn(alpha) / gamma_fn((1.0 + 2.0 * alpha) / 2.0)) ** -0.5
+    a0 = (math.sqrt(math.pi) * math.gamma(alpha) / math.gamma((1.0 + 2.0 * alpha) / 2.0)) ** -0.5
 
     f1 = hyp2f1(alpha, 2.0 * (1.0 + alpha), 1.0 + alpha, -1.0)
     f2 = hyp2f1(1.0 + alpha, 2.0 * (1.0 + alpha), 2.0 + alpha, -1.0)
@@ -197,8 +201,8 @@ def _closed_norm_constants(alpha):
         * alpha ** 2
         * math.sqrt(math.pi)
         * (6.0 + 5.0 * alpha + alpha ** 2)
-        * gamma_fn(alpha)
-        / (16.0 * gamma_fn(2.5 + alpha))
+        * math.gamma(alpha)
+        / (16.0 * math.gamma(2.5 + alpha))
         + 3.0 * 2.0 ** (2.0 * (1.0 + alpha)) * alpha * (2.0 + 3.0 * alpha) * g1 / (1.0 + alpha)
         + 4.0 ** (2.0 + alpha) * g2 / (2.0 + alpha)
         + 3.0 * 2.0 ** (2.0 * (2.0 + alpha)) * alpha * g2 / (2.0 + alpha)
@@ -220,59 +224,34 @@ class ImpurityStates:
     ascending powers (A0; 2 A1 A0 tanh; phi_2 after Gram-Schmidt), the one
     place the constants live, so coupling.g_quadrature integrates the
     states exactly.  states[l] evaluates phi_l on scalar or array x.  The
-    normalization constants come from the closed-form moments of sech
-    powers (_sech_moment, with tanh^2 = 1 - sech^2);
-    normalization_report() sets them against the printed closed-form
-    constants and a trapezoid sum.  phi_2 is Gram-Schmidt orthogonalized
-    against phi_0 when their raw overlap exceeds 1e-3 (it always does for
-    window exponents) and `orthogonalized` records it.
+    raw polynomials 1, tanh and 1 - (1 + 3 alpha) tanh^2 are normalized
+    by _inner, a contraction of numerics.sech_moments at k = 0;
+    normalization_report() sets the constants against the printed
+    closed-form constants and a trapezoid sum.  phi_2 is Gram-Schmidt
+    orthogonalized against phi_0 when their raw overlap exceeds 1e-3 (it
+    always does for window exponents) and `orthogonalized` records it.
     """
 
     def __init__(self, params: Params):
         alpha = math.sqrt(2.0 * params.coupling_ratio * params.mass_ratio)
         self.exponent = alpha
-
-        # Moments Im = integral of sech^(2 alpha) tanh^(2m), m = 0, 1, 2.
-        s0, s1, s2 = (_sech_moment(alpha + j) for j in range(3))
-        i0 = s0
-        i1 = s0 - s1
-        i2 = s0 - 2.0 * s1 + s2
-
-        a0 = i0 ** -0.5
-        a1 = (4.0 * a0 ** 2 * i1) ** -0.5
-        c2 = 1.0 + 3.0 * alpha
-        # |phi2_raw|^2 = 2 A2^2 A0^2 * integral (1 - c2 tanh^2)^2 sech^(2 alpha)
-        w2 = i0 - 2.0 * c2 * i1 + c2 ** 2 * i2
-        a2 = (2.0 * a0 ** 2 * w2) ** -0.5
+        moments = sech_moments(alpha, 0.0)
+        raw = ([1.0], [0.0, 1.0], [1.0, 0.0, -(1.0 + 3.0 * alpha)])
+        p0, p1, p2 = (np.array(p) / math.sqrt(_inner(p, p, moments)) for p in raw)
 
         # Raw overlap <phi0|phi2> before orthogonalization (phi1 is odd, so
         # the other pairs vanish by parity).
-        overlap_raw = math.sqrt(2.0) * a2 * a0 ** 2 * (i0 - c2 * i1)
+        overlap_raw = _inner(p0, p2, moments)
         self.overlap_raw_02 = overlap_raw
         self.orthogonalized = abs(overlap_raw) > 1e-3
-
-        # phi_l = sech^alpha P_l(tanh), P_l in ascending powers of tanh
-        p2 = math.sqrt(2.0) * a2 * a0 * np.array([1.0, 0.0, -c2])
         if self.orthogonalized:
-            # phi2 <- (phi2 - phi0 <phi0|phi2>) / norm; the residual norm
-            # follows from the moments already in hand.
-            p2[0] -= overlap_raw * a0
-            p2 /= math.sqrt(max(1.0 - overlap_raw ** 2, 1e-300))
-        self.polynomials = (np.array([a0]), np.array([0.0, 2.0 * a1 * a0]), p2)
+            # phi2 <- (phi2 - phi0 <phi0|phi2>) / norm
+            p2[0] -= overlap_raw * p0[0]
+            p2 /= math.sqrt(_inner(p2, p2, moments))
+        self.polynomials = (p0, p1, p2)
 
     def __getitem__(self, l):
-        coefficients = self.polynomials[l]
-        alpha = self.exponent
-
-        def profile(x):
-            x = np.asarray(x, dtype=float)
-            t = np.tanh(x)
-            value = 0.0
-            for c in coefficients[::-1]:
-                value = value * t + c
-            return value * np.cosh(x) ** -alpha
-
-        return profile
+        return _profile(self.polynomials[l], self.exponent)
 
     def overlap(self, l, lp):
         """Trapezoid sum of phi_l phi_l' over |x| <= 40 at step 0.05."""
@@ -326,16 +305,36 @@ def _line_trapezoid(y):
     return float(0.05 * (np.sum(y) - 0.5 * (y[0] + y[-1])))
 
 
-def _sech_moment(a):
-    """integral of sech^(2a) x dx over the line = sqrt(pi) G(a)/G(a+1/2)."""
-    return math.sqrt(math.pi) * gamma_fn(a) / gamma_fn(a + 0.5)
+def _inner(p, q, moments):
+    """integral of sech^(2a) P(tanh) Q(tanh) dx over the line.
+
+    p and q hold the coefficients of P and Q in ascending powers of tanh
+    (degree at most 7 together) and moments is sech_moments(a, 0), so
+    the integral is sum_m conv(p, q)_m M_m.
+    """
+    return float(sum(c * moments[m].real for m, c in enumerate(np.convolve(p, q))))
+
+
+def _profile(coefficients, a):
+    """x -> sech^a(x) P(tanh x), P's coefficients in ascending powers (Horner)."""
+
+    def profile(x):
+        x = np.asarray(x, dtype=float)
+        t = np.tanh(x)
+        value = 0.0
+        for c in coefficients[::-1]:
+            value = value * t + c
+        return value * np.cosh(x) ** -a
+
+    return profile
 
 
 def poschl_teller_state(n, nu):
     """Exact normalized eigenfunction of the -nu(nu+1)/2 sech^2 well.
 
     Returns the profile, a callable over x; its energy is ladder()'s
-    E'_n.  Only n = 0, 1, 2 are implemented:
+    E'_n.  Only n = 0, 1, 2 are implemented, each sech^(nu-n)(x) times a
+    polynomial in tanh(x):
 
         n = 0:  sech^nu(x)
         n = 1:  tanh(x) sech^(nu-1)(x)
@@ -343,9 +342,9 @@ def poschl_teller_state(n, nu):
 
     A state is square-integrable only for nu > n; requesting an unbound
     index raises ValueError so callers cannot silently treat a scattering
-    state as bound.  Norms are evaluated through the gamma-function
-    moments of sech (slowly decaying tails make these integrands
-    awkward for quadrature but trivial in closed form).
+    state as bound.  Norms are contractions of the gamma-function moments
+    of sech (_inner; slowly decaying tails make these integrands awkward
+    for quadrature but trivial in closed form).
     """
     if n not in (0, 1, 2):
         raise ValueError(f"only n in {{0, 1, 2}} supported, got {n!r}")
@@ -353,25 +352,6 @@ def poschl_teller_state(n, nu):
         raise ValueError(
             f"Poschl-Teller state n={n} is unbound for nu={nu:.6g} (needs nu > n)"
         )
-
-    if n == 0:
-        shape = lambda x: np.cosh(x) ** (-nu)
-        norm2 = _sech_moment(nu)
-    elif n == 1:
-        shape = lambda x: np.tanh(x) * np.cosh(x) ** (-(nu - 1.0))
-        # tanh^2 sech^(2nu-2) = sech^(2nu-2) - sech^(2nu)
-        norm2 = _sech_moment(nu - 1.0) - _sech_moment(nu)
-    else:
-        c = 2.0 * nu - 1.0
-        shape = lambda x: (c * np.tanh(x) ** 2 - 1.0) * np.cosh(x) ** (-(nu - 2.0))
-        # (c t^2 - 1)^2 sech^(2nu-4) with t^2 = 1 - sech^2 expands to
-        # (c-1)^2 sech^(2nu-4) - 2c(c-1) sech^(2nu-2) + c^2 sech^(2nu)
-        s0, s1, s2 = (_sech_moment(nu - 2.0), _sech_moment(nu - 1.0), _sech_moment(nu))
-        norm2 = (c - 1.0) ** 2 * s0 - 2.0 * c * (c - 1.0) * s1 + c * c * s2
-
-    scale = norm2 ** -0.5
-
-    def profile(x):
-        return scale * shape(np.asarray(x, dtype=float))
-
-    return profile
+    coefficients = np.array(([1.0], [0.0, 1.0], [-1.0, 0.0, 2.0 * nu - 1.0])[n])
+    moments = sech_moments(nu - n, 0.0)
+    return _profile(coefficients / math.sqrt(_inner(coefficients, coefficients, moments)), nu - n)

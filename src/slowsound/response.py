@@ -44,11 +44,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import DriveConfig, drive_from_params, weak_probe_coherences
+from .bloch import DriveConfig, drive_from_params, weak_probe_coherences, weak_probe_denominator
 from .bogoliubov import dispersion
 from .decay import DecayRates, decay_rates
 from .numerics import fft, ifft
-from .params import Params
+from .params import ConfigError, Params
 
 __all__ = [
     "SusceptibilityCurve",
@@ -199,7 +199,7 @@ def susceptibility_curve(params: Params, detunings=None):
     coupling.  They equal the closed-form rates (gamma_closed) to
     rounding.  The drive follows from params and gamma_0
     (drive_from_params), and parameters outside the qutrit window raise
-    ValueError from decay_rates.
+    ConfigError from decay_rates.
     """
     return susceptibility_at_rates(params, decay_rates(params), detunings)
 
@@ -220,7 +220,7 @@ def susceptibility_at_rates(params: Params, rates: DecayRates, detunings=None):
     k0 = rates.carrier_k
     eps0 = float(dispersion(k0))
     prefactor = params.soliton_concentration * rates.carrier_coupling / eps0
-    rho_e1g, _ = weak_probe_coherences(rates, drive, detunings)
+    rho_e1g = weak_probe_coherences(rates, drive, detunings)
     return SusceptibilityCurve(
         detunings=detunings,
         chi=prefactor * rho_e1g / drive.probe_rabi,
@@ -335,18 +335,10 @@ class GroupVelocityCurve:
 def _chi_slope(curve: SusceptibilityCurve):
     """d chi / d Delta of a sweep, in closed form.
 
-    chi is proportional to 1/D with D = (gamma_0 - 2i Delta) +
-    Omega_c^2/(gamma_1 - 2i dlt) (bloch.weak_probe_coherences), so
-    chi' = -chi D'/D with D' = -2i + 2i Omega_c^2 (d dlt/d Delta) /
-    (gamma_1 - 2i dlt)^2, where d dlt/d Delta is 1 tracking the control
-    and 0 with the two-photon detuning pinned.
+    chi is proportional to 1/D, the weak-probe denominator, so
+    chi' = -chi D'/D with D and D' from bloch.weak_probe_denominator.
     """
-    rates, drive, dp = curve.rates, curve.drive, curve.detunings
-    dlt_slope = 1.0 if drive.delta_mode == "track" else 0.0
-    inner = rates.gamma_1 - 2j * dlt_slope * dp
-    dressing = drive.control_rabi**2 / inner
-    denom = (rates.gamma_0 - 2j * dp) + dressing
-    d_denom = -2j + 2j * dlt_slope * dressing / inner
+    denom, d_denom = weak_probe_denominator(curve.rates, curve.drive, curve.detunings)
     return -curve.chi * d_denom / denom
 
 
@@ -418,7 +410,7 @@ class PulseReport:
 _PULSE_SAMPLES = 4096
 
 
-class OpaqueMedium(ValueError):
+class OpaqueMedium(ConfigError):
     """propagate_envelope's refusal: the medium has no transparency window."""
 
 
@@ -443,7 +435,7 @@ def propagate_envelope(curve: SusceptibilityCurve, distance, window_fraction=0.1
     its detuning nearest zero (the default grid holds zero), and its
     params and rates, at which chi is re-evaluated on the FFT grid.
     Raises ValueError unless distance and window_fraction are finite and
-    positive, and OpaqueMedium (a ValueError) when the medium has no
+    positive, and OpaqueMedium (a ConfigError) when the medium has no
     transparency window to carry the pulse.
     """
     for name, value in (("distance", distance), ("window_fraction", window_fraction)):

@@ -34,7 +34,7 @@ from slowsound.coupling import g0_closed, g1_closed, g_quadrature
 from slowsound.decay import cascade, decay_rates, gamma_closed
 from slowsound.gpe import frozen_well, well_eigenstates
 from slowsound.numerics import hilbert_transform
-from slowsound.params import Params, coupling_ratio_for_nu, nu_from_ratios
+from slowsound.params import ConfigError, Params, coupling_ratio_for_nu, nu_from_ratios
 from slowsound.qutrit import (
     QUTRIT_NU_MAX,
     QUTRIT_NU_MIN,
@@ -261,7 +261,7 @@ def scenario_couplings(params: Params, sink):
     columns = ["k", "abs_g00", "abs_g11", "abs_g22", "abs_g0_closed", "abs_g1_closed"]
     sink.csv("couplings.csv", columns, np.column_stack((ks, *intra, g0, g1)))
 
-    rates = decay_rates(params)  # raises ValueError outside the qutrit window
+    rates = decay_rates(params)  # raises ConfigError outside the qutrit window
     k0, k1 = rates.carrier_k, resonant_wavevector(rates.omega_1)
     g0_c = abs(g0_closed(k0, params))
     g1_c = abs(g1_closed(k1, params))
@@ -310,8 +310,8 @@ def scenario_susceptibility(params: Params, sink):
         p = replace(params, coupling_ratio=rg)
         try:
             p_rates = decay_rates(p)
-        except ValueError as exc:
-            raise ValueError(f"comparison curve at coupling_ratio={rg:g}: {exc}") from exc
+        except ConfigError as exc:
+            raise ConfigError(f"comparison curve at coupling_ratio={rg:g}: {exc}") from exc
         for mult in (0.2, 2.0):
             family[(rg, mult)] = susceptibility_at_rates(
                 replace(p, control_rabi_gamma0=mult), p_rates, d
@@ -846,7 +846,7 @@ def check_lindblad(params, rates):
 
     def route_gap(dv, sweep, states):
         """Largest gap of the Lindblad coherence from the weak-probe one, relative."""
-        co_a = weak_probe_coherences(rates, dv, sweep)[0]
+        co_a = weak_probe_coherences(rates, dv, sweep)
         return float(np.max(np.abs(states[:, 1, 0] - co_a)) / np.max(np.abs(co_a)))
 
     sweep = np.linspace(-20.0 * rates.gamma_0, 20.0 * rates.gamma_0, 200)
@@ -997,7 +997,7 @@ def scenario_validate(params: Params, sink):
     """Cross-check battery: closed forms vs numerical oracles.
 
     The rows come from CHECKS in order, each over params and the one
-    decay_rates(params) made here (ValueError outside the qutrit window).
+    decay_rates(params) made here (ConfigError outside the qutrit window).
     A row is PASS/FAIL against a stated criterion, or REPORT for a measured
     quantity with no asserted target.  Three rows transcribe tail, shape and
     dominance claims about the coupling family that the overlap-integral

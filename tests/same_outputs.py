@@ -17,12 +17,15 @@ left unchanged.  Each run writes into its own directory, named by its
 position in the set, and records its exit code, stdout and stderr.  The
 two trees must then agree on every exit code, stdout and stderr, on the
 set of files written, and on every CSV, JSON and SVG byte for byte; a
-manifest.json may differ only in its generated_at stamp.
+manifest.json may differ only in its generated_at stamp.  For a CSV or
+JSON file that differs, the listing gives the largest relative
+difference between the numbers at the same position in the two files.
 
 Exits 0 when the trees agree, and 1 after listing the differences.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -104,6 +107,54 @@ def _same_file(a, b):
     return manifests[0] == manifests[1]
 
 
+def _numbers(path):
+    """The numbers of a CSV or JSON file, keyed by their position in it.
+
+    A CSV cell or a JSON string that reads as a number counts as one.
+    """
+    text = path.read_text()
+    found = {}
+
+    def keep(key, value):
+        try:
+            found[key] = float(value)
+        except ValueError:
+            pass
+
+    if path.suffix == ".csv":
+        for i, line in enumerate(text.splitlines()):
+            for j, cell in enumerate(line.split(",")):
+                keep((i, j), cell)
+        return found
+
+    def walk(node, key):
+        if isinstance(node, dict):
+            for name, value in node.items():
+                walk(value, (*key, name))
+        elif isinstance(node, list):
+            for i, value in enumerate(node):
+                walk(value, (*key, i))
+        elif isinstance(node, (int, float, str)) and not isinstance(node, bool):
+            keep(key, node)
+
+    walk(json.loads(text), ())
+    return found
+
+
+def largest_relative_difference(a, b):
+    """max |x - y| / max(|x|, |y|) over the numbers at the same position of a and b."""
+    numbers_a, numbers_b = _numbers(a), _numbers(b)
+    worst = 0.0
+    for key in numbers_a.keys() & numbers_b.keys():
+        x, y = numbers_a[key], numbers_b[key]
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        scale = max(abs(x), abs(y))
+        finite = math.isfinite(scale) and not math.isnan(x - y)
+        worst = max(worst, abs(x - y) / scale if finite else math.inf)
+    return worst
+
+
 def differences(parent_root, parent_records, change_root, change_records):
     """Yield a line for every way the change's runs depart from the parent's."""
     if len(parent_records) != len(change_records):
@@ -117,8 +168,13 @@ def differences(parent_root, parent_records, change_root, change_records):
         side = "parent" if name in parent_files else "change"
         yield f"{name}: written by the {side} only"
     for name in sorted(parent_files.keys() & change_files.keys()):
-        if not _same_file(parent_files[name], change_files[name]):
-            yield f"{name}: contents differ"
+        parent, change = parent_files[name], change_files[name]
+        if not _same_file(parent, change):
+            detail = ""
+            if parent.suffix in (".csv", ".json"):
+                worst = largest_relative_difference(parent, change)
+                detail = f", largest relative difference {worst:.3g}"
+            yield f"{name}: contents differ{detail}"
 
 
 def main(argv):

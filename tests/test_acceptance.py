@@ -119,7 +119,7 @@ def test_criterion_04_cascade_unitarity_and_ode_match():
 def test_criterion_05_steady_state_equivalence():
     drive = drive_from_params(REFERENCE, RATES)
     detunings = np.linspace(-20.0, 20.0, 200) * RATES.gamma_0
-    analytic, _ = weak_probe_coherences(RATES, drive, detunings)
+    analytic = weak_probe_coherences(RATES, drive, detunings)
     rho = steady_state_lindblad(RATES, drive, detunings)
     worst = float(np.max(np.abs(rho[:, 1, 0] / analytic - 1.0)))
     ok = worst < 0.01

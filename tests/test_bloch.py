@@ -16,6 +16,7 @@ from slowsound.bloch import (
 )
 from slowsound import bloch
 from slowsound.decay import decay_rates
+from slowsound.numerics import NumericsError
 from slowsound.params import REFERENCE
 
 RATES = decay_rates(REFERENCE)
@@ -69,7 +70,7 @@ def test_steady_state_is_a_fixed_point_and_physical():
 def test_weak_probe_matches_lindblad():
     """First-order coherences against the full steady state at small probe."""
     dets = np.linspace(-3.0, 3.0, 11) * RATES.gamma_0
-    rho_eg_weak, _ = weak_probe_coherences(RATES, DRIVE, dets)
+    rho_eg_weak = weak_probe_coherences(RATES, DRIVE, dets)
     for i, det in enumerate(dets):
         rho = steady_state_lindblad(RATES, DRIVE, float(det))
         # coherence between the probe-coupled excited state and the ground
@@ -127,23 +128,20 @@ def test_stacked_steady_states_match_one_solve_per_detuning(mode):
         assert np.array_equal(rho, steady_state_lindblad(RATES, drive, float(det))), det
 
 
-def test_singular_point_falls_back_alone(monkeypatch):
-    """One singular system in the stack: only that point becomes the ground
-    projector."""
+def test_singular_point_raises(monkeypatch):
+    """One singular system in the stack: no steady state is made up for it,
+    the sweep raises."""
     dets = np.array([-1.0, 0.0, 1.0]) * RATES.gamma_0
-    regular = steady_state_lindblad(RATES, DRIVE, dets)
     true_solve = bloch.solve_dense
 
     def dead_middle(mat, rhs):
-        if len(mat) == 3:  # the full stack, not the fallback's re-solve
-            mat = mat.copy()
-            mat[1, 1:] = 0.0
+        mat = mat.copy()
+        mat[1, 1:] = 0.0
         return true_solve(mat, rhs)
 
     monkeypatch.setattr(bloch, "solve_dense", dead_middle)
-    states = steady_state_lindblad(RATES, DRIVE, dets)
-    assert np.array_equal(states[1], ground_projector())
-    assert np.array_equal(states[[0, 2]], regular[[0, 2]])
+    with pytest.raises(NumericsError, match="1 of 3 dense solves"):
+        steady_state_lindblad(RATES, DRIVE, dets)
 
 
 def test_weak_probe_error_shrinks_with_probe():
@@ -154,7 +152,7 @@ def test_weak_probe_error_shrinks_with_probe():
             control_rabi=DRIVE.control_rabi,
             delta_mode=DRIVE.delta_mode,
         )
-        weak, _ = weak_probe_coherences(RATES, drive, np.array([0.5 * RATES.gamma_0]))
+        weak = weak_probe_coherences(RATES, drive, np.array([0.5 * RATES.gamma_0]))
         rho = steady_state_lindblad(RATES, drive, 0.5 * RATES.gamma_0)
         errs.append(abs(rho[1, 0] - weak[0]) / abs(weak[0]))
     assert errs[0] > errs[1] > errs[2]
@@ -190,7 +188,7 @@ def test_zero_control_doublet_collapses():
     drive = DriveConfig(probe_rabi=1e-3 * RATES.gamma_0, control_rabi=0.0,
                         delta_mode=DRIVE.delta_mode)
     dets = np.linspace(-4.0, 4.0, 41) * RATES.gamma_0
-    co, _ = weak_probe_coherences(RATES, drive, dets)
+    co = weak_probe_coherences(RATES, drive, dets)
     absorption = np.imag(co)
     peak = int(np.argmax(absorption))
     assert abs(dets[peak]) <= dets[1] - dets[0]

@@ -147,6 +147,23 @@ def test_numerics_failure_cleans_partial_outputs(tmp_path, monkeypatch, capsys):
     assert not (out / "manifest.json").exists()
 
 
+def test_internal_value_error_is_numerical_failure(tmp_path, monkeypatch, capsys):
+    # only a ConfigError is the configuration's fault; a ValueError raised
+    # past it is a fault of the computation
+    from slowsound import scenarios
+
+    def faulty(params, sink):
+        raise ValueError("synthetic internal fault")
+
+    monkeypatch.setitem(scenarios.SCENARIOS, "spectrum", faulty)
+    code, out = run(tmp_path, "spectrum")
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: ValueError: synthetic internal fault\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "mass_ratio, coupling_ratio, family_ratio, side",
     [("1.0", "2.0", "1.1", "below"), ("2.0", "1.2", "1.85", "above")],

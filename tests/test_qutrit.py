@@ -218,6 +218,16 @@ def test_poschl_teller_states_normalized():
         assert overlap(profile, profile) == pytest.approx(1.0, rel=1e-8)
 
 
+@pytest.mark.parametrize("nu", [2.2, 2.5, 3.1])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_poschl_teller_state_norm_and_parity(n, nu):
+    # the norm from the sech moments against the dense trapezoid; the
+    # profile is even or odd in n bit for bit
+    profile = poschl_teller_state(n, nu)
+    assert overlap(profile, profile) == pytest.approx(1.0, rel=1e-8)
+    assert np.array_equal(profile(-X), (-1) ** n * profile(X))
+
+
 def test_poschl_teller_parity():
     nu = REFERENCE.nu
     even = poschl_teller_state(0, nu)
@@ -262,6 +272,20 @@ def test_wavefunctions_orthonormal():
     states = ImpurityStates(REFERENCE)
     gram = np.array([[overlap(states[i], states[j]) for j in range(3)] for i in range(3)])
     assert np.allclose(gram, np.eye(3), atol=1e-7)
+
+
+@pytest.mark.parametrize("mass_ratio", [0.5, REFERENCE.mass_ratio, 3.0])
+def test_gram_schmidt_state_orthogonal_across_the_window(mass_ratio):
+    # the trapezoid overlap, a route independent of the moments
+    for nu in np.linspace(QUTRIT_NU_MIN, QUTRIT_NU_MAX, 9, endpoint=False):
+        params = replace(
+            REFERENCE, coupling_ratio=coupling_ratio_for_nu(nu, mass_ratio), mass_ratio=mass_ratio
+        )
+        states = ImpurityStates(params)
+        assert states.orthogonalized
+        assert abs(states.overlap(0, 2)) < 1e-13, nu
+        for l in range(3):
+            assert states.overlap(l, l) == pytest.approx(1.0, rel=1e-13), (nu, l)
 
 
 def test_wavefunctions_parity():

@@ -91,7 +91,7 @@ def test_absorption_nonnegative():
 
 def test_routes_agree_at_spot_detunings():
     dets = np.array([-2.0, -0.3, 0.0, 0.4, 1.7]) * RATES.gamma_0
-    analytic = weak_probe_coherences(RATES, DRIVE, dets)[0]
+    analytic = weak_probe_coherences(RATES, DRIVE, dets)
     lind = steady_state_lindblad(RATES, DRIVE, dets)[:, 1, 0]
     for full, a in zip(lind, analytic):
         assert full == pytest.approx(a, rel=0.01)
@@ -248,7 +248,7 @@ def test_lindblad_centre_slope_matches_closed_slope():
     1%.  chi is a real multiple of the weak-probe coherence."""
     h = RATES.gamma_0 / 50.0
     gv = group_velocity_curve(susceptibility_curve(REFERENCE, detunings=[0.0]))
-    chi_per_coherence = gv.curve.chi[0] / weak_probe_coherences(RATES, DRIVE, [0.0])[0][0]
+    chi_per_coherence = gv.curve.chi[0] / weak_probe_coherences(RATES, DRIVE, [0.0])[0]
     lind = steady_state_lindblad(RATES, DRIVE, [-h, h])[:, 1, 0]
     central = np.real(chi_per_coherence * (lind[1] - lind[0])) / (2.0 * h)
     assert central == pytest.approx(gv.refraction_slope[0], rel=0.01)
