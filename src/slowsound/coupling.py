@@ -17,10 +17,11 @@ where the two disagree:
   numerics.sech_moments evaluates the moments, the same rule that gives
   the states' norms at k = 0.  It also provides the intraband amplitudes
   (l = l') that the closed forms do not cover, and keeps the name of the
-  trapezoid sum it replaced (see its docstring).
+  trapezoid sum it replaced (see its docstring).  g_quadratures gives
+  several pairs over one k from one evaluation of the moments.
 
 Every function here takes a float k or an array of k, and returns a value
-or an array of k's shape.
+or an array of k's shape (g_quadratures a list of them).
 
 Only |g|^2 enters rates and susceptibilities; complex phases are retained
 for amplitude-level dynamics.  The closed forms carry a global i by
@@ -43,6 +44,7 @@ __all__ = [
     "g0_closed",
     "g1_closed",
     "g_quadrature",
+    "g_quadratures",
 ]
 
 # csch(pi k / 2) underflows to zero well before sinh overflows.
@@ -108,19 +110,39 @@ def g_quadrature(l, lp, k, params: Params):
     because scenarios, tests and profiling hooks call it by name; the
     value is the same integral, and the tests keep that sum as an oracle.
     """
-    if l not in (0, 1, 2) or lp not in (0, 1, 2):
-        raise ValueError(f"state indices must be in {{0,1,2}}, got ({l!r}, {lp!r})")
+    return g_quadratures(((l, lp),), k, params)[0]
+
+
+def g_quadratures(pairs, k, params: Params):
+    """g_quadrature(l, l', k, params) for each (l, l') of pairs, as a list.
+
+    One ImpurityStates and one sech_moments of k serve every pair: the
+    moments, most of an evaluation's cost, are contracted with each
+    pair's weights in the same order as a lone g_quadrature call, so each
+    value equals that call's bit for bit.  Curves over a shared k array
+    (validate's interband and intraband families, the couplings
+    scenario's intraband sweep) are evaluated through this.
+    """
+    for l, lp in pairs:
+        if l not in (0, 1, 2) or lp not in (0, 1, 2):
+            raise ValueError(f"state indices must be in {{0,1,2}}, got ({l!r}, {lp!r})")
     k = _wavevectors(k)
     states = ImpurityStates(params)
     # sqrt(n0) tanh(x) phi_l phi_l' = s^(2 alpha) t sum_m weight[m] t^m, m <= 4
-    weight = math.sqrt(params.density_xi) * np.convolve(
-        states.polynomials[l], states.polynomials[lp]
-    )
+    weights = [
+        (math.sqrt(params.density_xi)
+         * np.convolve(states.polynomials[l], states.polynomials[lp])).tolist()
+        for l, lp in pairs
+    ]
     moments = sech_moments(states.exponent, k)
     envelope = (k * k * k + 2.0 * k, 2j * k * k, -2.0 * k)
-    total = sum(
-        w * sum(e * moments[m + 1 + j] for j, e in enumerate(envelope))
-        for m, w in enumerate(weight.tolist())
-        if w
-    )
-    return params.g12 * total / (2.0 * math.sqrt(math.pi) * dispersion(k))
+    # the moment of t^(m+1) times the envelope, for each power m some pair weighs
+    enveloped = {
+        m: sum(e * moments[m + 1 + j] for j, e in enumerate(envelope))
+        for m in sorted({m for weight in weights for m, w in enumerate(weight) if w})
+    }
+    denominator = 2.0 * math.sqrt(math.pi) * dispersion(k)
+    return [
+        params.g12 * sum(w * enveloped[m] for m, w in enumerate(weight) if w) / denominator
+        for weight in weights
+    ]

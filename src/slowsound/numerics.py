@@ -208,25 +208,29 @@ def sech_moments(alpha, k):
     Returns a list of eight values of k's shape, real for even m and
     imaginary for odd m.  This is the package's one evaluator of these
     integrals: the norms of the impurity states (qutrit, at k = 0) and the
-    coupling overlaps (coupling.g_quadrature) are contractions of it.
+    coupling overlaps (coupling.g_quadrature) are contractions of it.  At a
+    Python number k = 0, |Gamma(alpha)|^2 comes from math.lgamma and the
+    moments are Python numbers, a few microseconds against the array
+    path's seventy.
     """
-    f = [
-        np.exp(
-            (2.0 * alpha - 1.0) * math.log(2.0)
-            + 2.0 * log_abs_gamma(alpha, 0.5 * k)
-            - math.lgamma(2.0 * alpha)
-        )
-    ]
+    if isinstance(k, (int, float)) and k == 0:
+        log_gamma2 = 2.0 * math.lgamma(alpha)
+        exp = math.exp
+    else:
+        log_gamma2 = 2.0 * log_abs_gamma(alpha, 0.5 * k)
+        exp = np.exp
+    f = [exp((2.0 * alpha - 1.0) * math.log(2.0) + log_gamma2 - math.lgamma(2.0 * alpha))]
     k2 = k * k
-    for a in alpha + np.arange(3.0):
+    for a in (alpha + j for j in range(3)):
         f.append(f[-1] * ((4.0 * a * a + k2) / (2.0 * a * (2.0 * a + 1.0))))
     even = f
     odd = [(0.5j / (alpha + j)) * k * f_a for j, f_a in enumerate(f)]
     moments = []
-    while even:
+    for n in range(4):
         moments += [even[0], odd[0]]
-        even = [p - q for p, q in zip(even, even[1:])]
-        odd = [p - q for p, q in zip(odd, odd[1:])]
+        # the moments of tanh^(m+2) from those of tanh^m, one exponent up
+        for i in range(3 - n):
+            even[i], odd[i] = even[i] - even[i + 1], odd[i] - odd[i + 1]
     return moments
 
 
@@ -349,18 +353,22 @@ def hilbert_transform(values):
     """Discrete Hilbert transform of a real uniformly sampled signal.
 
     Returns H[f](x) = (1/pi) P-integral of f(x')/(x - x') dx', computed
-    through the FFT multiplier -i sgn(frequency).  The signal is treated
-    as periodic, so the samples should decay toward both ends of the
-    grid; residual wraparound scales with the tail amplitude.  Length
-    must be a power of two.
+    through the FFT multiplier -i sgn(frequency).  A real signal's
+    spectrum is Hermitian, so the multiplier acts on the one-sided
+    spectrum of rfft and irfft returns the real result (Marple, IEEE
+    Trans. Signal Process. 47, 2600 (1999)); the zero and Nyquist bins
+    have sgn = 0.  The signal is treated as periodic, so the samples
+    should decay toward both ends of the grid; residual wraparound scales
+    with the tail amplitude.  Length must be a power of two.
     """
     values = np.asarray(values, dtype=float)
-    spectrum = fft(values)
     n = len(values)
-    kernel = np.zeros(n)
-    kernel[1 : n // 2] = 1.0
-    kernel[n // 2 + 1 :] = -1.0
-    return np.real(ifft(-1j * kernel * spectrum))
+    if not _is_power_of_two(n):
+        raise NumericsError(f"hilbert_transform length must be a power of two, got {n}")
+    spectrum = np.fft.rfft(values)
+    spectrum[0] = spectrum[-1] = 0.0
+    spectrum *= -1j
+    return np.fft.irfft(spectrum, n)
 
 
 def solve_dense(matrix, rhs, residual_tol=1e-10):
@@ -370,7 +378,10 @@ def solve_dense(matrix, rhs, residual_tol=1e-10):
     per system.  Delegates to LAPACK's partial-pivot LU via numpy and
     enforces the residual bound ||Ax - b|| <= residual_tol * max(1, ||b||)
     on every system, raising NumericsError (counting the failed systems) on
-    singular or ill-conditioned systems instead of returning junk.
+    singular or ill-conditioned systems instead of returning junk.  The
+    singular systems are found only after the stacked solve has failed: a
+    slogdet pass marks those with an exact zero pivot, the identity stands
+    in for them and the rest are solved again.
     """
     a = np.asarray(matrix)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -378,8 +389,13 @@ def solve_dense(matrix, rhs, residual_tol=1e-10):
     if a.shape[-1] > 16:
         raise NumericsError(f"solve_dense is for small systems (n <= 16), got n={a.shape[-1]}")
     b = np.broadcast_to(rhs, a.shape[:-1])
-    singular = np.linalg.slogdet(a)[0] == 0  # an exact zero pivot; the identity stands in
-    x = np.linalg.solve(np.where(singular[..., None, None], np.eye(a.shape[-1]), a), b[..., None])
+    singular = False
+    try:
+        x = np.linalg.solve(a, b[..., None])
+    except np.linalg.LinAlgError:  # some system has an exact zero pivot
+        singular = np.linalg.slogdet(a)[0] == 0
+        x = np.linalg.solve(np.where(singular[..., None, None], np.eye(a.shape[-1]), a),
+                            b[..., None])
     residual = np.linalg.norm(a @ x - b[..., None], axis=(-2, -1))
     failed = singular | ~(residual <= residual_tol * np.maximum(1.0, np.linalg.norm(b, axis=-1)))
     if np.any(failed):

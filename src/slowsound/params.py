@@ -47,7 +47,9 @@ def nu_from_ratios(coupling_ratio, mass_ratio):
     notch sees a sech^2 well whose depth enters only through this combination.
     Works element by element on arrays; a scalar gives a numpy float64.
     """
-    if np.any(coupling_ratio < 0) or np.any(mass_ratio <= 0):
+    bad = (coupling_ratio < 0) | (mass_ratio <= 0)
+    # scalars compare to a bool: np.any would cost microseconds for nothing
+    if bad if isinstance(bad, (bool, np.bool_)) else np.any(bad):
         raise ConfigError("coupling_ratio must be >= 0 and mass_ratio > 0")
     return 0.5 * (-1.0 + np.sqrt(1.0 + 4.0 * coupling_ratio * mass_ratio))
 

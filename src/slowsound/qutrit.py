@@ -68,6 +68,14 @@ QUTRIT_NU_MIN = 4.0 / 5.0
 QUTRIT_NU_MAX = 9.0 / 7.0
 
 
+def _check_nu(nu):
+    """Raise ValueError where nu < 0, array or scalar."""
+    negative = nu < 0
+    # a scalar compares to a bool: np.any would cost microseconds for nothing
+    if negative if isinstance(negative, (bool, np.bool_)) else np.any(negative):
+        raise ValueError(f"nu must be >= 0, got {nu!r}")
+
+
 def bound_state_count(nu):
     """Window level count, floor(nu + 1 + sqrt(nu(1+nu))).
 
@@ -86,27 +94,27 @@ def bound_state_count(nu):
     float evaluation landing just below the integer.  Works element by
     element on arrays and returns numpy integers.
     """
-    if np.any(nu < 0):
-        raise ValueError(f"nu must be >= 0, got {nu!r}")
+    _check_nu(nu)
     return np.floor(nu + 1.0 + np.sqrt(nu * (1.0 + nu)) + 1e-12).astype(int)
 
 
 def is_qutrit(nu):
     """True where nu lies in the half-open three-level window [4/5, 9/7)."""
-    if np.any(nu < 0):
-        raise ValueError(f"nu must be >= 0, got {nu!r}")
+    _check_nu(nu)
     return (QUTRIT_NU_MIN <= nu) & (nu < QUTRIT_NU_MAX)
 
 
 def ladder(nu, mass_ratio):
     """(omega_0, omega_1, (E'_0, E'_1, E'_2)) of the Poschl-Teller ladder.
 
-    The squares use np.float_power, the C pow of a Python float's **; an
-    array's ** 2 is x * x, which differs in the last bit about once in 1000.
+    The squares use C pow: math.pow on a float, np.float_power, which
+    costs microseconds a call, on an array.  An array's ** 2 is x * x,
+    which differs in the last bit about once in 1000.
     """
+    power = math.pow if isinstance(nu, float) else np.float_power
     omega_0 = (2.0 * nu - 1.0) / (2.0 * mass_ratio)
     omega_1 = abs(2.0 * nu - 3.0) / (2.0 * mass_ratio)
-    energies = tuple(-np.float_power(nu - n, 2) / (2.0 * mass_ratio) for n in range(3))
+    energies = tuple(-power(nu - n, 2) / (2.0 * mass_ratio) for n in range(3))
     return omega_0, omega_1, energies
 
 
@@ -237,7 +245,7 @@ class ImpurityStates:
         self.exponent = alpha
         moments = sech_moments(alpha, 0.0)
         raw = ([1.0], [0.0, 1.0], [1.0, 0.0, -(1.0 + 3.0 * alpha)])
-        p0, p1, p2 = (np.array(p) / math.sqrt(_inner(p, p, moments)) for p in raw)
+        p0, p1, p2 = (_normalized(p, moments) for p in raw)
 
         # Raw overlap <phi0|phi2> before orthogonalization (phi1 is odd, so
         # the other pairs vanish by parity).
@@ -247,8 +255,8 @@ class ImpurityStates:
         if self.orthogonalized:
             # phi2 <- (phi2 - phi0 <phi0|phi2>) / norm
             p2[0] -= overlap_raw * p0[0]
-            p2 /= math.sqrt(_inner(p2, p2, moments))
-        self.polynomials = (p0, p1, p2)
+            p2 = _normalized(p2, moments)
+        self.polynomials = tuple(map(np.array, (p0, p1, p2)))
 
     def __getitem__(self, l):
         return _profile(self.polynomials[l], self.exponent)
@@ -310,9 +318,20 @@ def _inner(p, q, moments):
 
     p and q hold the coefficients of P and Q in ascending powers of tanh
     (degree at most 7 together) and moments is sech_moments(a, 0), so
-    the integral is sum_m conv(p, q)_m M_m.
+    the integral is sum_m conv(p, q)_m M_m.  The sums run on Python
+    floats, since numpy's per-call cost is most of the work at this size.
     """
-    return float(sum(c * moments[m].real for m, c in enumerate(np.convolve(p, q))))
+    conv = [0.0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            conv[i + j] += a * b
+    return sum(c * moments[m].real for m, c in enumerate(conv))
+
+
+def _normalized(p, moments):
+    """p's coefficients scaled to unit norm under _inner, as a list."""
+    norm = math.sqrt(_inner(p, p, moments))
+    return [c / norm for c in p]
 
 
 def _profile(coefficients, a):
@@ -352,6 +371,5 @@ def poschl_teller_state(n, nu):
         raise ValueError(
             f"Poschl-Teller state n={n} is unbound for nu={nu:.6g} (needs nu > n)"
         )
-    coefficients = np.array(([1.0], [0.0, 1.0], [-1.0, 0.0, 2.0 * nu - 1.0])[n])
-    moments = sech_moments(nu - n, 0.0)
-    return _profile(coefficients / math.sqrt(_inner(coefficients, coefficients, moments)), nu - n)
+    coefficients = ([1.0], [0.0, 1.0], [-1.0, 0.0, 2.0 * nu - 1.0])[n]
+    return _profile(_normalized(coefficients, sech_moments(nu - n, 0.0)), nu - n)

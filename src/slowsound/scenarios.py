@@ -30,7 +30,7 @@ from slowsound.bloch import (
 )
 from slowsound.bogoliubov import dispersion, resonant_wavevector
 from slowsound.cli import SCENARIO_NAMES
-from slowsound.coupling import g0_closed, g1_closed, g_quadrature
+from slowsound.coupling import g0_closed, g1_closed, g_quadrature, g_quadratures
 from slowsound.decay import cascade, decay_rates, gamma_closed
 from slowsound.gpe import frozen_well, well_eigenstates
 from slowsound.numerics import hilbert_transform
@@ -161,6 +161,7 @@ def scenario_decay(params: Params, sink):
     """Phonon decay rates over the window plus the emission cascade.
 
     The window sweep is arrays that equal the scalar route bit for bit."""
+    integral = decay_rates(params)  # raises ConfigError outside the qutrit window
     lo_rg, hi_rg = qutrit_window_in_coupling_ratio(params.mass_ratio)
     ratios = np.linspace(lo_rg, hi_rg, 122)[1:-1]
     nu = nu_from_ratios(ratios, params.mass_ratio)
@@ -182,7 +183,6 @@ def scenario_decay(params: Params, sink):
     sink.csv("decay.csv", columns, rows)
     worst_rwa = np.max(rwa)
 
-    integral = decay_rates(params)
     closed, gaps = _closed_rates(params, integral)
     times = np.linspace(0.0, 5.0 / integral.gamma_1, 26)
     casc = cascade(params, times, rates=integral)
@@ -255,13 +255,13 @@ def scenario_decay(params: Params, sink):
 def scenario_couplings(params: Params, sink):
     """Interband (the chain's printed closed forms) and intraband (overlap
     integral) coupling amplitudes over a k sweep."""
+    rates = decay_rates(params)  # raises ConfigError outside the qutrit window
     ks = np.arange(0.05, 4.0 + 1e-9, 0.05)
     g0, g1 = np.abs(g0_closed(ks, params)), np.abs(g1_closed(ks, params))
-    intra = [np.abs(g_quadrature(l, l, ks, params)) for l in range(3)]
+    intra = np.abs(g_quadratures(((0, 0), (1, 1), (2, 2)), ks, params))
     columns = ["k", "abs_g00", "abs_g11", "abs_g22", "abs_g0_closed", "abs_g1_closed"]
     sink.csv("couplings.csv", columns, np.column_stack((ks, *intra, g0, g1)))
 
-    rates = decay_rates(params)  # raises ConfigError outside the qutrit window
     k0, k1 = rates.carrier_k, resonant_wavevector(rates.omega_1)
     g0_c = abs(g0_closed(k0, params))
     g1_c = abs(g1_closed(k1, params))
@@ -712,7 +712,8 @@ def check_states(params, rates):
 
 def check_couplings(params, rates):
     """Coupling family: parity, index symmetry, zero, tail, extremum, resonant
-    ratio and interband dominance, each curve evaluated once."""
+    ratio and interband dominance, each curve evaluated once and the moments
+    of each k array once."""
     k_probe = 0.9
     k0, k1 = rates.carrier_k, resonant_wavevector(rates.omega_1)
     peak_ks = np.arange(0.2, 5.0 + 1e-9, 0.001)
@@ -721,13 +722,9 @@ def check_couplings(params, rates):
     # k1 and the dominance grid; the intraband curves take [k_probe, dominance grid].
     n = len(peak_ks)
     ks = np.concatenate([peak_ks, [12.0, k_probe, k0, k1], dom_ks])
-    values = {
-        "g0_closed": g0_closed(ks, params),
-        "g1_closed": g1_closed(ks, params),
-        "g0_quadrature": g_quadrature(0, 1, ks, params),
-        "g1_quadrature": g_quadrature(1, 2, ks, params),
-    }
-    intra = [g_quadrature(l, l, np.append(k_probe, dom_ks), params) for l in (0, 1, 2)]
+    values = {"g0_closed": g0_closed(ks, params), "g1_closed": g1_closed(ks, params)}
+    values["g0_quadrature"], values["g1_quadrature"] = g_quadratures(((0, 1), (1, 2)), ks, params)
+    intra = g_quadratures(((0, 0), (1, 1), (2, 2)), np.append(k_probe, dom_ks), params)
     q01, q12, q00 = values["g0_quadrature"][n + 1], values["g1_quadrature"][n + 1], intra[0][0]
     parity_dev = max(
         abs(q01.imag) / abs(q01), abs(q12.imag) / abs(q12), abs(q00.real) / abs(q00)

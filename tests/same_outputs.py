@@ -4,12 +4,12 @@
 
 Each tree is a checkout of this repository.  In a fresh interpreter per
 tree, with that tree's src/ on the path, the script runs one cli.main call
-per run of this set (422 runs):
+per run of this set (423 runs):
 
 * the nine scenarios at REFERENCE, in track and in fixed delta mode;
 * the operations of perfbench's drive_sweep workload at seeds 7 and 131;
 * the operation of perfbench's bound_states workload at seed 3;
-* three refused runs (ERROR_RUNS), so that the exit-2 and exit-3 paths,
+* four refused runs (ERROR_RUNS), so that the exit-2 and exit-3 paths,
   their messages and the files they leave are compared too.
 
 The operations are read from the tree's perfbench/workloads.py, which is
@@ -48,6 +48,7 @@ ERROR_RUNS = (
     ("decay", "--set", "coupling_ratio=1.49753"),  # exit 3: the cascade grid is refused
     ("spectrum", "--set", "no_such_key=1"),  # exit 2: unknown config key
     ("decay", "--set", "coupling_ratio=0.5"),  # exit 2: outside the qutrit window
+    ("couplings", "--set", "coupling_ratio=20000"),  # exit 2: far outside the window
 )
 VOLATILE = "generated_at"  # the manifest's only field that differs between reruns
 SHOWN = 20  # differences listed at most

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import slowsound
-from slowsound.cli import main
+from slowsound.cli import SCENARIO_NAMES, main
 from slowsound.coupling import g0_closed, g1_closed, g_quadrature
 from slowsound.numerics import NumericsError
 from slowsound.params import REFERENCE
@@ -127,6 +127,29 @@ def test_domain_violation_maps_to_config_error(tmp_path, capsys):
     code, out = run(tmp_path, "decay", "--set", "coupling_ratio=0.5")
     assert code == 2
     assert "qutrit window" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "scenario", [name for name in SCENARIO_NAMES if name not in ("spectrum", "eigenstates")]
+)
+def test_window_refusal_comes_before_the_first_file(tmp_path, monkeypatch, capsys, scenario):
+    # every scenario that needs the three-level ladder checks the window
+    # before it registers a file, so a refused run writes nothing at all
+    from slowsound.output import OutputSink
+
+    registered = []
+    path = OutputSink.path
+
+    def recorded_path(sink, name):
+        registered.append(name)
+        return path(sink, name)
+
+    monkeypatch.setattr(OutputSink, "path", recorded_path)
+    code, out = run(tmp_path, scenario, "--set", "coupling_ratio=3.0")
+    assert code == 2
+    assert "qutrit window" in capsys.readouterr().err
+    assert registered == []
     assert not out.exists()
 
 

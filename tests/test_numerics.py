@@ -308,6 +308,27 @@ def test_solve_dense_stack_marks_singular_system():
         solve_dense(a, rhs)
 
 
+def test_solve_dense_looks_for_singular_systems_only_after_a_failed_solve(monkeypatch):
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((3, 4, 4))
+    b = rng.standard_normal(4)
+    expected = np.linalg.solve(a, np.broadcast_to(b, (3, 4))[..., None])[..., 0]
+    passes = []
+    slogdet = np.linalg.slogdet
+
+    def counted_slogdet(matrix):
+        passes.append(matrix.shape)
+        return slogdet(matrix)
+
+    monkeypatch.setattr(np.linalg, "slogdet", counted_slogdet)
+    assert np.array_equal(solve_dense(a, b), expected)
+    assert passes == []
+    a[2] = 0.0
+    with pytest.raises(NumericsError, match="1 of 3 dense solves"):
+        solve_dense(a, b)
+    assert passes == [(3, 4, 4)]
+
+
 # -- Hilbert transform ----------------------------------------------------
 
 def test_hilbert_on_lorentzian_pair():
@@ -332,6 +353,30 @@ def test_hilbert_on_lorentzian_pair():
     im_rec = hilbert_transform(re)
     assert np.max(np.abs(re_rec[core] - re[core])) < 2e-3 * np.max(np.abs(re))
     assert np.max(np.abs(im_rec[core] - im[core])) < 2e-3 * np.max(np.abs(im))
+
+
+def full_spectrum_hilbert(values):
+    """The multiplier -i sgn(frequency) on the full complex spectrum, as
+    hilbert_transform applied it before it took the one-sided spectrum."""
+    n = len(values)
+    kernel = np.zeros(n)
+    kernel[1 : n // 2] = 1.0
+    kernel[n // 2 + 1 :] = -1.0
+    return np.real(np.fft.ifft(-1j * kernel * np.fft.fft(values)))
+
+
+@pytest.mark.parametrize("log2n", range(10, 16))
+def test_hilbert_matches_the_full_spectrum_multiplier(log2n):
+    rng = np.random.default_rng(log2n)
+    values = rng.standard_normal(1 << log2n)
+    oracle = full_spectrum_hilbert(values)
+    assert np.max(np.abs(hilbert_transform(values) - oracle)) < 2e-15 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("n", [1000, 3 << 10, 1 << 15 | 1])
+def test_hilbert_refuses_a_length_not_a_power_of_two(n):
+    with pytest.raises(NumericsError, match="power of two"):
+        hilbert_transform(np.ones(n))
 
 
 def test_hilbert_annihilates_constants_up_to_truncation():

@@ -7,9 +7,10 @@ and susceptibility are pinned here.
 """
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from slowsound import decay, response, scenarios
+from slowsound import coupling, decay, numerics, qutrit, response, scenarios
 from slowsound.decay import decay_rates
 from slowsound.params import REFERENCE
 from test_qutrit import RowSink
@@ -93,10 +94,37 @@ def test_one_check_alone_gives_its_rows_of_the_full_run(check, full_rows):
 
 def test_validate_evaluates_each_overlap_curve_once(monkeypatch):
     # four interband curves share one k array, the three intraband curves
-    # another, and g_10 at k = 0.9 is the index-symmetry check's own call
-    calls = counted(monkeypatch, "g_quadrature")
+    # another; each family is one g_quadratures call over its pairs, and
+    # g_10 at k = 0.9 is the index-symmetry check's own g_quadrature call
+    families = counted(monkeypatch, "g_quadratures")
+    singles = counted(monkeypatch, "g_quadrature")
     scenarios.scenario_validate(REFERENCE, RowSink())
-    assert len(calls) == 6
+    assert [args[0] for args, _ in families] == [((0, 1), (1, 2)), ((0, 0), (1, 1), (2, 2))]
+    assert [args[:3] for args, _ in singles] == [(1, 0, 0.9)]
+
+
+def test_validate_work_counts(monkeypatch):
+    # sech_moments: one k = 0 evaluation for each of the four ImpurityStates
+    # (check_states' and one per coupling call) and one per coupling call's
+    # k: the 7-point intraband array, the 4811-point interband one and the
+    # index-symmetry check's k = 0.9; no dense solve fails, so no slogdet
+    # pass runs
+    evaluations = []
+    original = numerics.sech_moments
+
+    def sech_moments(alpha, k):
+        evaluations.append(np.shape(k))
+        return original(alpha, k)
+
+    for module in (qutrit, coupling):
+        monkeypatch.setattr(module, "sech_moments", sech_moments)
+
+    def slogdet(*args, **kwargs):
+        raise AssertionError("slogdet called")
+
+    monkeypatch.setattr(np.linalg, "slogdet", slogdet)
+    scenarios.scenario_validate(REFERENCE, RowSink())
+    assert sorted(evaluations) == [(), (), (), (), (), (7,), (4811,)]
 
 
 def test_validate_resolves_the_rates_once_besides_the_route_check(monkeypatch):
