@@ -10,10 +10,12 @@ floats is printed with %.12g directly, any other column as %s of its
 format_number strings, so the bytes are the same either way.  A table
 handed over as a 2-D float64 array takes %.12g in every column without
 looking at its cells.  The rows are then formatted a block at a time, by
-one % operation per block.  Reruns of the same configuration produce
-byte-identical tables.  A JSON file is written in one recursive pass,
-in the bytes json.dumps(indent=2, sort_keys=True) writes once numpy
-values are Python ones, with NaN as null.  The manifest carries the
+one % operation per block.  Scenarios hand OutputSink.csv (column name,
+values) pairs, which csv_layout alone lays out for write_csv.  Reruns of
+the same configuration produce byte-identical tables.  A JSON file is
+written in one recursive pass, in the bytes json.dumps(indent=2,
+sort_keys=True) writes once numpy values are Python ones, with NaN as
+null.  The manifest carries the
 fully resolved parameter set and the list of written files; its
 generated_at stamp is the only line expected to differ between
 identical reruns.
@@ -31,7 +33,7 @@ import numpy as np
 from .params import ConfigError
 from .svg import line_plot
 
-__all__ = ["OutputSink", "format_number", "write_csv", "write_json", "write_manifest"]
+__all__ = ["OutputSink", "csv_layout", "format_number", "write_csv", "write_json", "write_manifest"]
 
 # Rows formatted per % operation of write_csv.  Blocks of 32 to 1024 rows
 # format equally fast, but the block's strings add to peak memory: about
@@ -96,6 +98,18 @@ def write_csv(path, columns, rows):
         for start in range(0, len(cells), block):
             chunk = tuple(cells[start : start + block])
             fh.write((row_format * (len(chunk) // width)) % chunk)
+
+
+def csv_layout(table):
+    """write_csv's column names and rows for table, (column name, values) pairs:
+    one 2-D float64 array when every column is a 1-D float64 array, else rows
+    of the columns' Python values.  Columns of unequal length raise ValueError.
+    """
+    columns, values = zip(*table)
+    if all(isinstance(v, np.ndarray) and v.ndim == 1 and v.dtype == np.float64 for v in values):
+        return list(columns), np.column_stack(values)
+    cells = [v.tolist() if isinstance(v, np.ndarray) else v for v in values]
+    return list(columns), list(zip(*cells, strict=True))
 
 
 _ESCAPE = json.encoder.encode_basestring_ascii
@@ -167,9 +181,10 @@ class OutputSink:
     """Writes a scenario's files in the selected formats and tracks them.
 
     formats is a subset of ("csv", "json", "svg"); csv(), json() and
-    svg() write their file only when their format is selected.  The
-    directory is made when path() registers the first file, so a run that
-    fails before that leaves none.  Use as a context manager: files
+    svg() write their file only when their format is selected; csv() and
+    svg() take (name, values) pairs, and csv() lays its table out before
+    it registers the file.  The directory is made when path() registers
+    the first file, so a run that fails before that leaves none.  Use as a context manager: files
     registered through path() are removed if the block raises, and kept on
     success; so are the directories path() made, once empty, while a
     directory that was there before the run is never removed.  An OSError
@@ -194,8 +209,9 @@ class OutputSink:
         self.written.append(full)
         return full
 
-    def csv(self, name, columns, rows):
+    def csv(self, name, table):
         if "csv" in self.formats:
+            columns, rows = csv_layout(table)
             write_csv(self.path(name), columns, rows)
 
     def json(self, name, payload):

@@ -13,7 +13,6 @@ fixed, and nothing in the package draws random numbers.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import asdict, replace
@@ -33,7 +32,7 @@ from slowsound.cli import SCENARIO_NAMES
 from slowsound.coupling import g0_closed, g1_closed, g_quadrature, g_quadratures
 from slowsound.decay import cascade, decay_rates, gamma_closed
 from slowsound.gpe import frozen_well, well_eigenstates
-from slowsound.numerics import hilbert_transform
+from slowsound.numerics import NumericsError, hilbert_transform
 from slowsound.params import ConfigError, Params, coupling_ratio_for_nu, nu_from_ratios
 from slowsound.qutrit import (
     QUTRIT_NU_MAX,
@@ -97,26 +96,16 @@ def scenario_spectrum(params: Params, sink):
     nu = nu_from_ratios(ratios, r_m)
     qutrit = is_qutrit(nu)
     omega_0, omega_1, energies = ladder(nu, r_m)
-    levels = [np.where(qutrit, level, math.nan) for level in (omega_0, omega_1, *energies)]
-    rows = zip(
-        ratios.tolist(), nu.tolist(), bound_state_count(nu).tolist(), qutrit.tolist(),
-        *(level.tolist() for level in levels),
-        itertools.repeat(lo_rg), itertools.repeat(hi_rg),
+    omega_0, omega_1, *energies = (
+        np.where(qutrit, level, math.nan) for level in (omega_0, omega_1, *energies)
     )
-    columns = [
-        "coupling_ratio",
-        "nu",
-        "n_bound",
-        "qutrit",
-        "omega_0",
-        "omega_1",
-        "energy_0",
-        "energy_1",
-        "energy_2",
-        "window_lower_coupling_ratio",
-        "window_upper_coupling_ratio",
-    ]
-    sink.csv("spectrum.csv", columns, rows)
+    sink.csv("spectrum.csv", [
+        ("coupling_ratio", ratios), ("nu", nu), ("n_bound", bound_state_count(nu)),
+        ("qutrit", qutrit), ("omega_0", omega_0), ("omega_1", omega_1),
+        *((f"energy_{n}", level) for n, level in enumerate(energies)),
+        ("window_lower_coupling_ratio", [lo_rg] * len(ratios)),
+        ("window_upper_coupling_ratio", [hi_rg] * len(ratios)),
+    ])
 
     configured = spectrum(params)
     summary = {
@@ -129,7 +118,7 @@ def scenario_spectrum(params: Params, sink):
     sink.svg(
         "spectrum.svg",
         ratios,
-        [("omega_0", levels[0]), ("omega_1", levels[1])],
+        [("omega_0", omega_0), ("omega_1", omega_1)],
         title="Transition frequencies across the coupling-ratio sweep",
         xlabel="g12/g11",
         ylabel="frequency (mu units)",
@@ -169,36 +158,25 @@ def scenario_decay(params: Params, sink):
     g12 = ratios / params.density_xi
     g0, g1 = gamma_closed(params, omega_0, 0, g12), gamma_closed(params, omega_1, 1, g12)
     rwa = (g0 / omega_0, g1 / omega_1)
-    rows = np.column_stack((ratios, nu, omega_0, omega_1, g0, g1, *rwa))
-    columns = [
-        "coupling_ratio",
-        "nu",
-        "omega_0",
-        "omega_1",
-        "gamma_0",
-        "gamma_1",
-        "gamma_0_over_omega_0",
-        "gamma_1_over_omega_1",
-    ]
-    sink.csv("decay.csv", columns, rows)
+    sink.csv("decay.csv", [
+        ("coupling_ratio", ratios), ("nu", nu), ("omega_0", omega_0), ("omega_1", omega_1),
+        ("gamma_0", g0), ("gamma_1", g1),
+        ("gamma_0_over_omega_0", rwa[0]), ("gamma_1_over_omega_1", rwa[1]),
+    ])
     worst_rwa = np.max(rwa)
 
     closed, gaps = _closed_rates(params, integral)
     times = np.linspace(0.0, 5.0 / integral.gamma_1, 26)
     casc = cascade(params, times, rates=integral)
-    sectors = [np.abs(casc.a) ** 2, casc.norm_one_phonon, casc.norm_two_phonon, casc.norm_total]
-    sink.csv(
-        "cascade.csv",
-        ["time", "survival", "one_phonon", "two_phonon", "total_norm"],
-        np.column_stack((times, *sectors)),
-    )
+    survival = np.abs(casc.a) ** 2
+    sink.csv("cascade.csv", [
+        ("time", times), ("survival", survival), ("one_phonon", casc.norm_one_phonon),
+        ("two_phonon", casc.norm_two_phonon), ("total_norm", casc.norm_total),
+    ])
 
     k_line, omega_line, density, fwhm = _first_line(casc)
-    sink.csv(
-        "first_line.csv",
-        ["k", "omega", "spectral_density"],
-        np.column_stack((k_line, omega_line, density)),
-    )
+    sink.csv("first_line.csv",
+             [("k", k_line), ("omega", omega_line), ("spectral_density", density)])
     gamma_sum = integral.gamma_0 + integral.gamma_1
 
     summary = {
@@ -240,7 +218,8 @@ def scenario_decay(params: Params, sink):
     sink.svg(
         "cascade.svg",
         times,
-        list(zip(["survival", "one-phonon", "two-phonon", "total"], sectors)),
+        [("survival", survival), ("one-phonon", casc.norm_one_phonon),
+         ("two-phonon", casc.norm_two_phonon), ("total", casc.norm_total)],
         title="Cascade sector populations",
         xlabel="time (reduced)",
         ylabel="population",
@@ -259,8 +238,10 @@ def scenario_couplings(params: Params, sink):
     ks = np.arange(0.05, 4.0 + 1e-9, 0.05)
     g0, g1 = np.abs(g0_closed(ks, params)), np.abs(g1_closed(ks, params))
     intra = np.abs(g_quadratures(((0, 0), (1, 1), (2, 2)), ks, params))
-    columns = ["k", "abs_g00", "abs_g11", "abs_g22", "abs_g0_closed", "abs_g1_closed"]
-    sink.csv("couplings.csv", columns, np.column_stack((ks, *intra, g0, g1)))
+    sink.csv("couplings.csv", [
+        ("k", ks), *((f"abs_g{n}{n}", curve) for n, curve in enumerate(intra)),
+        ("abs_g0_closed", g0), ("abs_g1_closed", g1),
+    ])
 
     k0, k1 = rates.carrier_k, resonant_wavevector(rates.omega_1)
     g0_c = abs(g0_closed(k0, params))
@@ -305,7 +286,9 @@ def scenario_susceptibility(params: Params, sink):
     curve = susceptibility_curve(params)
     rates, drive, d = curve.rates, curve.drive, curve.detunings
 
-    family = {}
+    table = [("detuning", d), ("detuning_over_gamma0", d / rates.gamma_0),
+             ("re_chi", curve.refraction), ("im_chi", curve.absorption)]
+    series = [("im_chi", curve.absorption), ("re_chi", curve.refraction)]
     for rg in (1.1, 1.85):
         p = replace(params, coupling_ratio=rg)
         try:
@@ -313,17 +296,12 @@ def scenario_susceptibility(params: Params, sink):
         except ConfigError as exc:
             raise ConfigError(f"comparison curve at coupling_ratio={rg:g}: {exc}") from exc
         for mult in (0.2, 2.0):
-            family[(rg, mult)] = susceptibility_at_rates(
-                replace(p, control_rabi_gamma0=mult), p_rates, d
-            ).chi
-
-    columns = ["detuning", "detuning_over_gamma0", "re_chi", "im_chi"]
-    cols_data = [d, d / rates.gamma_0, curve.refraction, curve.absorption]
-    for (rg, mult), chi in sorted(family.items()):
-        tag = f"rg{rg:g}_oc{mult:g}".replace(".", "p")
-        columns += [f"re_chi_{tag}", f"im_chi_{tag}"]
-        cols_data += [np.real(chi), np.imag(chi)]
-    sink.csv("susceptibility.csv", columns, np.column_stack(cols_data))
+            chi = susceptibility_at_rates(replace(p, control_rabi_gamma0=mult), p_rates, d).chi
+            tag = f"rg{rg:g}_oc{mult:g}".replace(".", "p")
+            table += [(f"re_chi_{tag}", np.real(chi)), (f"im_chi_{tag}", np.imag(chi))]
+            if (rg, mult) == (params.coupling_ratio, 0.2):
+                series.append(("im_chi_weak_control", np.imag(chi)))
+    sink.csv("susceptibility.csv", table)
 
     window = transparency_width(curve)
     if isinstance(window, NoTransparency):
@@ -394,10 +372,6 @@ def scenario_susceptibility(params: Params, sink):
     }
     sink.json("susceptibility.json", summary)
 
-    weak_chi = family.get((params.coupling_ratio, 0.2))
-    series = [("im_chi", curve.absorption), ("re_chi", curve.refraction)]
-    if weak_chi is not None:
-        series.append(("im_chi_weak_control", np.imag(weak_chi)))
     sink.svg(
         "susceptibility.svg",
         d / rates.gamma_0,
@@ -423,12 +397,8 @@ def scenario_dispersion(params: Params, sink):
     """Dressed probe dispersion against the bare phonon branch."""
     curve = dispersion_curve(susceptibility_curve(params))
     bare = np.asarray(dispersion(curve.q))
-    rows = np.column_stack((curve.q, curve.omega_p, bare, curve.q_free))
-    sink.csv(
-        "dispersion.csv",
-        ["q", "omega_dressed", "epsilon_bare_at_q", "q_free"],
-        rows,
-    )
+    sink.csv("dispersion.csv", [("q", curve.q), ("omega_dressed", curve.omega_p),
+                                ("epsilon_bare_at_q", bare), ("q_free", curve.q_free)])
 
     edge = _merge_edge(curve)
     # Slope flattening at the center, against the group-velocity route.
@@ -493,13 +463,10 @@ def _transparency_point_minimum(gv):
 def scenario_groupvel(params: Params, sink):
     """Group velocity across the probe line; headline minimum in the JSON."""
     gv = group_velocity_curve(susceptibility_curve(params))
-    rows = np.column_stack((gv.detunings, gv.detunings / gv.curve.rates.gamma_0,
-                            gv.vg_over_cs, gv.refraction_slope))
-    sink.csv(
-        "groupvel.csv",
-        ["detuning", "detuning_over_gamma0", "vg_over_cs", "refraction_slope"],
-        rows,
-    )
+    sink.csv("groupvel.csv", [
+        ("detuning", gv.detunings), ("detuning_over_gamma0", gv.detunings / gv.curve.rates.gamma_0),
+        ("vg_over_cs", gv.vg_over_cs), ("refraction_slope", gv.refraction_slope),
+    ])
 
     min_vg, min_at, domain = _transparency_point_minimum(gv)
     valid = np.isfinite(gv.vg_over_cs) & (gv.vg_over_cs > 0)
@@ -550,12 +517,11 @@ def scenario_eigenstates(params: Params, sink):
     potential = frozen_well(report.grid, report.nu, params.mass_ratio)
 
     densities = np.abs(report.states) ** 2
-    columns = ["x", "potential"]
-    cols_data = [x, potential]
+    table = [("x", x), ("potential", potential)]
     for n, psi in enumerate(report.states):
-        columns += [f"re_psi_{n}", f"im_psi_{n}", f"density_{n}"]
-        cols_data += [np.real(psi), np.imag(psi), densities[n]]
-    sink.csv("eigenstates.csv", columns, np.column_stack(cols_data))
+        table += [(f"re_psi_{n}", np.real(psi)), (f"im_psi_{n}", np.imag(psi)),
+                  (f"density_{n}", densities[n])]
+    sink.csv("eigenstates.csv", table)
 
     _, _, rungs = ladder(report.nu, params.mass_ratio)
     states_payload = []
@@ -609,14 +575,10 @@ def scenario_eigenstates(params: Params, sink):
 def scenario_pulse(params: Params, sink):
     """Gaussian probe pulse sent across the gas: delay and transmission."""
     report = propagate_envelope(susceptibility_curve(params), distance=params.box_length_xi)
-    rows = np.column_stack(
-        (report.times, np.abs(report.envelope_in), np.abs(report.envelope_out))
-    )
-    sink.csv(
-        "pulse.csv",
-        ["time", "abs_envelope_in", "abs_envelope_out"],
-        rows,
-    )
+    sink.csv("pulse.csv", [
+        ("time", report.times), ("abs_envelope_in", np.abs(report.envelope_in)),
+        ("abs_envelope_out", np.abs(report.envelope_out)),
+    ])
     summary = {
         "distance_xi": report.distance,
         "bandwidth": report.bandwidth,
@@ -817,14 +779,21 @@ def check_decay(params, rates):
         "closed vs golden-rule < 1e-3 at 10 window points",
     )
 
-    times = np.array([0.5, 1.0, 3.0]) / rates.gamma_1
-    casc = cascade(params, times, rates=rates)
+    norm_target = "within [0.98, 1.005] at t = (0.5, 1, 3)/gamma_1"
+    width_target = "within 5% of the summed linewidths"
+    try:
+        casc = cascade(params, np.array([0.5, 1.0, 3.0]) / rates.gamma_1, rates=rates)
+    except NumericsError as exc:
+        # the cascade refuses its grid near gamma_0 = gamma_1: both its rows fail
+        yield _row("cascade_norm_conservation", "FAIL", f"refused: {exc}", norm_target)
+        yield _row("first_line_width", "FAIL", f"refused: {exc}", width_target)
+        return
     nmin, nmax = float(np.min(casc.norm_total)), float(np.max(casc.norm_total))
     yield _row(
         "cascade_norm_conservation",
         "PASS" if 0.98 <= nmin and nmax <= 1.005 else "FAIL",
         f"[{nmin:.4f}, {nmax:.4f}]",
-        "within [0.98, 1.005] at t = (0.5, 1, 3)/gamma_1",
+        norm_target,
     )
 
     ratio = _first_line(casc)[3] / (rates.gamma_0 + rates.gamma_1)
@@ -832,7 +801,7 @@ def check_decay(params, rates):
         "first_line_width",
         "PASS" if abs(ratio - 1.0) < 0.05 else "FAIL",
         f"fwhm/(gamma_0+gamma_1) = {ratio:.4f}",
-        "within 5% of the summed linewidths",
+        width_target,
     )
 
 
@@ -1013,8 +982,8 @@ def scenario_validate(params: Params, sink):
             "contradict; they are retained deliberately rather than weakened"
         ) if counts["FAIL"] else "",
     }
-    columns = ["check", "status", "measured", "target", "detail"]
-    sink.csv("validate.csv", columns, [[r[c] for c in columns] for r in rows])
+    # one column per key of _row, in its order
+    sink.csv("validate.csv", [(key, [row[key] for row in rows]) for key in rows[0]])
     sink.json("validate.json", summary)
     return summary
 

@@ -21,18 +21,24 @@ from slowsound.gpe import frozen_well
 def dense_eigenstates(grid, nu, mass_ratio, n_states):
     """Lowest energies and unit grid states of the dense matrix.
 
-    Each state is signed as well_eigenstates signs its own: positive
-    where |psi| peaks on x >= 0.
+    They are ordered by the rule well_eigenstates orders its own: by
+    energy, except that an even and an odd state whose energies are
+    closer than 4 eps times the matrix's 2-norm (its largest
+    |eigenvalue|) are taken odd state first.  Each state is signed as
+    well_eigenstates signs its own: positive where |psi| peaks on x >= 0.
     """
     kinetic = np.real(np.fft.ifft(grid.k ** 2 / (2.0 * mass_ratio)))
     index = np.arange(grid.npoints)
     hamiltonian = kinetic[(index[:, None] - index[None, :]) % grid.npoints]
     hamiltonian[index, index] += frozen_well(grid, nu, mass_ratio)
     energies, vectors = np.linalg.eigh(hamiltonian)
-    states = vectors[:, :n_states].T / math.sqrt(grid.dx)
+    odd = np.sum(vectors * vectors[(grid.npoints - index) % grid.npoints], axis=0) < 0.0
+    tie = 4.0 * np.finfo(float).eps * float(np.max(np.abs(energies)))
+    order = np.argsort(energies - tie * odd, kind="stable")[:n_states]
+    energies, states = energies[order], vectors[:, order].T / math.sqrt(grid.dx)
     right = states[:, grid.x >= 0.0]
     peaks = right[np.arange(len(right)), np.argmax(np.abs(right), axis=1)]
-    return energies[:n_states], states * np.sign(peaks)[:, None]
+    return energies, states * np.sign(peaks)[:, None]
 
 
 def gathered_blocks(grid, nu, mass_ratio):

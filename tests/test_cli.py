@@ -321,6 +321,23 @@ def test_validate_in_fixed_mode_reports_the_pulse_refusal(tmp_path):
     assert pulse["measured"].startswith("refused: cannot propagate through opaque medium")
 
 
+def test_validate_reports_a_refused_cascade_as_two_fail_rows(tmp_path, capsys):
+    # 1e-4 above gamma_0 = gamma_1 the cascade refuses its grid, which
+    # exits 3 from decay; validate instead fails the cascade's two rows
+    # with the refusal, and still writes every row and exits 4
+    code, out = run(tmp_path, "validate", "--set", "coupling_ratio=1.49753")
+    assert code == 4
+    assert "19 pass, 5 fail, 3 report" in capsys.readouterr().out
+    with open(out / "validate.json") as fh:
+        rows = {row["check"]: row for row in json.load(fh)["rows"]}
+    assert len(rows) == 27
+    for check in ("cascade_norm_conservation", "first_line_width"):
+        assert rows[check]["status"] == "FAIL"
+        assert rows[check]["measured"].startswith("refused: cascade at gamma_0/gamma_1 = 1.00047")
+    with open(out / "validate.csv", newline="") as fh:
+        assert len(list(csv.reader(fh))) == 28
+
+
 def test_validate_tail_row_prints_both_lines_tails(tmp_path):
     # each figure of the row is |g(12)| over the curve's peak; a direct
     # evaluation takes the peak on a denser and wider grid than validate's

@@ -215,6 +215,24 @@ def test_inverse_iteration_matches_dense_oracle(grid, nu, n_states):
         assert np.array_equal(psi[mirror], psi) or np.array_equal(psi[mirror], -psi)
 
 
+@pytest.mark.parametrize(
+    "grid", [Grid1D(512, 80.0), Grid1D(512, 60.0), Grid1D(1024, 80.0)],
+    ids=["512/80", "512/60", "1024/80"],
+)
+def test_degenerate_pair_at_integer_nu_comes_odd_state_first(grid):
+    # at nu = 1 the reflectionless well's lowest box states are an even and
+    # an odd one degenerate to roundoff; the odd one, the parity of the
+    # n = 1 rung the pair continues from nu > 1, comes first, also when the
+    # cut keeps only one of the two
+    mirror = (grid.npoints - np.arange(grid.npoints)) % grid.npoints
+    reports = [well_eigenstates(REFERENCE, n, grid=grid, nu=1.0) for n in (3, 2)]
+    parities = [["even" if np.array_equal(psi[mirror], psi) else "odd" for psi in report.states]
+                for report in reports]
+    assert parities == [["even", "odd", "even"], ["even", "odd"]]
+    pair = reports[0].energies[1:]
+    assert 0.0 < pair[0] < 1e-3 and abs(pair[1] - pair[0]) < 1e-13
+
+
 def test_frozen_well_bound_count_across_the_window():
     # the frozen well binds only n < nu: one state at the window's lower
     # edge, two at REFERENCE and just below its upper edge, while the

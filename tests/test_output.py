@@ -19,7 +19,7 @@ import pytest
 
 from slowsound import output
 from slowsound.cli import SCENARIO_NAMES, main
-from slowsound.output import format_number, write_csv, write_json
+from slowsound.output import OutputSink, format_number, write_csv, write_json
 from slowsound.svg import _H, _MB, _ML, _MR, _MT, _PALETTE, _W, line_plot
 
 
@@ -341,3 +341,73 @@ def test_sink_makes_its_directory_once(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["spectrum", "--out", str(out)]) == 0
     assert made == [str(out)] and len(os.listdir(out)) == 4
+
+
+# -- the sink's table layout -------------------------------------------------
+
+def received_tables(monkeypatch):
+    """The (columns, rows) each write_csv call receives, the file written as usual."""
+    received = []
+
+    def recorded_write_csv(path, columns, rows):
+        write_csv(path, columns, rows)
+        received.append((columns, rows))
+
+    monkeypatch.setattr(output, "write_csv", recorded_write_csv)
+    return received
+
+
+def test_sink_hands_an_all_float_table_over_as_one_array(tmp_path, monkeypatch):
+    received = received_tables(monkeypatch)
+    x = np.concatenate([np.array(SPECIAL_FLOATS), np.linspace(-3.0, 7.0, 300)])
+    with OutputSink(str(tmp_path), ("csv",)) as sink:
+        sink.csv("f.csv", [("x", x), ("cube", x ** 3), ("strided", np.array([x, -x])[1])])
+    [(columns, rows)] = received
+    assert columns == ["x", "cube", "strided"]
+    assert type(rows) is np.ndarray and rows.dtype == np.float64 and rows.shape == (len(x), 3)
+    expected = reference_csv(columns, zip(x.tolist(), (x ** 3).tolist(), (-x).tolist()))
+    assert written(tmp_path / "f.csv") == expected
+
+
+@pytest.mark.parametrize("other", [
+    np.arange(-5, 5) * 10 ** 13,
+    np.arange(10) % 3 == 0,
+    TEXTS + ["x,y", "last"] + TEXTS[:2],
+    np.arange(10, dtype=np.float32) / 7.0,
+    [0.5 * i for i in range(10)],
+], ids=["int", "bool", "str", "float32", "list_of_floats"])
+def test_sink_hands_any_other_table_over_as_rows_of_python_values(tmp_path, monkeypatch, other):
+    received = received_tables(monkeypatch)
+    x = np.linspace(0.0, 1.0, 10)
+    with OutputSink(str(tmp_path), ("csv",)) as sink:
+        sink.csv("m.csv", [("x", x), ("other", other)])
+    [(columns, rows)] = received
+    python_other = other.tolist() if isinstance(other, np.ndarray) else other
+    assert columns == ["x", "other"]
+    assert rows == list(zip(x.tolist(), python_other))
+    assert {type(cell) for row in rows for cell in row} <= {float, int, bool, str}
+    # the bytes write_csv wrote when the table came as these rows
+    write_csv(tmp_path / "direct.csv", columns, zip(x.tolist(), python_other))
+    assert written(tmp_path / "m.csv") == written(tmp_path / "direct.csv")
+    assert written(tmp_path / "m.csv") == reference_csv(columns, rows)
+
+
+@pytest.mark.parametrize("short", [np.zeros(4), ["a"] * 4], ids=["float", "str"])
+def test_sink_refuses_columns_of_unequal_length_before_making_anything(
+    tmp_path, monkeypatch, short
+):
+    received = received_tables(monkeypatch)
+    made = []
+    makedirs = os.makedirs
+
+    def counted_makedirs(*args, **kwargs):
+        made.append(args[0])
+        return makedirs(*args, **kwargs)
+
+    monkeypatch.setattr(os, "makedirs", counted_makedirs)
+    out = tmp_path / "new" / "out"
+    with pytest.raises(ValueError):
+        with OutputSink(str(out), ("csv",)) as sink:
+            sink.csv("u.csv", [("x", np.zeros(5)), ("short", short)])
+    assert sink.written == [] and made == [] and received == []
+    assert os.listdir(tmp_path) == []

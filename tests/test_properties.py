@@ -9,7 +9,9 @@ check adds a wavevector and sets the exact overlap sums of all five state
 pairs against the trapezoid oracle, parity classes included.  The grid
 check sets the default detuning grid against the loop it replaced
 (detuning_grid_oracle), bit for bit, up to controls where the step floor
-binds.  The cascade check keeps the total norm above its 0.98 floor at
+binds.  The group-velocity check finds v_g at zero detuning finite and
+positive wherever the track-mode sweep has a transparency window.  The
+cascade check keeps the total norm above its 0.98 floor at
 three sample times, or sees the grid refused near gamma_0 = gamma_1; the
 norm's 1.005 ceiling fails where the grids' tails alias, a strict xfail.
 The last check runs pytest, under this repository's settings, on a toy
@@ -38,7 +40,12 @@ from slowsound.decay import MAX_GRID_POINTS, cascade, decay_rates
 from slowsound.numerics import NumericsError
 from slowsound.params import REFERENCE
 from slowsound.qutrit import qutrit_window_in_coupling_ratio
-from slowsound.response import susceptibility_curve
+from slowsound.response import (
+    NoTransparency,
+    group_velocity_curve,
+    susceptibility_curve,
+    transparency_width,
+)
 
 
 @st.composite
@@ -81,6 +88,19 @@ def test_exact_couplings_match_trapezoid_oracle_and_keep_parity(params, k):
         assert g == pytest.approx(trapezoid_coupling(l, lp, k, params), rel=1e-8), (l, lp)
         # odd state pairs give real elements, even pairs imaginary ones
         assert abs(g.real if l == lp else g.imag) <= 1e-12 * abs(g), (l, lp)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(window_params().map(lambda params: replace(params, delta_mode="track")))
+def test_group_velocity_at_zero_detuning_is_positive_inside_a_window(params):
+    # a window alone decides it: the control's threshold against
+    # sqrt(gamma_0 gamma_1) does not (no window and a flagged v_g(0) were
+    # seen with controls up to 2.3 sqrt(gamma_0 gamma_1) / gamma_0)
+    curve = susceptibility_curve(params)
+    if isinstance(transparency_width(curve), NoTransparency):
+        return
+    vg = group_velocity_curve(curve).at_center
+    assert math.isfinite(vg) and vg > 0.0, vg
 
 
 def grids(params):

@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from slowsound.output import csv_layout
 from slowsound.params import REFERENCE, coupling_ratio_for_nu, nu_from_ratios
 from slowsound.qutrit import (
     QUTRIT_NU_MAX,
@@ -167,8 +168,9 @@ class RowSink:
         self.tables = {}
         self.series = {}
 
-    def csv(self, name, columns, rows):
-        self.tables[name] = (columns, list(rows))
+    def csv(self, name, table):
+        # the column names and rows OutputSink hands to write_csv
+        self.tables[name] = csv_layout(table)
 
     def json(self, name, payload):
         pass
