@@ -39,17 +39,46 @@ independent of N0.  The t -> infinity first-emission line (the marginal of
 gamma_0 + gamma_1, a property verified numerically rather than assumed.
 
 The sector norms are trapezoid sums, at every time at once.  Write b_kp =
-A_k B_p (c_p + M_kp D_kp): A_k B_p the coupling prefactor, c_p the lower
-line's term, M = 1/(i(dk + dp) - gamma_1/2) and D = 1 - E_k P_p with E_k =
-e^{(i dk - gamma_1/2) t} and |P_p| = |e^{i dp t}| = 1.  Splitting D =
-(1 - P) + P (1 - E) turns the double sum of |b_kp|^2 into time-independent
-sums and two (times x p) @ (p x k) products, one with M and one with
-|M|^2; every term is exactly 0 at t = 0.  Only real (k, p) arrays enter:
-M = -q (gamma_1/2 + i(dk + dp)) with q = |M|^2 and s = q (dk + dp), so
-every product with M is a real matrix product with q and s, and the
-t -> infinity first line is a few matrix-vector products with them.  q
-and s are built a block of k rows at a time into two cache-sized buffers,
-and every product is taken in that one pass, so no (k, p) array is kept.
+A_k B_p (c_p + M_kp D_kp): A_k B_p the coupling prefactor, c_p =
+(e^{(i dp - gamma_0/2) t} - 1)/(i dp - gamma_0/2) the lower line's term,
+M = 1/(i x - gamma_1/2) at x = dk + dp and D = 1 - e^{-gamma_1 t/2} e^{i x
+t}.  With the weights a_k = w_k |A_k|^2 and b_p = w_p |B_p|^2, q = |M|^2,
+s = q x, h = -M = (gamma_1/2) q + i s and beta_p = b_p/conj(i dp -
+gamma_0/2), the two-phonon norm over m^2 is
+
+    sum_k a  sum_p b |c_p|^2  +  (1 - e^{-gamma_1 t/2})^2 sum_kp a q b
+    - 2 Re sum_kp a h beta (e^{-gamma_0 t/2} (e^{-i dp t} - 1) + e^{-gamma_0 t/2} - 1)
+    + 2 e^{-gamma_1 t/2} Re sum_kp a h beta (e^{-gamma_0 t/2} (e^{i dk t} - 1)
+                                             + e^{-gamma_0 t/2} - 1)
+    - 2 e^{-gamma_1 t/2} Re sum_kp a (q b + h beta) (e^{i x t} - 1).
+
+Every time factor is e^{-gamma t/2} - 1 or e^{i theta} - 1 = -2 sin^2(theta/2)
++ i sin(theta), so every term is exactly 0 at t = 0 and the norm starts at
+0 bit for bit.  All but the last sum are time-independent per-k or per-p
+sums (sum_p q b, sum_p h beta, sum_k a h) against 1-D phases; the t ->
+infinity first line is m |A_k|^2 (sum_p q b + 2 Re sum_p h beta + sum_p
+b |1/(i dp - gamma_0/2)|^2).
+
+The (k, p) sums never form a K x P x times product.  The cores of both
+grids step at the same narrow/6 in omega, so dk = n_k step + eps_k and dp
+= n_p step + eps_p, with offsets eps of about 1e-16 from the omega -> k ->
+omega round trip: every pair of core points sits on one lattice, x =
+(n_k + n_p) step + eps_k + eps_p, where q and s are Hankel in (k, p).  The
+per-k and per-p sums over core pairs are then correlations with the
+lattice kernels, and the last sum is sum_m (q_m (a * b)_m + h_m (a *
+beta)_m)(e^{i x_m t} - 1) with * the convolution over the lattice; all are
+taken by FFT in O((K + P) log(K + P)) (Golub & Van Loan, Matrix
+Computations, 4th ed., section 4.7).  Each is corrected to first order in
+the offsets: q and s at x_m plus their derivative times eps_k + eps_p, and
+e^{i x t} as e^{i x_m t} (1 + i (eps_k + eps_p) t), whose error is (eps
+t)^2.  The lattice phases are factored, e^{i (h J + l) step t} = e^{i h J
+step t} e^{i l step t}, so only times x 2 sqrt(K + P) of them are taken.
+The geometric tails, about 14 points a side, are off the lattice: the
+pairs with an off-lattice point are two dense strips (off-lattice k
+against every p, core k against off-lattice p), summed with q in full and
+one matrix product per strip against the sin and cos arrays of the long
+side.  e^{i x t} - 1 = (e^{i dk t} - 1)(e^{i dp t} - 1) + (e^{i dk t} - 1)
++ (e^{i dp t} - 1) keeps every strip term exactly 0 at t = 0 as well.
 """
 
 import math
@@ -74,11 +103,9 @@ __all__ = [
 ]
 
 GAMMA1_DENOMINATOR = 30 * 896 ** 2  # exact prefactor, = 24084480
-# Bytes of each (k, p) block buffer of the cascade: 192-512 KiB ran its
-# REFERENCE cascades equally fast (2 MiB L2), 32 KiB and 2 MiB about 20% slower.
-_BLOCK_BYTES = 3 * 2 ** 17
-# Largest (k, p) grid the cascade runs: at 9.6e7 points it took 0.43 s for
-# 3 sample times and 2.2 s for 26 (one BLAS thread), about 5 times that at 3.3e8.
+# Largest (k, p) grid the cascade runs: at 9.6e7 points (13 757 x 6 983) it
+# took 0.05 s for 3 sample times and 0.07 s for 26 (one BLAS thread); past it
+# the grids' sides and the times x (K + P) phase arrays grow as 1/|gamma_0 - gamma_1|.
 MAX_GRID_POINTS = 10 ** 8
 
 
@@ -208,11 +235,12 @@ def _trapezoid_weights(x):
 class CascadeResult:
     """Cascade amplitudes, sector norms and first line over a set of times.
 
-    b_k rows are the one-phonon amplitudes over k_grid at each time.  The
-    two-phonon norm and the first line are summed in one pass over blocks
-    of q and s (module docstring); two_phonon_amplitudes builds b_kp at one
-    time from one full-size block, the direct route the tests check those
-    sums against.  measure is the continuum weight m in sum_k -> m * dk.
+    b_k rows are the one-phonon amplitudes over k_grid at each time, built
+    when read.  The two-phonon norm and the first line are sums over the
+    (k, p) grid taken on its shared omega lattice and in two dense strips
+    (module docstring); two_phonon_amplitudes builds b_kp at one time in
+    full, the direct route the tests check those sums against.  measure is
+    the continuum weight m in sum_k -> m * dk.
     """
 
     times: np.ndarray
@@ -224,7 +252,6 @@ class CascadeResult:
     omega_eg: float
     _g1_k: np.ndarray = field(repr=False, default=None)
     _g0_p: np.ndarray = field(repr=False, default=None)
-    b_k: np.ndarray = field(init=False)
     norm_one_phonon: np.ndarray = field(init=False)
     norm_two_phonon: np.ndarray = field(init=False)
 
@@ -237,41 +264,41 @@ class CascadeResult:
         self._denom_p = 1j * self._dp - 0.5 * g0
         self._amp_k = np.conj(self._g1_k) / (1j * self._dk - 0.5 * (g1 - g0))
 
-        # Both sectors at every time at once, times down the rows.
-        t = self.times[:, None]
         w_k, w_p = _trapezoid_weights(self.k_grid), _trapezoid_weights(self.p_grid)
-        e_k = np.exp((1j * self._dk - 0.5 * g1) * t)
-        self.b_k = -1j * self._amp_k * (e_k - np.exp(-0.5 * g0 * t))
-        self.norm_one_phonon = self.measure * np.sum(np.abs(self.b_k) ** 2 * w_k, axis=1)
-        phase = np.exp(1j * self._dp * t)
-        c_p = (np.exp(self._denom_p * t) - 1.0) / self._denom_p
         a_k, b_p = w_k * np.abs(self._amp_k) ** 2, w_p * np.abs(self._g0_p) ** 2
         r_p = 1.0 / self._denom_p  # first_line_spectrum's lower-line term
-        # cross = (b_p (phase - 1)) @ q.T + x @ M.T = z @ q.T - i x @ s.T
-        x = b_p * np.conj(c_p) * phase
-        z = b_p * (phase - 1.0) - 0.5 * g1 * x
-        # One pass: per k, q's p sums against b_p, the first line's q weight,
-        # Re z, Im z and s's against its s weight, Im x, -Re x; a_k @ q and @ s.
-        by_q = np.column_stack((b_p, b_p * (1.0 + g1 * r_p.real), z.real.T, z.imag.T))
-        by_s = np.column_stack((2.0 * b_p * r_p.imag, x.imag.T, -x.real.T))
-        q_sums, s_sums = np.empty((len(a_k), len(by_q.T))), np.empty((len(a_k), len(by_s.T)))
-        a_q, a_s = np.zeros_like(b_p), np.zeros_like(b_p)  # a_k @ M = -(g1/2) a_q - i a_s
-        for rows, q, s in _qs_blocks(self._dk, self._dp, g1, _BLOCK_BYTES // self._dp.nbytes):
-            np.matmul(q, by_q, out=q_sums[rows])
-            np.matmul(s, by_s, out=s_sums[rows])
-            a_q += a_k[rows] @ q
-            a_s += a_k[rows] @ s
-        cross_re, cross_im = np.hsplit(q_sums[:, 2:] + s_sums[:, 1:], 2)  # cross.T
-        u = b_p * c_p * np.conj(1.0 - phase)  # 2 Re(u @ conj(a_k @ M)) below
+        beta, lower = b_p * np.conj(r_p), b_p * np.abs(r_p) ** 2
+        phase_k, phase_p = _phase(self._dk, self.times), _phase(self._dp, self.times)
+        qb, hb, ah_beta, on_k, on_p, cross = _pair_sums(
+            self._dk, self._dp, _narrowest_width(self.rates) / 6.0, g1, a_k, b_p, beta,
+            self.times, phase_k, phase_p)
+        # the sums against e^{i dk t} - 1 and e^{i dp t} - 1: cos - 1 rows, then sin rows
+        by_k = a_k * hb
+        cm_k, sn_k = np.split(phase_k.reshape(-1, len(a_k)) @ np.column_stack(
+            (a_k, by_k.real, by_k.imag, on_k.real, on_k.imag)), 2)
+        cm_p, sn_p = np.split(phase_p.reshape(-1, len(b_p)) @ np.column_stack(
+            (lower, ah_beta.real, ah_beta.imag, on_p.real, on_p.imag)), 2)
+        decay_0, decay_1 = np.exp(-0.5 * g0 * self.times), np.exp(-0.5 * g1 * self.times)
+        # |b_k|^2 = |A_k|^2 |e^{(i dk - gamma_1/2) t} - e^{-gamma_0 t/2}|^2
+        self.norm_one_phonon = self.measure * (
+            (decay_1 - decay_0) ** 2 * np.sum(a_k) - 2.0 * decay_0 * decay_1 * cm_k[:, 0])
+        cross += cm_k[:, 3] - sn_k[:, 4] + cm_p[:, 3] - sn_p[:, 4]
         self.norm_two_phonon = self.measure ** 2 * (
-            np.sum(a_k) * (np.abs(c_p) ** 2 @ b_p)
-            + (b_p * np.abs(1.0 - phase) ** 2) @ a_q
-            + np.abs(1.0 - e_k) ** 2 @ (a_k * q_sums[:, 0])
-            - 2.0 * (u.real @ (0.5 * g1 * a_q) + u.imag @ a_s)
-            + 2.0 * np.real(((1.0 - e_k) * (cross_re + 1j * cross_im).T) @ a_k)
+            np.sum(a_k) * ((decay_0 - 1.0) ** 2 * np.sum(lower) - 2.0 * decay_0 * cm_p[:, 0])
+            + (1.0 - decay_1) ** 2 * (a_k @ qb)
+            - 2.0 * (decay_0 * (cm_p[:, 1] + sn_p[:, 2]) + (decay_0 - 1.0) * np.sum(ah_beta.real))
+            + 2.0 * decay_1 * (decay_0 * (cm_k[:, 1] - sn_k[:, 2])
+                               + (decay_0 - 1.0) * np.sum(by_k.real) - cross)
         )
-        line = q_sums[:, 1] + s_sums[:, 0] + b_p @ np.abs(r_p) ** 2
-        self._first_line = self.measure * np.abs(self._amp_k) ** 2 * line
+        self._first_line = self.measure * np.abs(self._amp_k) ** 2 * (
+            qb + 2.0 * hb.real + np.sum(lower))
+
+    @property
+    def b_k(self):
+        """One-phonon amplitudes over k_grid, times down the rows."""
+        g0, g1 = self.rates.gamma_0, self.rates.gamma_1
+        t = self.times[:, None]
+        return -1j * self._amp_k * (np.exp((1j * self._dk - 0.5 * g1) * t) - np.exp(-0.5 * g0 * t))
 
     @property
     def norm_total(self):
@@ -285,7 +312,9 @@ class CascadeResult:
         are evaluated.
         """
         g0, g1 = self.rates.gamma_0, self.rates.gamma_1
-        ((_, q, s),) = _qs_blocks(self._dk, self._dp, g1, len(self._dk))
+        s = np.add.outer(self._dk, self._dp)
+        q = _q(s, g1)
+        s *= q
         term_p = (np.exp((1j * self._dp - 0.5 * g0) * t) - 1.0) / self._denom_p
         # b_kp = pref_kp (term_p + (1 - phase) M), built in place
         b = np.multiply.outer(np.exp((1j * self._dk - 0.5 * g1) * t), np.exp(1j * self._dp * t))
@@ -300,26 +329,197 @@ class CascadeResult:
 
         Returns (k_grid, spectral density in k).  The exponential factors
         vanish as t -> infinity, leaving b_kp = A_k B_p (M_kp - r_p) with
-        r_p = 1/(i dp - gamma_0/2), and |M - r_p|^2 = q + gamma_1 q Re r_p
-        + 2 s Im r_p + |r_p|^2 makes the sum over p matrix-vector products.
+        r_p = 1/(i dp - gamma_0/2), and |M - r_p|^2 = q + 2 Re(h conj(r_p))
+        + |r_p|^2 makes the sum over p the per-k sums sum_p q b and sum_p h
+        beta of the norm, plus sum_p b |r_p|^2.
         """
         return self.k_grid, self._first_line
 
 
-def _qs_blocks(dk, dp, gamma_1, rows):
-    """Yield (k slice, q, s) per block of at most `rows` k rows, q = |M|^2 and
-    s = q (dk + dp) written into two buffers that every block reuses."""
-    rows = max(1, min(rows, len(dk)))
-    s_buf, q_buf = np.empty((rows, len(dp))), np.empty((rows, len(dp)))
-    for start in range(0, len(dk), rows):
-        k = slice(start, start + rows)
-        s, q = s_buf[: len(dk[k])], q_buf[: len(dk[k])]
-        np.add.outer(dk[k], dp, out=s)
-        np.multiply(s, s, out=q)
-        q += 0.25 * gamma_1 * gamma_1
-        np.reciprocal(q, out=q)
-        s *= q
-        yield k, q, s
+def _narrowest_width(rates):
+    """min(gamma_0, gamma_1, |gamma_0 - gamma_1|): the emission grids step at a sixth of it."""
+    g0, g1 = rates.gamma_0, rates.gamma_1
+    return min(g0, g1, abs(g0 - g1) or math.inf)
+
+
+def _q(x, gamma_1):
+    """q = |M|^2 = 1/(x^2 + gamma_1^2/4) for M = 1/(i x - gamma_1/2) = -q (gamma_1/2 + i x)."""
+    q = x * x
+    q += 0.25 * gamma_1 * gamma_1
+    return np.reciprocal(q, out=q)
+
+
+def _lattice(d, step, gamma_1):
+    """The lattice run of a grid of detunings d: the longest run of
+    consecutive points within 1e-9 gamma_1 of the lattice n step, as
+    (slice, n, offsets d - n step).  An emission grid's core is that run,
+    its offsets about 1e-16 from the omega -> k -> omega round trip.  The
+    bound keeps what the first-order sums drop, (offset/gamma_1)^2 and
+    (offset t)^2, below 1e-18 and 1e-18 (gamma_1 t)^2."""
+    n = np.rint(d / step)
+    on = np.flatnonzero(np.abs(d - n * step) <= 1e-9 * gamma_1)
+    run = max(np.split(on, np.flatnonzero(np.diff(on) > 1) + 1), key=len)
+    core = slice(run[0], run[-1] + 1)
+    return core, n[core].astype(int), d[core] - n[core] * step
+
+
+def _phase(d, times):
+    """e^{i d t} - 1 as cos(d t) - 1 = -2 sin^2(d t/2) and sin(d t), stacked
+    in one array of shape (2, times, d); both are exactly 0 at t = 0."""
+    out = np.empty((2, len(times), len(d)))
+    np.multiply.outer(times, d, out=out[1])
+    np.multiply(out[1], 0.5, out=out[0])
+    np.sin(out, out=out)
+    out[0] *= out[0]
+    out[0] *= -2.0
+    return out
+
+
+def _pair_sums(dk, dp, step, gamma_1, a, b, beta, times, phase_k, phase_p):
+    """The (k, p) sums of the cascade's norms, with q and h = (gamma_1/2) q +
+    i s at x = dk + dp: (qb, hb, ah_beta, on_k, on_p, cross).
+
+    Per k sum_p q b and sum_p h beta, per p beta sum_k a h, and Re sum_kp a
+    (q b + h beta)(e^{i x t} - 1) as cross + Re sum_k on_k (e^{i dk t} - 1)
+    + Re sum_p on_p (e^{i dp t} - 1), from phase_k = _phase(dk, times) and
+    phase_p.  Pairs of lattice points are summed on the lattice, the others
+    in two dense strips: off-lattice k against every p, lattice k against
+    off-lattice p.
+    """
+    (k_core, n_k, eps_k), (p_core, n_p, eps_p) = (_lattice(d, step, gamma_1) for d in (dk, dp))
+    qb, hb, on_k = np.zeros(len(dk)), np.zeros(len(dk), complex), np.zeros(len(dk), complex)
+    ah_beta, on_p = np.zeros(len(dp), complex), np.zeros(len(dp), complex)
+    qb[k_core], hb[k_core], ah_beta[p_core], cross = _lattice_sums(
+        n_k, eps_k, n_p, eps_p, step, gamma_1, a[k_core], b[p_core], beta[p_core], times)
+    k_tail = np.r_[:k_core.start, k_core.stop:len(dk)]
+    p_tail = np.r_[:p_core.start, p_core.stop:len(dp)]
+    for rows, cols in ((k_tail, slice(None)), (k_core, p_tail)):
+        strip = _dense_sums(dk[rows], dp[cols], gamma_1, a[rows], b[cols], beta[cols],
+                            phase_k[:, :, rows], phase_p[:, :, cols])
+        qb[rows] += strip[0]
+        hb[rows] += strip[1]
+        ah_beta[cols] += strip[2]
+        on_k[rows] += strip[3]
+        on_p[cols] += strip[4]
+        cross += strip[5]
+    return qb, hb, ah_beta, on_k, on_p, cross
+
+
+def _dense_sums(dk, dp, gamma_1, a, b, beta, phase_k, phase_p):
+    """_pair_sums over one block of the (k, p) grid, with q in full; the
+    block's row and column sums of a (q b + h beta) are on_k and on_p."""
+    x = np.add.outer(dk, dp)
+    q = _q(x, gamma_1)
+    qb, aq = q @ b, a @ q
+    # q b + h beta = g_re + i g_im = q (u + i x beta), u = b + (gamma_1/2) beta,
+    # built over x
+    u = b + 0.5 * gamma_1 * beta
+    g_im = x * beta.real
+    g_im += u.imag
+    g_im *= q
+    g_re = x
+    g_re *= -beta.imag
+    g_re += u.real
+    g_re *= q
+    ones = np.ones(len(dp))
+    by_k = g_re @ ones + 1j * (g_im @ ones)
+    by_p = a @ g_re + 1j * (a @ g_im)
+    g_re *= a[:, None]
+    g_im *= a[:, None]
+    return (qb, by_k - qb, by_p - aq * b, a * by_k, by_p,
+            _bilinear(phase_k, g_re, g_im, phase_p))
+
+
+def _bilinear(phase_k, g_re, g_im, phase_p):
+    """Re sum_kp (e^{i dk t} - 1) g_kp (e^{i dp t} - 1) per time, g = g_re + i
+    g_im, from the _phase arrays of the block's rows and columns.
+
+    The longer side is summed first, by one matrix product with its phases
+    per part of g, so nothing of size times x (longer side) is made.
+    """
+    if g_re.shape[0] > g_re.shape[1]:
+        return _bilinear(phase_p, g_re.T, g_im.T, phase_k)
+    cm_k, sn_k = phase_k
+    n_t = len(cm_k)
+    stacked = phase_p.reshape(2 * n_t, -1).T
+    zr, zi = g_re @ stacked, g_im @ stacked  # [g (cos - 1)^T | g sin^T]
+    z_re, z_im = zr[:, :n_t] - zi[:, n_t:], zr[:, n_t:] + zi[:, :n_t]
+    return np.einsum("tk,kt->t", cm_k, z_re) - np.einsum("tk,kt->t", sn_k, z_im)
+
+
+def _lattice_sums(n_k, eps_k, n_p, eps_p, step, gamma_1, a, b, beta, times):
+    """_pair_sums over the lattice points of both grids (module docstring):
+    one real FFT of 12 rows and one inverse of 16 give the per-k and per-p
+    correlations with q, s and their derivatives, to first order in the
+    offsets eps, and the convolutions of a with b and beta that cross sums
+    against the lattice phases (_lattice_phases).  Returns (qb, hb,
+    ah_beta, cross).
+    """
+    j, i = n_k - n_k[0], n_p - n_p[0]
+    size = int(j[-1] + i[-1]) + 1
+    # the shortest 2^n, 3 2^n, 5 2^n, 9 2^n or 15 2^n that holds the lattice
+    n_fft = min(m << (-(-size // m) - 1).bit_length() for m in (1, 3, 5, 9, 15))
+    x = (n_k[0] + n_p[0] + np.arange(size)) * step
+    q = _q(x, gamma_1)
+    s = q * x
+    dq, ds = -2.0 * s * q, q - 2.0 * s * s  # d/dx of q and s
+    buf = np.zeros((16, n_fft))
+    buf[:4, :size] = q, s, dq, ds
+    buf[4, j], buf[5, j] = a, eps_k * a
+    buf[6:9, i] = b, beta.real, beta.imag
+    buf[9:12, i] = eps_p * buf[6:9, i]
+    spectra = np.fft.rfft(buf[:12])
+    fq, fs, fdq, fds, fa, fea = spectra[:6]
+    ca, cea, cb, cr, ci, ceb, cer, cei = spectra[4:].conj()
+    hq = 0.5 * gamma_1
+    products = np.empty((16, len(fq)), complex)
+    # per k: sum_p q b, Re and Im sum_p h beta; then their parts times eps_k
+    products[0] = fq * cb + fdq * ceb
+    products[1] = hq * (fq * cr + fdq * cer) - fs * ci - fds * cei
+    products[2] = hq * (fq * ci + fdq * cei) + fs * cr + fds * cer
+    products[3] = fdq * cb
+    products[4] = hq * fdq * cr - fds * ci
+    products[5] = hq * fdq * ci + fds * cr
+    # per p: sum_k a q and sum_k a s; then their parts times eps_p
+    products[6] = fq * ca + fdq * cea
+    products[7] = fs * ca + fds * cea
+    products[8] = fdq * ca
+    products[9] = fds * ca
+    # the convolutions of a with b, Re beta and Im beta; then of the offsets' parts
+    products[10:13] = fa * spectra[6:9]
+    products[13:16] = fea * spectra[6:9] + fa * spectra[9:12]
+    out = np.fft.irfft(products, n_fft, out=buf)
+    qb, hb_re, hb_im = out[0:3, j] + eps_k * out[3:6, j]
+    aq, as_ = out[6:8, i] + eps_p * out[8:10, i]
+    conv, e_conv = out[10:13, :size], out[13:16, :size]
+    h, dh = hq * q + 1j * s, hq * dq + 1j * ds
+    # Re of sum_m (e^{i x_m t} - 1) g_m + i t e^{i x_m t} g_eps_m
+    g_eps = q * e_conv[0] + h * (e_conv[1] + 1j * e_conv[2])
+    g = q * conv[0] + h * (conv[1] + 1j * conv[2]) + dq * e_conv[0] + dh * (e_conv[1] + 1j * e_conv[2])
+    sums = _lattice_phases(np.column_stack((g, g_eps)), n_k[0] + n_p[0], step, times)
+    cross = sums[:, 0].real - times * (sums[:, 1].imag + np.sum(g_eps.imag))
+    return qb, hb_re + 1j * hb_im, (hq * aq + 1j * as_) * beta, cross
+
+
+def _lattice_phases(w, n_0, step, times):
+    """sum_m w_m (e^{i (n_0 + m) step t} - 1) per column of w, times down the rows.
+
+    With m = h J + l, e^{i (n_0 + m) step t} = A_h B_l for A_h = e^{i h J step
+    t} and B_l = e^{i (n_0 + l) step t}, and A_h B_l - 1 = (A_h - 1) B_l +
+    (B_l - 1): only times x (J + M) phases are taken, and the sum is
+    exactly 0 at t = 0.
+    """
+    n_l = math.isqrt(len(w) - 1) + 1
+    n_h = -(-len(w) // n_l)
+    padded = np.zeros((n_h * n_l, w.shape[1]), complex)
+    padded[:len(w)] = w
+    padded = padded.reshape(n_h, n_l, -1)
+    a_m1 = _phase(n_l * step * np.arange(n_h), times)
+    b_m1 = _phase((n_0 + np.arange(n_l)) * step, times)
+    b_m1 = b_m1[0] + 1j * b_m1[1]
+    inner = (1.0 + b_m1) @ padded.transpose(1, 0, 2).reshape(n_l, -1)  # sum_l B_l w_hl
+    inner = inner.reshape(len(times), n_h, -1)
+    return np.einsum("th,thv->tv", a_m1[0] + 1j * a_m1[1], inner) + b_m1 @ padded.sum(axis=0)
 
 
 def cascade(params: Params, times, rates=None):
@@ -343,7 +543,7 @@ def cascade(params: Params, times, rates=None):
     if rates is None:
         rates = decay_rates(params)
     g0_rate, g1_rate = rates.gamma_0, rates.gamma_1
-    narrow = min(g0_rate, g1_rate, abs(g0_rate - g1_rate) or math.inf)
+    narrow = _narrowest_width(rates)
     n_k, n_p = (2 * math.ceil(15.0 * w / (narrow / 6.0)) + 1 for w in (g0_rate + g1_rate, g0_rate))
     if n_k * n_p > MAX_GRID_POINTS:
         raise NumericsError(f"cascade at gamma_0/gamma_1 = {g0_rate / g1_rate:.9g}: the (k, p) "

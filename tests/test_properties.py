@@ -11,9 +11,11 @@ check sets the default detuning grid against the loop it replaced
 (detuning_grid_oracle), bit for bit, up to controls where the step floor
 binds.  The group-velocity check finds v_g at zero detuning finite and
 positive wherever the track-mode sweep has a transparency window.  The
-cascade check keeps the total norm above its 0.98 floor at
-three sample times, or sees the grid refused near gamma_0 = gamma_1; the
-norm's 1.005 ceiling fails where the grids' tails alias, a strict xfail.
+cascade checks keep the total norm above its 0.98 floor at
+three sample times, or see the grid refused near gamma_0 = gamma_1, and
+set the cascade's lattice and strip sums against their direct routes at
+the same times; the norm's 1.005 ceiling fails where the grids' tails
+alias, a strict xfail.
 The last check runs pytest, under this repository's settings, on a toy
 failing hypothesis test: the failure must be reported, and the session
 must go on to the next test.
@@ -27,10 +29,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from detuning_grid_oracle import oracle_detunings
+from test_decay import ALIAS_COUNTEREXAMPLE, direct_first_line, direct_two_phonon_norm
 from trapezoid_oracle import trapezoid_coupling
 
 from slowsound import response
@@ -148,13 +151,41 @@ def test_cascade_norm_keeps_its_floor_or_grid_is_refused(params):
     assert np.all(res.norm_total > 0.98), res.norm_total
 
 
+# Largest grid the direct routes below are built on: each holds a few
+# complex K x P arrays, 50 MB at 1e6 points.  Larger grids lie in the band
+# around gamma_0 = gamma_1, where the cascade's sums run the same code paths.
+DIRECT_GRID_POINTS = 10 ** 6
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(window_point())
+# its k grid's lower tail is clipped at omega > 1e-12
+@example(ALIAS_COUNTEREXAMPLE)
+@example(replace(REFERENCE, coupling_ratio=1.49753))  # refused
+def test_cascade_sums_match_their_direct_routes_across_the_window(params):
+    """The lattice and strip sums against the direct routes of test_decay:
+    the two-phonon norm against the trapezoid sum of |two_phonon_amplitudes
+    (t)|^2, and the first line against its direct sum over p, at the rtol
+    1e-12 of the fixed-point tests."""
+    try:
+        res = cascade_at_three_times(params)
+    except NumericsError as exc:
+        assert f"above {MAX_GRID_POINTS:.0e}" in str(exc)
+        return
+    assume(len(res.k_grid) * len(res.p_grid) <= DIRECT_GRID_POINTS)
+    np.testing.assert_allclose(res.norm_two_phonon[1:], direct_two_phonon_norm(res, res.times[1:]),
+                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose(res.first_line_spectrum()[1], direct_first_line(res),
+                               rtol=1e-12, atol=0)
+
+
 # The norm's ceiling does not hold across the window: the geometric tails
 # of the emission grids alias the joint (dk + dp) line of width gamma_1.
 # Uniform grids over the same span give 0.9963 at t = 3/gamma_1 here.
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="the emission grids' geometric tails alias the joint line")
 def test_cascade_norm_keeps_its_ceiling_where_the_tails_alias():
-    res = cascade_at_three_times(replace(REFERENCE, mass_ratio=1.203125, coupling_ratio=2.25))
+    res = cascade_at_three_times(ALIAS_COUNTEREXAMPLE)
     assert np.all(res.norm_total < 1.005), res.norm_total
 
 
