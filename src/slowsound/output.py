@@ -1,24 +1,23 @@
 """Deterministic file output: CSV tables, JSON reports, run manifests.
 
-CSV cells are written by format_number: floats as %.12g (NaN of either
-sign as "nan", infinities as "inf"/"-inf", negative zero as "-0"), bools
-as "true"/"false", integers in full, and strings with newlines turned
-into spaces and, when they hold a comma or a double quote, wrapped in
-double quotes with inner quotes doubled.  Each column's % spec is picked
-once per table: a column whose cells are all Python or numpy float64
-floats is printed with %.12g directly, any other column as %s of its
-format_number strings, so the bytes are the same either way.  A table
-handed over as a 2-D float64 array takes %.12g in every column without
-looking at its cells.  The rows are then formatted a block at a time, by
-one % operation per block.  Scenarios hand OutputSink.csv (column name,
-values) pairs, which csv_layout alone lays out for write_csv.  Reruns of
-the same configuration produce byte-identical tables.  A JSON file is
-written in one recursive pass, in the bytes json.dumps(indent=2,
-sort_keys=True) writes once numpy values are Python ones, with NaN as
-null.  The manifest carries the
-fully resolved parameter set and the list of written files; its
-generated_at stamp is the only line expected to differ between
-identical reruns.
+CSV cells are written as format_number writes them: floats as %.12g
+(NaN of either sign as "nan", infinities as "inf"/"-inf", negative zero
+as "-0"), bools as "true"/"false", integers in full, and strings with
+newlines turned into spaces and, when they hold a comma or a double
+quote, wrapped in double quotes with inner quotes doubled.  Float cells
+take numtext.g12_text, which writes those bytes for a whole array at a
+time: a table handed over as a 2-D float64 array, or whose columns all
+hold Python or numpy float64 floats, is written by one g12_text call
+per block of rows; in any other table the float columns are one
+g12_text call and the other columns take format_number cell by cell.
+Scenarios hand OutputSink.csv (column name, values) pairs, which
+csv_layout alone lays out for write_csv.  Reruns of the same
+configuration produce byte-identical tables.  A JSON file is written in
+one recursive pass, in the bytes json.dumps(indent=2, sort_keys=True)
+writes once numpy values are Python ones, with NaN as null.  The
+manifest carries the fully resolved parameter set and the list of
+written files; its generated_at stamp is the only line expected to
+differ between identical reruns.
 """
 
 import dataclasses
@@ -30,15 +29,17 @@ import os
 
 import numpy as np
 
+from .numtext import g12_text
 from .params import ConfigError
 from .svg import line_plot
 
 __all__ = ["OutputSink", "csv_layout", "format_number", "write_csv", "write_json", "write_manifest"]
 
-# Rows formatted per % operation of write_csv.  Blocks of 32 to 1024 rows
-# format equally fast, but the block's strings add to peak memory: about
-# 1 MB on a 2001-row table at 512 rows, about 0.3 MB at 128.
-_BLOCK_ROWS = 128
+# Cells per g12_text call of write_csv.  At 3072 cells the kernel's
+# arrays stay below the 128 KiB from which malloc maps fresh pages for
+# each one; on a 4096 x 3 table, whole-table calls took 20-40% longer,
+# in first touches of those pages (2 vCPU, Python 3.11.7, numpy 2.4.6).
+_BLOCK_CELLS = 3072
 _FLOAT_TYPES = frozenset({float, np.float64})
 
 
@@ -59,45 +60,51 @@ def format_number(value):
 
 
 def _table_cells(rows, width):
-    """The table's cells in row order, and the % spec of each column.
+    """The table as a 2-D float64 array when every cell is a float, else as
+    each column's cell texts.
 
-    A 2-D float64 array is all "%.12g" ("%.12g" % v is the routine behind
-    f"{v:.12g}" and prints NaN as "nan").  Otherwise each column takes
-    "%.12g" when its cells are all Python or numpy float64 floats, and
-    "%s" over its format_number strings when they are not.
+    A 2-D float64 array is taken as it is, and rows whose cells are all
+    Python or numpy float64 floats (1-D float64 arrays among them) become
+    one.  Otherwise the columns whose cells are all such floats are
+    written by one g12_text call, and every other column by format_number.
     """
     if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64:
         if rows.shape[1] != width:
             raise ValueError(f"row of width {rows.shape[1]} does not match {width} columns")
-        return rows.ravel().tolist(), ["%.12g"] * width
+        return rows
     rows = list(rows)
     for row in rows:
         if len(row) != width:
             raise ValueError(f"row of width {len(row)} does not match {width} columns")
     cells = list(itertools.chain.from_iterable(rows))
-    specs = []
-    for j in range(width):
-        column = cells[j::width]
-        if set(map(type, column)) <= _FLOAT_TYPES:
-            specs.append("%.12g")
-        else:
-            specs.append("%s")
-            cells[j::width] = list(map(format_number, column))
-    return cells, specs
+    columns = [cells[j::width] for j in range(width)]
+    floats = [j for j, column in enumerate(columns) if set(map(type, column)) <= _FLOAT_TYPES]
+    if len(floats) == width:
+        return np.array(cells, dtype=np.float64).reshape(len(rows), width)
+    # every float column in one g12_text call, one column after another
+    texts = g12_text(np.array([columns[j] for j in floats]), ord("\n"))[1:].split("\n")
+    for k, j in enumerate(floats):
+        columns[j] = texts[k * len(rows) : (k + 1) * len(rows)]
+    return [column if j in floats else list(map(format_number, column)) for j, column in enumerate(columns)]
 
 
 def write_csv(path, columns, rows):
     """rows: iterable of sequences matching columns, or a 2-D float64
-    array of them; LF newlines."""
+    array of them; LF newlines.  An all-float table is written a block of
+    _BLOCK_CELLS cells at a time, each row's first cell after a newline
+    and every other after a comma."""
     width = len(columns)
-    cells, specs = _table_cells(rows, width)
-    row_format = ",".join(specs) + "\n"
-    block = _BLOCK_ROWS * width or 1
+    cells = _table_cells(rows, width)
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for start in range(0, len(cells), block):
-            chunk = tuple(cells[start : start + block])
-            fh.write((row_format * (len(chunk) // width)) % chunk)
+        fh.write(",".join(columns))
+        if isinstance(cells, np.ndarray):
+            lead = [ord("\n")] + [ord(",")] * (width - 1)
+            step = max(_BLOCK_CELLS // max(width, 1), 1)
+            for start in range(0, len(cells), step):
+                fh.write(g12_text(cells[start : start + step], lead))
+        else:
+            fh.write("\n" + "\n".join(map(",".join, zip(*cells))))
+        fh.write("\n")
 
 
 def csv_layout(table):

@@ -2,12 +2,15 @@
 
 One axes panel, multiple series, linear scales. Enough to eyeball a
 spectrum or a pulse; anything fancier belongs in the user's own tools,
-fed from the CSV files written next to the figure.
+fed from the CSV files written next to the figure.  Each series' pixel
+coordinates are written as "%.2f" by one numtext.f2_text call.
 """
 
 import math
 
 import numpy as np
+
+from .numtext import f2_text
 
 __all__ = ["line_plot"]
 
@@ -48,17 +51,17 @@ def _span(values):
 
 
 def _polyline_chunks(xs, ys, finite):
-    """The "x,y x,y ..." pixel text of each run of consecutive finite samples.
-
-    Each run is formatted by one % operation on its interleaved coordinates.
-    """
-    coords = np.column_stack((xs, ys)).ravel().tolist()
-    # each run starts where `finite` turns on and stops where it turns off
-    edges = np.flatnonzero(np.diff(finite, prepend=False, append=False)).tolist()
-    return [
-        " ".join(["%.2f,%.2f"] * (stop - start)) % tuple(coords[2 * start : 2 * stop])
-        for start, stop in zip(edges[::2], edges[1::2])
-    ]
+    """The "x,y x,y ..." pixel text of each run of consecutive finite
+    samples, every coordinate as "%.2f", from one f2_text call."""
+    points = finite.nonzero()[0]
+    pairs = np.empty((len(points), 2))
+    pairs[:, 0], pairs[:, 1] = xs[points], ys[points]
+    # a newline leads each run's first point, a space every other point
+    lead = np.empty((len(points), 2), np.uint32)
+    lead[:, 0], lead[:, 1] = ord(" "), ord(",")
+    lead[:1, 0] = ord("\n")
+    lead[1:, 0][points[1:] - points[:-1] > 1] = ord("\n")
+    return f2_text(pairs, lead).split("\n")[1:]
 
 
 def line_plot(path, x, series, title="", xlabel="", ylabel=""):

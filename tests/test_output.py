@@ -1,14 +1,15 @@
 """Byte oracles for the CSV, JSON and SVG writers.
 
-write_csv picks each column's % spec once per table and formats each
-block of rows by one % operation, and line_plot formats each run of a
-series' pixel pairs by one % operation.  The references
-here are the straightforward writers they replace, one cell or one point
-at a time; every comparison is on the bytes written, both on crafted
-tables and series and on whole scenarios' files.  write_json writes
-its text in one recursive pass; its oracle is the json module's encoder
-behind json.dumps(indent=2, sort_keys=True), after a walk that turns
-numpy values into Python ones.
+write_csv writes its float cells, and line_plot its pixel coordinates,
+with the numpy text kernels of slowsound.numtext: an all-float table a
+block of cells at a time, a mixed table's float columns in one call, a
+series' finite points in one call.  The references here are the
+straightforward writers they replace, one cell or one point at a time
+through format_number and "%.2f"; every comparison is on the bytes
+written, both on crafted tables and series, extreme values included, and
+on whole scenarios' files.  write_json writes its text in one recursive
+pass; its oracle is the json module's encoder behind json.dumps(indent=2,
+sort_keys=True), after a walk that turns numpy values into Python ones.
 """
 import json
 import math
@@ -50,18 +51,20 @@ def mixed_rows(n):
                 i * 10**9 if i % 2 else np.int64(-i),
                 bool(i % 3) if i % 2 else np.bool_(i % 3 == 0),
                 TEXTS[i % len(TEXTS)],
-                # an int in an otherwise-float column, in the second block only
-                10**13 if i == output._BLOCK_ROWS + 5 else i * 0.1,
+                # an int in an otherwise-float column, past the first block's rows
+                10**13 if i == BLOCK_ROWS + 5 else i * 0.1,
             )
         )
     return rows
 
 
 COLUMNS = ["py_float", "np_float64", "np_float32", "integer", "flag", "label", "mostly_float"]
+# rows of one write_csv block at this width
+BLOCK_ROWS = output._BLOCK_CELLS // len(COLUMNS)
 
 
 def test_csv_matches_cell_by_cell_oracle_across_blocks(tmp_path):
-    rows = mixed_rows(2 * output._BLOCK_ROWS + 37)
+    rows = mixed_rows(2 * BLOCK_ROWS + 37)
     path = tmp_path / "t.csv"
     write_csv(path, COLUMNS, rows)
     expected = reference_csv(COLUMNS, rows)
@@ -92,12 +95,17 @@ def test_csv_float_array_takes_the_same_bytes_as_the_oracle(tmp_path):
     for other in (table.astype(np.float32), np.arange(-6, 6).reshape(4, 3) * 10**13):
         write_csv(path, ["a", "b", "c"], other)
         assert written(path) == reference_csv(["a", "b", "c"], other)
+    # a row wider than one block
+    wide = np.linspace(-1.0, 1.0, 3 * (output._BLOCK_CELLS + 1)).reshape(3, -1)
+    names = [f"c{j}" for j in range(wide.shape[1])]
+    write_csv(path, names, wide)
+    assert written(path) == reference_csv(names, wide)
     with pytest.raises(ValueError, match="row of width 3 does not match 2 columns"):
         write_csv(tmp_path / "w.csv", ["a", "b"], table)
 
 
 def test_csv_accepts_any_iterable_of_rows(tmp_path):
-    rows = mixed_rows(output._BLOCK_ROWS + 3)
+    rows = mixed_rows(BLOCK_ROWS + 3)
     path = tmp_path / "g.csv"
     write_csv(path, COLUMNS, (row for row in rows))
     assert written(path) == reference_csv(COLUMNS, rows)
@@ -112,7 +120,7 @@ def test_csv_without_rows_is_header_only(tmp_path):
 
 
 def test_csv_width_mismatch_in_second_block_raises(tmp_path):
-    rows = [(1.0, 2.0)] * (output._BLOCK_ROWS + 10) + [(1.0,)] + [(3.0, 4.0)] * 5
+    rows = [(1.0, 2.0)] * (output._BLOCK_CELLS // 2 + 10) + [(1.0,)] + [(3.0, 4.0)] * 5
     with pytest.raises(ValueError, match="row of width 1 does not match 2 columns"):
         write_csv(tmp_path / "w.csv", ["a", "b"], rows)
 
@@ -216,6 +224,28 @@ def test_all_non_finite_series_draw_nothing(tmp_path):
     assert drawn_marks(path) == []
 
 
+EXTREMES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1.797e308, -1.797e308]
+
+
+def test_writers_warn_on_no_extreme_value(tmp_path):
+    # filterwarnings = error fails the test on any warning; log10(0) and the
+    # Veltkamp split's overflow near 1e308 would be the text kernels' own
+    table = np.column_stack([EXTREMES, EXTREMES[::-1]])
+    path = tmp_path / "x.csv"
+    for rows in (table, table.tolist(), [(v, i) for i, v in enumerate(EXTREMES)]):
+        write_csv(path, ["a", "b"], rows)
+        assert written(path) == reference_csv(["a", "b"], rows)
+    # line_plot's kernel sees pixels: the extremes where its linear map stays
+    # finite, and NaN ones where x holds NaN
+    svg = tmp_path / "x.svg"
+    for x, y in (
+        ([0.0, -0.0, 5e-324, 1.797e308, 1.0, 2.0], [math.nan, math.inf, -math.inf, 0.0, 5e-324, 1.0]),
+        ([0.0, math.nan, 1.0, math.inf], [1.0, 2.0, -0.0, 3.0]),
+    ):
+        line_plot(svg, x, [("y", y)])
+        assert drawn_marks(svg) == reference_marks(x, [("y", y)])
+
+
 def _python_values(value):
     if isinstance(value, dict):
         return {str(k): _python_values(v) for k, v in value.items()}
@@ -273,14 +303,15 @@ def test_json_refuses_what_it_cannot_write(tmp_path):
 
 # -- whole scenarios -----------------------------------------------------------
 
-# spectrum's int, bool and NaN-holding float columns take write_csv's %s
-# path; the others are all-float tables
+# spectrum's table mixes float, int and bool columns, whose float columns
+# take one g12_text call; the others are all-float tables
 SWEEPS = ("spectrum", "susceptibility", "dispersion", "groupvel", "pulse")
 
 
 # REFERENCE, then stronger controls; the default detuning grids run from
 # 379 points at REFERENCE to 735 at control 100, and spectrum's coupling-ratio
-# sweep has 201 points, each past one 128-row block
+# sweep has 201 points.  Blocks of 256 cells put block seams in every
+# all-float table.
 @pytest.mark.parametrize("control", [None, "20", "80", "100"])
 @pytest.mark.parametrize("scenario", SWEEPS)
 def test_scenario_tables_match_oracle(tmp_path, monkeypatch, scenario, control):
@@ -292,12 +323,13 @@ def test_scenario_tables_match_oracle(tmp_path, monkeypatch, scenario, control):
             rows = list(rows)
         write_csv(path, columns, rows)
         assert written(path) == reference_csv(columns, rows), path
-        tables.append(len(rows))
+        tables.append(len(rows) * len(columns))
 
     monkeypatch.setattr(output, "write_csv", checked_write_csv)
+    monkeypatch.setattr(output, "_BLOCK_CELLS", 256)
     extra = ["--set", f"control_rabi_gamma0={control}"] if control else []
     assert main([scenario, *extra, "--out", str(tmp_path / "out")]) == 0
-    assert tables and max(tables) > output._BLOCK_ROWS
+    assert tables and max(tables) > output._BLOCK_CELLS
 
 
 def test_scenario_svg_matches_point_by_point_oracle(tmp_path, monkeypatch):
