@@ -1,7 +1,7 @@
 """Command-line entry point.
 
     slowsound <scenario> [--config file] [--out dir] [--format csv,json,svg]
-              [--set key=value ...] [--delta-mode track|fixed] [--threads N]
+              [--set key=value ...] [--delta-mode track|fixed]
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 validation-suite failure (the validate scenario reported FAIL rows).
@@ -13,9 +13,11 @@ numerical failure.  Outputs for a given configuration are byte-identical
 across reruns except for the manifest's generated_at stamp.  On error,
 partially written outputs are removed.
 
-Heavy imports happen inside main() so that --threads can pin the BLAS
-thread pools before numpy first loads; the physics itself is
-single-threaded and deterministic either way.
+Every run uses one BLAS/OpenMP thread, whatever the environment says: a
+second thread changes the eigensolve's last digits.  main() sets the
+thread variables to 1 before its heavy imports load numpy; where numpy is
+already loaded (a caller's process), the pools are fixed and main() leaves
+os.environ alone.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ SCENARIO_NAMES = (
 )
 
 _FORMATS = ("csv", "json", "svg")
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
 def _build_parser():
@@ -64,10 +68,6 @@ def _build_parser():
         "--delta-mode", choices=("track", "fixed"), default=None,
         help="two-photon detuning convention",
     )
-    parser.add_argument(
-        "--threads", type=int, default=None, metavar="N",
-        help="cap the numeric thread pools (results are identical regardless)",
-    )
     return parser
 
 
@@ -77,15 +77,9 @@ _PARSER = _build_parser()
 
 def main(argv=None):
     args = _PARSER.parse_args(argv)
-    if args.threads is not None and args.threads >= 1:
+    if "numpy" not in sys.modules:
         # the thread pools read these once, when numpy first loads below
-        for var in (
-            "OMP_NUM_THREADS",
-            "OPENBLAS_NUM_THREADS",
-            "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS",
-        ):
-            os.environ[var] = str(args.threads)
+        os.environ.update(dict.fromkeys(_THREAD_VARS, "1"))
 
     from slowsound.numerics import NumericsError
     from slowsound.output import OutputSink, write_manifest
@@ -94,8 +88,6 @@ def main(argv=None):
 
     outdir = args.out if args.out is not None else os.path.join("out", args.scenario)
     try:
-        if args.threads is not None and args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
         formats = tuple(part.strip() for part in args.format.split(",") if part.strip())
         if not formats or any(f not in _FORMATS for f in formats):
             raise ConfigError(

@@ -934,8 +934,9 @@ def check_transparency(params, rates):
     # The refraction decays only like 1/detuning, so the discrete Hilbert
     # transform has to integrate far beyond the band of interest before
     # its reconstruction there converges: sample 15x the reporting span
-    # and score the residual on the central band alone.
-    span = max(20.0 * rates.gamma_0, 3.0 * base.drive.control_rabi)
+    # and score the residual on the central band alone: the default
+    # sweep's half-width.
+    span = base.detunings[-1]
     n_kk = 1 << 15
     kk_grid = 15.0 * span * (2.0 * np.arange(n_kk) / n_kk - 1.0)
     kk_curve = susceptibility_at_rates(params, rates, kk_grid)

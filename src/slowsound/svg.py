@@ -7,6 +7,7 @@ coordinates are written as "%.2f" by one numtext.f2_text call.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -20,11 +21,14 @@ _ML, _MR, _MT, _MB = 80, 24, 48, 64
 
 
 def _ticks(lo, hi, target=6):
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        return [0.0, 1.0]
-    if hi <= lo:
-        hi = lo + 1.0
+    """About target round ticks over the finite lo <= hi; lo and hi themselves
+    where the step would not exceed a unit in the last place of either end,
+    which is where adding it could fail to move a tick."""
     raw = (hi - lo) / target
+    if raw == math.inf:  # the span itself overflows
+        raw = hi / target - lo / target
+    if not raw > math.ulp(max(abs(lo), abs(hi))):
+        return [lo, hi]
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -33,7 +37,9 @@ def _ticks(lo, hi, target=6):
     first = math.ceil(lo / step) * step
     out = []
     t = first
-    while t <= hi + 1e-12 * step:
+    # a tick past the largest float is inf, which must end the loop
+    top = min(hi + 1e-12 * step, sys.float_info.max)
+    while t <= top:
         out.append(0.0 if abs(t) < 1e-12 * step else t)
         t += step
     return out or [lo, hi]
@@ -43,11 +49,34 @@ def _fmt(v):
     return f"{v:.4g}"
 
 
-def _span(values):
-    """(min, max) of the values, widened to unit width when they coincide;
-    (0, 1) when there are none."""
-    lo, hi = (float(np.min(values)), float(np.max(values))) if len(values) else (0.0, 1.0)
-    return lo, (lo + 1.0 if hi == lo else hi)
+def _scaled_span(values, pad=0.0):
+    """(e, lo, hi): the span of the finite values in units of 2**e, widened
+    to unit width where they coincide and by pad of its width on each side;
+    (0, 1) when there are none.
+
+    e is the binary exponent of the larger end, so the scaled ends are of
+    order one: the pixel map reads (v - lo) / (hi - lo) in these units,
+    where no difference overflows and no width underflows.  Scaling by a
+    power of two is exact, so away from the ends of the float range the map
+    is the same bit for bit as in the values' own units.
+    """
+    values = values[np.isfinite(values)]
+    lo, hi = (float(values.min()), float(values.max())) if len(values) else (0.0, 1.0)
+    hi = lo + 1.0 if hi == lo else hi
+    e = math.frexp(max(abs(lo), abs(hi)))[1]
+    lo, hi = math.ldexp(lo, -e), math.ldexp(hi, -e)
+    # a unit is below the resolution of ends past 2**53: widen in scaled units
+    hi = lo + 1.0 if hi == lo else hi
+    width = pad * (hi - lo)
+    return e, lo - width, hi + width
+
+
+def _unscaled(v, e):
+    """v 2**e, clamped to the finite floats."""
+    try:
+        return math.ldexp(v, e)
+    except OverflowError:
+        return math.copysign(sys.float_info.max, v)
 
 
 def _polyline_chunks(xs, ys, finite):
@@ -67,22 +96,20 @@ def _polyline_chunks(xs, ys, finite):
 def line_plot(path, x, series, title="", xlabel="", ylabel=""):
     """Write an SVG with the given series.
 
-    series: list of (label, y-array) pairs drawn in order; NaN samples
-    break the polyline.  x is shared.
+    series: list of (label, y-array) pairs drawn in order; a sample whose
+    x or y is NaN or infinite breaks the polyline.  x is shared.  Any finite
+    values map to finite pixels, up to the ends of the float range.
     """
     x = np.asarray(x, dtype=float)
     ys = [(label, np.asarray(y, dtype=float)) for label, y in series]
-    finite = np.concatenate([np.empty(0)] + [y[np.isfinite(y)] for _, y in ys])
-    ylo, yhi = _span(finite)
-    pad = 0.05 * (yhi - ylo)
-    ylo, yhi = ylo - pad, yhi + pad
-    xlo, xhi = _span(x)
+    ex, xlo, xhi = _scaled_span(x)
+    ey, ylo, yhi = _scaled_span(np.concatenate([np.empty(0)] + [y for _, y in ys]), 0.05)
 
     def px(v):
-        return _ML + (v - xlo) / (xhi - xlo) * (_W - _ML - _MR)
+        return _ML + (np.ldexp(v, -ex) - xlo) / (xhi - xlo) * (_W - _ML - _MR)
 
     def py(v):
-        return _H - _MB - (v - ylo) / (yhi - ylo) * (_H - _MT - _MB)
+        return _H - _MB - (np.ldexp(v, -ey) - ylo) / (yhi - ylo) * (_H - _MT - _MB)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -96,21 +123,23 @@ def line_plot(path, x, series, title="", xlabel="", ylabel=""):
         f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" height="{_H - _MT - _MB}" '
         'fill="none" stroke="#333" stroke-width="1"/>'
     )
-    for t in _ticks(xlo, xhi):
+    xticks = _ticks(_unscaled(xlo, ex), _unscaled(xhi, ex))
+    for t, p in zip(xticks, px(np.array(xticks))):
         parts.append(
-            f'<line x1="{px(t):.1f}" y1="{_H - _MB}" x2="{px(t):.1f}" y2="{_H - _MB + 5}" '
+            f'<line x1="{p:.1f}" y1="{_H - _MB}" x2="{p:.1f}" y2="{_H - _MB + 5}" '
             'stroke="#333"/>'
         )
         parts.append(
-            f'<text x="{px(t):.1f}" y="{_H - _MB + 20}" text-anchor="middle" '
+            f'<text x="{p:.1f}" y="{_H - _MB + 20}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{_fmt(t)}</text>'
         )
-    for t in _ticks(ylo, yhi):
+    yticks = _ticks(_unscaled(ylo, ey), _unscaled(yhi, ey))
+    for t, p in zip(yticks, py(np.array(yticks))):
         parts.append(
-            f'<line x1="{_ML - 5}" y1="{py(t):.1f}" x2="{_ML}" y2="{py(t):.1f}" stroke="#333"/>'
+            f'<line x1="{_ML - 5}" y1="{p:.1f}" x2="{_ML}" y2="{p:.1f}" stroke="#333"/>'
         )
         parts.append(
-            f'<text x="{_ML - 8}" y="{py(t):.1f}" text-anchor="end" dominant-baseline="middle" '
+            f'<text x="{_ML - 8}" y="{p:.1f}" text-anchor="end" dominant-baseline="middle" '
             f'font-family="sans-serif" font-size="11">{_fmt(t)}</text>'
         )
     parts.append(
@@ -123,10 +152,10 @@ def line_plot(path, x, series, title="", xlabel="", ylabel=""):
         f'transform="rotate(-90 20 {(_MT + _H - _MB) / 2})">{ylabel}</text>'
     )
 
-    x_px = px(x)
+    x_px, x_finite = px(x), np.isfinite(x)
     for i, (label, y) in enumerate(ys):
         color = _PALETTE[i % len(_PALETTE)]
-        for chunk in _polyline_chunks(x_px, py(y), np.isfinite(y)):
+        for chunk in _polyline_chunks(x_px, py(y), x_finite & np.isfinite(y)):
             if " " not in chunk:
                 cx, cy = chunk.split(",")
                 parts.append(f'<circle cx="{cx}" cy="{cy}" r="2" fill="{color}"/>')

@@ -14,6 +14,7 @@ sort_keys=True), after a walk that turns numpy values into Python ones.
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -138,7 +139,7 @@ def reference_marks(x, series):
         yhi = ylo + 1.0
     pad = 0.05 * (yhi - ylo)
     ylo, yhi = ylo - pad, yhi + pad
-    xlo, xhi = float(np.min(x)), float(np.max(x))
+    xlo, xhi = float(np.min(x[np.isfinite(x)])), float(np.max(x[np.isfinite(x)]))
     if xhi == xlo:
         xhi = xlo + 1.0
 
@@ -154,7 +155,7 @@ def reference_marks(x, series):
         points = []
         chunks = []
         for xi, yi in zip(x, y):
-            if math.isfinite(yi):
+            if math.isfinite(xi) and math.isfinite(yi):
                 points.append(f"{px(xi):.2f},{py(yi):.2f}")
             elif points:
                 chunks.append(points)
@@ -235,8 +236,7 @@ def test_writers_warn_on_no_extreme_value(tmp_path):
     for rows in (table, table.tolist(), [(v, i) for i, v in enumerate(EXTREMES)]):
         write_csv(path, ["a", "b"], rows)
         assert written(path) == reference_csv(["a", "b"], rows)
-    # line_plot's kernel sees pixels: the extremes where its linear map stays
-    # finite, and NaN ones where x holds NaN
+    # line_plot draws only the points whose x and y are both finite
     svg = tmp_path / "x.svg"
     for x, y in (
         ([0.0, -0.0, 5e-324, 1.797e308, 1.0, 2.0], [math.nan, math.inf, -math.inf, 0.0, 5e-324, 1.0]),
@@ -244,6 +244,26 @@ def test_writers_warn_on_no_extreme_value(tmp_path):
     ):
         line_plot(svg, x, [("y", y)])
         assert drawn_marks(svg) == reference_marks(x, [("y", y)])
+    # its map reads every span in units of a power of two, so a rising pair
+    # lands on the same pixels whether its span underflows, overflows or not
+    rising = ['<polyline points="80.00,418.36 776.00,65.64" fill="none" stroke="#1f77b4" '
+              'stroke-width="1.6"/>']
+    for ends in ([0.0, 5e-324], [-1.797e308, 1.797e308], [1.0, 2.0]):
+        for x, y in ((ends, ends), ([0.0, 1.0], ends), (ends, [0.0, 1.0])):
+            line_plot(svg, x, [("y", y)])
+            assert drawn_marks(svg) == rising, (x, y)
+            assert finite_coordinates(svg)
+    # ends a unit apart in their last place, or equal past 2**53, get ticks
+    # and pixels too
+    for y in ([1e300, math.nextafter(1e300, math.inf)], [1e300, 1e300], [1.797e308] * 2):
+        line_plot(svg, [0.0, 1.0], [("y", y)])
+        assert len(drawn_marks(svg)) == 1 and finite_coordinates(svg)
+
+
+def finite_coordinates(path):
+    text = written(path).decode()
+    values = re.findall(r' (?:x|y|x1|x2|y1|y2|cx|cy|points)="([^"]*)"', text)
+    return all(math.isfinite(float(v)) for value in values for v in re.split("[ ,]", value))
 
 
 def _python_values(value):
