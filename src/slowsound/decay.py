@@ -30,8 +30,9 @@ Starting from the upper qutrit state with no phonons, the amplitudes
     db_k/dt  = -i g1(k)* a(t) e^{i(w_k - w_1) t} - gamma_0/2 b_k
     db_kp/dt = -i g0(p)* b_k(t) e^{i(w_p - w_0) t}
 
-whose explicit integrals are implemented in closed form (cascade) with the
-two-phonon energy reference w_eg = w_0 + w_1.  Continuum sums use the
+whose explicit integrals are known in closed form, with the two-phonon
+energy reference w_eg = w_0 + w_1; cascade returns a, the sector norms and
+the first line, never b_k or b_kp themselves.  Continuum sums use the
 measure m dk with m = N0/(2 pi n0 xi) — the same per-site normalization
 that links the couplings to the rates — so total norm is conserved
 independent of N0.  The t -> infinity first-emission line (the marginal of
@@ -82,7 +83,7 @@ side.  e^{i x t} - 1 = (e^{i dk t} - 1)(e^{i dp t} - 1) + (e^{i dk t} - 1)
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -231,109 +232,30 @@ def _trapezoid_weights(x):
     return w
 
 
-@dataclass
+@dataclass(frozen=True)
 class CascadeResult:
-    """Cascade amplitudes, sector norms and first line over a set of times.
+    """What cascade returns: a plain record, computed when it is made.
 
-    b_k rows are the one-phonon amplitudes over k_grid at each time, built
-    when read.  The two-phonon norm and the first line are sums over the
-    (k, p) grid taken on its shared omega lattice and in two dense strips
-    (module docstring); two_phonon_amplitudes builds b_kp at one time in
-    full, the direct route the tests check those sums against.  measure is
-    the continuum weight m in sum_k -> m * dk.
+    a is the upper state's amplitude, and norm_one_phonon and
+    norm_two_phonon the one- and two-phonon sector norms, each over times.
+    first_line is the t -> infinity first-emission spectrum over k_grid:
+    the marginal of |b_kp(inf)|^2 over the second phonon, a spectral
+    density in k.  The norms and the first line are sums over the (k, p)
+    grid, taken on its shared omega lattice and in two dense strips
+    (module docstring).
     """
 
     times: np.ndarray
     a: np.ndarray
     k_grid: np.ndarray
     p_grid: np.ndarray
-    measure: float
-    rates: DecayRates
-    omega_eg: float
-    _g1_k: np.ndarray = field(repr=False, default=None)
-    _g0_p: np.ndarray = field(repr=False, default=None)
-    norm_one_phonon: np.ndarray = field(init=False)
-    norm_two_phonon: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        # Detunings, resonance denominators and the coupling prefactor of
-        # b_kp: the time-independent parts, shared by every sample time.
-        g0, g1 = self.rates.gamma_0, self.rates.gamma_1
-        self._dk = np.asarray(dispersion(self.k_grid)) - self.rates.omega_1
-        self._dp = np.asarray(dispersion(self.p_grid)) - self.rates.omega_0
-        self._denom_p = 1j * self._dp - 0.5 * g0
-        self._amp_k = np.conj(self._g1_k) / (1j * self._dk - 0.5 * (g1 - g0))
-
-        w_k, w_p = _trapezoid_weights(self.k_grid), _trapezoid_weights(self.p_grid)
-        a_k, b_p = w_k * np.abs(self._amp_k) ** 2, w_p * np.abs(self._g0_p) ** 2
-        r_p = 1.0 / self._denom_p  # first_line_spectrum's lower-line term
-        beta, lower = b_p * np.conj(r_p), b_p * np.abs(r_p) ** 2
-        phase_k, phase_p = _phase(self._dk, self.times), _phase(self._dp, self.times)
-        qb, hb, ah_beta, on_k, on_p, cross = _pair_sums(
-            self._dk, self._dp, _narrowest_width(self.rates) / 6.0, g1, a_k, b_p, beta,
-            self.times, phase_k, phase_p)
-        # the sums against e^{i dk t} - 1 and e^{i dp t} - 1: cos - 1 rows, then sin rows
-        by_k = a_k * hb
-        cm_k, sn_k = np.split(phase_k.reshape(-1, len(a_k)) @ np.column_stack(
-            (a_k, by_k.real, by_k.imag, on_k.real, on_k.imag)), 2)
-        cm_p, sn_p = np.split(phase_p.reshape(-1, len(b_p)) @ np.column_stack(
-            (lower, ah_beta.real, ah_beta.imag, on_p.real, on_p.imag)), 2)
-        decay_0, decay_1 = np.exp(-0.5 * g0 * self.times), np.exp(-0.5 * g1 * self.times)
-        # |b_k|^2 = |A_k|^2 |e^{(i dk - gamma_1/2) t} - e^{-gamma_0 t/2}|^2
-        self.norm_one_phonon = self.measure * (
-            (decay_1 - decay_0) ** 2 * np.sum(a_k) - 2.0 * decay_0 * decay_1 * cm_k[:, 0])
-        cross += cm_k[:, 3] - sn_k[:, 4] + cm_p[:, 3] - sn_p[:, 4]
-        self.norm_two_phonon = self.measure ** 2 * (
-            np.sum(a_k) * ((decay_0 - 1.0) ** 2 * np.sum(lower) - 2.0 * decay_0 * cm_p[:, 0])
-            + (1.0 - decay_1) ** 2 * (a_k @ qb)
-            - 2.0 * (decay_0 * (cm_p[:, 1] + sn_p[:, 2]) + (decay_0 - 1.0) * np.sum(ah_beta.real))
-            + 2.0 * decay_1 * (decay_0 * (cm_k[:, 1] - sn_k[:, 2])
-                               + (decay_0 - 1.0) * np.sum(by_k.real) - cross)
-        )
-        self._first_line = self.measure * np.abs(self._amp_k) ** 2 * (
-            qb + 2.0 * hb.real + np.sum(lower))
-
-    @property
-    def b_k(self):
-        """One-phonon amplitudes over k_grid, times down the rows."""
-        g0, g1 = self.rates.gamma_0, self.rates.gamma_1
-        t = self.times[:, None]
-        return -1j * self._amp_k * (np.exp((1j * self._dk - 0.5 * g1) * t) - np.exp(-0.5 * g0 * t))
+    norm_one_phonon: np.ndarray
+    norm_two_phonon: np.ndarray
+    first_line: np.ndarray
 
     @property
     def norm_total(self):
         return np.abs(self.a) ** 2 + self.norm_one_phonon + self.norm_two_phonon
-
-    def two_phonon_amplitudes(self, t):
-        """Full b_kp array at time t (k rows, p columns).
-
-        exp((i(dk + dp) - gamma_1/2) t) is taken as the outer product of
-        exp((i dk - gamma_1/2) t) and exp(i dp t), so only 1-D exponentials
-        are evaluated.
-        """
-        g0, g1 = self.rates.gamma_0, self.rates.gamma_1
-        s = np.add.outer(self._dk, self._dp)
-        q = _q(s, g1)
-        s *= q
-        term_p = (np.exp((1j * self._dp - 0.5 * g0) * t) - 1.0) / self._denom_p
-        # b_kp = pref_kp (term_p + (1 - phase) M), built in place
-        b = np.multiply.outer(np.exp((1j * self._dk - 0.5 * g1) * t), np.exp(1j * self._dp * t))
-        np.subtract(1.0, b, out=b)
-        b *= -0.5 * g1 * q - 1j * s
-        b += term_p[None, :]
-        b *= np.multiply.outer(self._amp_k, np.conj(self._g0_p))
-        return b
-
-    def first_line_spectrum(self):
-        """Asymptotic first-emission spectrum: marginal of |b_kp(inf)|^2 over p.
-
-        Returns (k_grid, spectral density in k).  The exponential factors
-        vanish as t -> infinity, leaving b_kp = A_k B_p (M_kp - r_p) with
-        r_p = 1/(i dp - gamma_0/2), and |M - r_p|^2 = q + 2 Re(h conj(r_p))
-        + |r_p|^2 makes the sum over p the per-k sums sum_p q b and sum_p h
-        beta of the norm, plus sum_p b |r_p|^2.
-        """
-        return self.k_grid, self._first_line
 
 
 def _narrowest_width(rates):
@@ -523,7 +445,7 @@ def _lattice_phases(w, n_0, step, times):
 
 
 def cascade(params: Params, times, rates=None):
-    """Closed-form cascade amplitudes at the requested times.
+    """The cascade's amplitude a, sector norms and first line at the requested times.
 
     Rates are the golden-rule rates (decay_rates) and the amplitudes use
     the same printed g0_closed / g1_closed, so that couplings, rates, and
@@ -551,15 +473,43 @@ def cascade(params: Params, times, rates=None):
                             f"points, above {MAX_GRID_POINTS:.0e}")
     k_grid = emission_grid(rates.omega_1, g0_rate + g1_rate, narrow)
     p_grid = emission_grid(rates.omega_0, g0_rate, narrow)
+    measure = params.impurity_norm / (2.0 * math.pi * params.density_xi)
 
+    # Detunings, resonance denominators and the coupling prefactor A_k of
+    # b_kp: the time-independent parts, shared by every sample time.
+    dk = np.asarray(dispersion(k_grid)) - rates.omega_1
+    dp = np.asarray(dispersion(p_grid)) - rates.omega_0
+    amp_k = np.conj(g1_closed(k_grid, params)) / (1j * dk - 0.5 * (g1_rate - g0_rate))
+    w_k, w_p = _trapezoid_weights(k_grid), _trapezoid_weights(p_grid)
+    a_k, b_p = w_k * np.abs(amp_k) ** 2, w_p * np.abs(g0_closed(p_grid, params)) ** 2
+    r_p = 1.0 / (1j * dp - 0.5 * g0_rate)  # the first line's lower-line term
+    beta, lower = b_p * np.conj(r_p), b_p * np.abs(r_p) ** 2
+    phase_k, phase_p = _phase(dk, times), _phase(dp, times)
+    qb, hb, ah_beta, on_k, on_p, cross = _pair_sums(
+        dk, dp, narrow / 6.0, g1_rate, a_k, b_p, beta, times, phase_k, phase_p)
+    # the sums against e^{i dk t} - 1 and e^{i dp t} - 1: cos - 1 rows, then sin rows
+    by_k = a_k * hb
+    cm_k, sn_k = np.split(phase_k.reshape(-1, len(a_k)) @ np.column_stack(
+        (a_k, by_k.real, by_k.imag, on_k.real, on_k.imag)), 2)
+    cm_p, sn_p = np.split(phase_p.reshape(-1, len(b_p)) @ np.column_stack(
+        (lower, ah_beta.real, ah_beta.imag, on_p.real, on_p.imag)), 2)
+    decay_0, decay_1 = np.exp(-0.5 * g0_rate * times), np.exp(-0.5 * g1_rate * times)
+    cross += cm_k[:, 3] - sn_k[:, 4] + cm_p[:, 3] - sn_p[:, 4]
     return CascadeResult(
         times=times,
         a=np.exp(-0.5 * g1_rate * times).astype(complex),
         k_grid=k_grid,
         p_grid=p_grid,
-        measure=params.impurity_norm / (2.0 * math.pi * params.density_xi),
-        rates=rates,
-        omega_eg=rates.omega_0 + rates.omega_1,
-        _g1_k=g1_closed(k_grid, params),
-        _g0_p=g0_closed(p_grid, params),
+        # |b_k|^2 = |A_k|^2 |e^{(i dk - gamma_1/2) t} - e^{-gamma_0 t/2}|^2
+        norm_one_phonon=measure * (
+            (decay_1 - decay_0) ** 2 * np.sum(a_k) - 2.0 * decay_0 * decay_1 * cm_k[:, 0]),
+        norm_two_phonon=measure ** 2 * (
+            np.sum(a_k) * ((decay_0 - 1.0) ** 2 * np.sum(lower) - 2.0 * decay_0 * cm_p[:, 0])
+            + (1.0 - decay_1) ** 2 * (a_k @ qb)
+            - 2.0 * (decay_0 * (cm_p[:, 1] + sn_p[:, 2]) + (decay_0 - 1.0) * np.sum(ah_beta.real))
+            + 2.0 * decay_1 * (decay_0 * (cm_k[:, 1] - sn_k[:, 2])
+                               + (decay_0 - 1.0) * np.sum(by_k.real) - cross)
+        ),
+        # b_kp(inf) = A_k B_p (M_kp - r_p): |M - r_p|^2 = q + 2 Re(h conj(r_p)) + |r_p|^2
+        first_line=measure * np.abs(amp_k) ** 2 * (qb + 2.0 * hb.real + np.sum(lower)),
     )

@@ -51,7 +51,9 @@ def nu_from_ratios(coupling_ratio, mass_ratio):
     # scalars compare to a bool: np.any would cost microseconds for nothing
     if bad if isinstance(bad, (bool, np.bool_)) else np.any(bad):
         raise ConfigError("coupling_ratio must be >= 0 and mass_ratio > 0")
-    return 0.5 * (-1.0 + np.sqrt(1.0 + 4.0 * coupling_ratio * mass_ratio))
+    # 4 (r_g r_m), not (4 r_g) r_m: the exact scaling by 4 comes last, so a
+    # large r_g meeting a tiny r_m does not overflow on the way
+    return 0.5 * (-1.0 + np.sqrt(1.0 + 4.0 * (coupling_ratio * mass_ratio)))
 
 
 def coupling_ratio_for_nu(nu, mass_ratio):
@@ -208,11 +210,12 @@ def parse_config_text(text):
 
 
 def read_config(path):
-    """Parse the configuration file at path; an unreadable file is a ConfigError."""
+    """Parse the UTF-8 configuration file at path, whatever the locale; a
+    file that cannot be read or decoded is a ConfigError."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     return parse_config_text(text)
 

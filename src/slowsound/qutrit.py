@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import NumericsError, hyp2f1, sech_moments
-from .params import Params, coupling_ratio_for_nu, nu_from_ratios
+from .params import ConfigError, Params, coupling_ratio_for_nu, nu_from_ratios
 
 __all__ = [
     "QUTRIT_NU_MIN",
@@ -122,9 +122,13 @@ def qutrit_window_in_coupling_ratio(mass_ratio):
     """The (g12/g11) interval [lo, hi) realizing the qutrit window at fixed mass ratio.
 
     hi steps down by ulps while the float nu just below it rounds onto 9/7.
+    A mass ratio so small that hi overflows is a ConfigError.
     """
     lo = coupling_ratio_for_nu(QUTRIT_NU_MIN, mass_ratio)
     hi = coupling_ratio_for_nu(QUTRIT_NU_MAX, mass_ratio)
+    if not math.isfinite(hi):
+        raise ConfigError(f"mass_ratio={mass_ratio!r} puts the qutrit window's upper edge "
+                          f"out of float range (g12/g11 = {hi!r})")
     while not is_qutrit(nu_from_ratios(math.nextafter(hi, 0.0), mass_ratio)):
         hi = math.nextafter(hi, 0.0)
     return lo, hi
@@ -159,9 +163,13 @@ class NotAQutrit:
 def spectrum(params: Params):
     """Bound-state spectrum for the given parameters.
 
-    Returns QutritSpectrum inside the window, NotAQutrit outside.
+    Returns QutritSpectrum inside the window, NotAQutrit outside; a nu out
+    of float range is a ConfigError.
     """
     nu = params.nu
+    if not math.isfinite(nu):
+        raise ConfigError(f"mass_ratio={params.mass_ratio!r} and coupling_ratio="
+                          f"{params.coupling_ratio!r} put nu out of float range ({nu!r})")
     n_bound = int(bound_state_count(nu))
     if not is_qutrit(nu):
         side = "below" if nu < QUTRIT_NU_MIN else "above"

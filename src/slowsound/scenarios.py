@@ -92,6 +92,8 @@ def scenario_spectrum(params: Params, sink):
     """
     r_m = params.mass_ratio
     lo_rg, hi_rg = qutrit_window_in_coupling_ratio(r_m)
+    if not math.isfinite(nu_from_ratios(1.9, r_m)):  # the sweep's largest nu
+        raise ConfigError(f"mass_ratio={r_m!r} puts nu out of float range at g12/g11 = 1.9")
     ratios = np.linspace(0.9, 1.9, 201)
     nu = nu_from_ratios(ratios, r_m)
     qutrit = is_qutrit(nu)
@@ -140,7 +142,7 @@ def _closed_rates(params: Params, lines):
 
 def _first_line(casc):
     """(k, omega, spectral density, FWHM in omega) of the cascade's first emission line."""
-    k_line, density = casc.first_line_spectrum()
+    k_line, density = casc.k_grid, casc.first_line
     omega_line = np.asarray(dispersion(k_line))
     peak = int(np.argmax(density))
     return k_line, omega_line, density, level_width(omega_line, density, peak, 0.5 * density[peak])

@@ -13,10 +13,12 @@ test session, over t in [0, T_FINAL_GAMMA1 / gamma_1] in NSTEPS steps.
 """
 
 import functools
+import math
 
 import numpy as np
 
 from slowsound.bogoliubov import dispersion
+from slowsound.coupling import g1_closed
 from slowsound.decay import cascade, decay_rates
 from slowsound.params import REFERENCE
 
@@ -30,21 +32,19 @@ def one_phonon_ode():
     time, the weights measure * w_k), read-only.
 
     Step j lies at t = j t_final / NSTEPS with t_final = 3 / gamma_1; the
-    k grid, g_1(k) and measure are those of cascade(REFERENCE, ...).
+    k grid is that of cascade(REFERENCE, ...), g_1(k) the printed
+    g1_closed on it and the measure m = N0/(2 pi n0 xi) at REFERENCE.
     """
     rates = decay_rates(REFERENCE)
     t_final = T_FINAL_GAMMA1 / rates.gamma_1
-    result = cascade(REFERENCE, [t_final])
-    k = result.k_grid
+    k = cascade(REFERENCE, [t_final]).k_grid
     w = np.empty_like(k)
     w[1:-1] = 0.5 * (k[2:] - k[:-2])
     w[0] = 0.5 * (k[1] - k[0])
     w[-1] = 0.5 * (k[-1] - k[-2])
-    g = result._g1_k
-    dk = np.array([dispersion(float(q)) for q in k]) - (
-        result.omega_eg - result.rates.omega_0
-    )
-    meas_w = result.measure * w
+    g = g1_closed(k, REFERENCE)
+    dk = np.array([dispersion(float(q)) for q in k]) - rates.omega_1
+    meas_w = REFERENCE.impurity_norm / (2.0 * math.pi * REFERENCE.density_xi) * w
     gamma_0 = rates.gamma_0
 
     h = t_final / NSTEPS

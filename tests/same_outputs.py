@@ -4,12 +4,12 @@
 
 Each tree is a checkout of this repository.  In a fresh interpreter per
 tree, with that tree's src/ on the path, the script runs one cli.main call
-per run of this set (424 runs):
+per run of this set (425 runs):
 
 * the nine scenarios at REFERENCE, in track and in fixed delta mode;
 * the operations of perfbench's drive_sweep workload at seeds 7 and 131;
 * the operation of perfbench's bound_states workload at seed 3;
-* five runs at refused or refusing points (ERROR_RUNS), so that the
+* six runs at refused or refusing points (ERROR_RUNS), so that the
   exit-2 and exit-3 paths, validate's refusal rows, their messages and
   the files they leave are compared too.
 
@@ -52,6 +52,7 @@ ERROR_RUNS = (
     ("couplings", "--set", "coupling_ratio=20000"),  # exit 2: far outside the window
     # exit 4: the refused cascade's two rows fail, with the refusal's message
     ("validate", "--set", "coupling_ratio=1.49753"),
+    ("spectrum", "--set", "mass_ratio=1e308"),  # exit 2: nu overflows
 )
 VOLATILE = "generated_at"  # the manifest's only field that differs between reruns
 SHOWN = 20  # differences listed at most

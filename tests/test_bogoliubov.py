@@ -2,13 +2,9 @@
 
 import numpy as np
 import pytest
+from trapezoid_oracle import BogoliubovMode
 
-from slowsound.bogoliubov import (
-    BogoliubovMode,
-    dispersion,
-    dispersion_derivative,
-    resonant_wavevector,
-)
+from slowsound.bogoliubov import dispersion, dispersion_derivative, resonant_wavevector
 from slowsound.numerics import NumericsError
 
 

@@ -153,6 +153,48 @@ def test_missing_config_file(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_config_file_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    # a config file is read as UTF-8 whatever the locale; one that does not
+    # decode is unreadable, like a missing one
+    config = tmp_path / "latin1.cfg"
+    config.write_bytes(b"mass_ratio = 1.56  # \xff\n")
+    code = main(["spectrum", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "cannot read config file" in err and "can't decode byte 0xff" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "mass_ratio, expected",
+    [
+        # 4 r_g overflows here, 4 (r_g r_m) does not; an overflowing nu
+        # made the window's edge search step down one ulp at a time
+        ("5e-308", 0),
+        ("1e-308", 2),  # the window's upper edge overflows
+        ("1e308", 2),  # the sweep's nu overflows
+    ],
+)
+def test_spectrum_at_extreme_mass_ratios_returns_promptly(tmp_path, mass_ratio, expected):
+    src = os.path.dirname(os.path.dirname(slowsound.__file__))
+    out = tmp_path / "run"
+    done = subprocess.run(
+        [sys.executable, "-m", "slowsound.cli", "spectrum", "--set", f"mass_ratio={mass_ratio}",
+         "--format", "json", "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=30,
+    )
+    assert done.returncode == expected, done.stderr
+    if expected == 0:
+        assert done.stderr == ""
+        summary = json.loads((out / "spectrum.json").read_text())
+        assert all(math.isfinite(edge) for edge in summary["window_coupling_ratio"])
+    else:
+        # one line, no overflow warning
+        assert done.stderr.startswith(f"config error: mass_ratio={float(mass_ratio)!r} puts ")
+        assert "out of float range" in done.stderr and done.stderr.count("\n") == 1
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("below", ["", "sub"], ids=["is-a-file", "under-a-file"])
 def test_unwritable_out_is_config_error(tmp_path, capsys, below):
     # an --out that is, or lies under, a regular file cannot be made

@@ -15,9 +15,8 @@ from functools import partial
 import mpmath
 import numpy as np
 import pytest
-from trapezoid_oracle import trapezoid_coupling
+from trapezoid_oracle import BogoliubovMode, trapezoid_coupling
 
-from slowsound.bogoliubov import BogoliubovMode
 from slowsound.coupling import g0_closed, g1_closed, g_quadrature
 from slowsound.numerics import NumericsError
 from slowsound.params import REFERENCE

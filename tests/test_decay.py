@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from slowsound.bogoliubov import dispersion, dispersion_derivative, resonant_wavevector
-from slowsound.coupling import csch, g0_closed
+from slowsound.coupling import csch, g0_closed, g1_closed
 from slowsound.cli import main
 from slowsound.decay import (
     GAMMA1_DENOMINATOR,
@@ -191,25 +191,6 @@ def test_cascade_initial_state_and_norm_window():
     assert np.all(total[1:] > 0.98) and np.all(total[1:] < 1.005)
 
 
-def test_two_phonon_amplitudes_match_unfactored_form():
-    r = decay_rates(REFERENCE)
-    res = cascade(REFERENCE, np.array([1.0]) / r.gamma_1)
-    t = 2.0 / r.gamma_1
-    g0, g1 = r.gamma_0, r.gamma_1
-    dk = np.asarray(dispersion(res.k_grid))[:, None] - r.omega_1
-    dp = np.asarray(dispersion(res.p_grid))[None, :] - r.omega_0
-    term_p = (np.exp((1j * dp - 0.5 * g0) * t) - 1.0) / (1j * dp - 0.5 * g0)
-    denom_eg = 1j * (dk + dp) - 0.5 * g1
-    term_eg = (1.0 - np.exp(denom_eg * t)) / denom_eg
-    direct = (
-        np.conj(res._g1_k)[:, None] / (1j * dk - 0.5 * (g1 - g0))
-        * np.conj(res._g0_p)[None, :] * (term_p + term_eg)
-    )
-    # the factored exponential differs from the joint one by roundoff, which
-    # is large relative to b_kp only where its two terms nearly cancel
-    np.testing.assert_allclose(res.two_phonon_amplitudes(t), direct, rtol=1e-10, atol=0)
-
-
 def _window_edge(which):
     from slowsound.qutrit import qutrit_window_in_coupling_ratio
 
@@ -229,37 +210,63 @@ def _window_edge(which):
 )
 def test_two_phonon_norm_matches_direct_amplitudes(params):
     """The expanded two-phonon norm against the trapezoid sum of the full
-    |b_kp(t)|^2 array that two_phonon_amplitudes builds at each time."""
+    |b_kp(t)|^2 array that direct_two_phonon_amplitudes builds at each time."""
     r = decay_rates(params)
     times = np.array([0.0, 0.5, 1.0, 3.0, 5.0]) / r.gamma_1
     res = cascade(params, times)
     assert abs(res.norm_two_phonon[0]) <= 1e-15
-    np.testing.assert_allclose(res.norm_two_phonon[1:], direct_two_phonon_norm(res, times[1:]),
+    np.testing.assert_allclose(res.norm_two_phonon[1:],
+                               direct_two_phonon_norm(params, res, times[1:]),
                                rtol=1e-12, atol=0)
 
 
-def direct_two_phonon_norm(res, times):
-    """m^2 sum_kp w_k |b_kp(t)|^2 w_p from the full two_phonon_amplitudes array."""
-    w_k, w_p = (0.5 * (np.diff(x, prepend=x[0]) + np.diff(x, append=x[-1]))
-                for x in (res.k_grid, res.p_grid))
-    return [res.measure ** 2 * w_k @ np.abs(res.two_phonon_amplitudes(t)) ** 2 @ w_p
-            for t in times]
+def direct_two_phonon_amplitudes(params, res, t):
+    """b_kp at time t on res's grids (k rows, p columns), in the unfactored
+    closed form A_k B_p (c_p + e_kp):
 
+        A_k  = conj(g1(k)) / (i dk - (gamma_1 - gamma_0)/2),   B_p = conj(g0(p)),
+        c_p  = (e^{(i dp - gamma_0/2) t} - 1) / (i dp - gamma_0/2),
+        e_kp = (1 - e^{(i (dk + dp) - gamma_1/2) t}) / (i (dk + dp) - gamma_1/2),
 
-def direct_first_line(res):
-    """m sum_p |b_kp(inf)|^2 w_p from an explicit b_kp(inf) = A_k B_p (1/(i(dk +
-    dp) - gamma_1/2) - 1/(i dp - gamma_0/2)) array."""
-    r = res.rates
+    from params, its golden-rule rates and the printed couplings alone.  At
+    t = inf both exponentials have decayed to 0.
+    """
+    r = decay_rates(params)
     g0, g1 = r.gamma_0, r.gamma_1
     dk = np.asarray(dispersion(res.k_grid))[:, None] - r.omega_1
     dp = np.asarray(dispersion(res.p_grid))[None, :] - r.omega_0
-    b_inf = (
-        np.conj(res._g1_k)[:, None] / (1j * dk - 0.5 * (g1 - g0)) * np.conj(res._g0_p)[None, :]
-        * (1.0 / (1j * (dk + dp) - 0.5 * g1) - 1.0 / (1j * dp - 0.5 * g0))
+    denom_p, denom_eg = 1j * dp - 0.5 * g0, 1j * (dk + dp) - 0.5 * g1
+    late = math.isinf(t)
+    term_p = ((0.0 if late else np.exp(denom_p * t)) - 1.0) / denom_p
+    term_eg = (1.0 - (0.0 if late else np.exp(denom_eg * t))) / denom_eg
+    return (
+        np.conj(g1_closed(res.k_grid, params))[:, None] / (1j * dk - 0.5 * (g1 - g0))
+        * np.conj(g0_closed(res.p_grid, params))[None, :] * (term_p + term_eg)
     )
-    p = res.p_grid
-    w_p = 0.5 * (np.diff(p, prepend=p[0]) + np.diff(p, append=p[-1]))
-    return res.measure * np.abs(b_inf) ** 2 @ w_p
+
+
+def continuum_measure(params):
+    """m = N0/(2 pi n0 xi), the weight of sum_k -> m * dk."""
+    return params.impurity_norm / (2.0 * math.pi * params.density_xi)
+
+
+def trapezoid_weights(x):
+    return 0.5 * (np.diff(x, prepend=x[0]) + np.diff(x, append=x[-1]))
+
+
+def direct_two_phonon_norm(params, res, times):
+    """m^2 sum_kp w_k |b_kp(t)|^2 w_p from the full direct_two_phonon_amplitudes array."""
+    w_k, w_p = trapezoid_weights(res.k_grid), trapezoid_weights(res.p_grid)
+    return [continuum_measure(params) ** 2 * w_k
+            @ np.abs(direct_two_phonon_amplitudes(params, res, t)) ** 2 @ w_p
+            for t in times]
+
+
+def direct_first_line(params, res):
+    """m sum_p |b_kp(inf)|^2 w_p from the full direct_two_phonon_amplitudes array."""
+    return (continuum_measure(params)
+            * np.abs(direct_two_phonon_amplitudes(params, res, math.inf)) ** 2
+            @ trapezoid_weights(res.p_grid))
 
 
 @pytest.mark.parametrize(
@@ -272,13 +279,12 @@ def direct_first_line(res):
     ids=["closed", "lower-edge", "upper-edge"],
 )
 def test_first_line_spectrum_matches_direct_trapezoid_sum(params):
-    """The matrix-vector first line against the trapezoid sum over p of an
-    explicit |b_kp(inf)|^2 array (direct_first_line)."""
+    """The lattice and strip first line against the trapezoid sum over p of
+    an explicit |b_kp(inf)|^2 array (direct_first_line)."""
     r = decay_rates(params)
     res = cascade(params, np.array([1.0]) / r.gamma_1)
-    k_line, density = res.first_line_spectrum()
-    assert k_line is res.k_grid
-    np.testing.assert_allclose(density, direct_first_line(res), rtol=1e-12, atol=0)
+    assert res.first_line.shape == res.k_grid.shape
+    np.testing.assert_allclose(res.first_line, direct_first_line(params, res), rtol=1e-12, atol=0)
 
 
 def test_cascade_survival_is_exponential():
@@ -353,9 +359,8 @@ def test_two_phonon_norm_follows_the_rate_equations_at_reference():
 
 def test_first_line_peaks_at_resonance():
     r = decay_rates(REFERENCE)
-    times = np.array([3.0]) / r.gamma_1
-    res = cascade(REFERENCE, times)
-    k_peak = res.k_grid[int(np.argmax(np.abs(res.b_k[-1]) ** 2))]
+    res = cascade(REFERENCE, [0.0], rates=r)  # the first line is the t -> infinity limit
+    k_peak = res.k_grid[int(np.argmax(res.first_line))]
     k_res = resonant_wavevector(r.omega_1)
     assert k_peak == pytest.approx(k_res, abs=5.0 * (r.gamma_0 + r.gamma_1))
 

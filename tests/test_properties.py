@@ -164,18 +164,19 @@ DIRECT_GRID_POINTS = 10 ** 6
 @example(replace(REFERENCE, coupling_ratio=1.49753))  # refused
 def test_cascade_sums_match_their_direct_routes_across_the_window(params):
     """The lattice and strip sums against the direct routes of test_decay:
-    the two-phonon norm against the trapezoid sum of |two_phonon_amplitudes
-    (t)|^2, and the first line against its direct sum over p, at the rtol
-    1e-12 of the fixed-point tests."""
+    the two-phonon norm against the trapezoid sum of |b_kp(t)|^2 from
+    direct_two_phonon_amplitudes, and the first line against its direct sum
+    over p, at the rtol 1e-12 of the fixed-point tests."""
     try:
         res = cascade_at_three_times(params)
     except NumericsError as exc:
         assert f"above {MAX_GRID_POINTS:.0e}" in str(exc)
         return
     assume(len(res.k_grid) * len(res.p_grid) <= DIRECT_GRID_POINTS)
-    np.testing.assert_allclose(res.norm_two_phonon[1:], direct_two_phonon_norm(res, res.times[1:]),
+    np.testing.assert_allclose(res.norm_two_phonon[1:],
+                               direct_two_phonon_norm(params, res, res.times[1:]),
                                rtol=1e-12, atol=0)
-    np.testing.assert_allclose(res.first_line_spectrum()[1], direct_first_line(res),
+    np.testing.assert_allclose(res.first_line, direct_first_line(params, res),
                                rtol=1e-12, atol=0)
 
 

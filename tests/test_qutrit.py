@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from slowsound.output import csv_layout
-from slowsound.params import REFERENCE, coupling_ratio_for_nu, nu_from_ratios
+from slowsound.params import REFERENCE, ConfigError, coupling_ratio_for_nu, nu_from_ratios
 from slowsound.qutrit import (
     QUTRIT_NU_MAX,
     QUTRIT_NU_MIN,
@@ -102,6 +102,13 @@ def test_spectrum_outside_window():
     assert res.n_bound != 3
     res_hi = spectrum(replace(REFERENCE, coupling_ratio=3.0))
     assert isinstance(res_hi, NotAQutrit)
+
+
+def test_overflowing_nu_is_config_error():
+    # the window edges at extreme mass ratios are checked in test_cli, in a
+    # subprocess with a timeout
+    with pytest.raises(ConfigError, match=r"mass_ratio=1e\+308 and coupling_ratio=1\.85 put nu"):
+        spectrum(replace(REFERENCE, mass_ratio=1e308))
 
 
 def test_spectrum_at_window_edges_in_coupling_ratio():
