@@ -21,8 +21,8 @@ limit the steady-state probe coherence has the closed form
     rho_e1g = i Omega_p / D,   D = (gamma_0 - 2i Delta_p)
                                    + Omega_c^2 / (gamma_1 - 2i dlt)
 
-which weak_probe_coherences returns (weak_probe_denominator writes D and
-its slope in Delta_p, once), and which the full 9x9 Liouvillian
+which weak_probe_coherences builds in place (weak_probe_denominator also
+writes D's slope in Delta_p, for v_g), and which the full 9x9 Liouvillian
 steady state must reproduce as Omega_p -> 0 — the two routes share no
 algebra, so their agreement is the master-equation cross-check.
 
@@ -104,9 +104,19 @@ def weak_probe_coherences(rates: DecayRates, drive: DriveConfig, probe_detuning)
     """Analytic weak-probe steady-state probe coherence rho_e1g = i Omega_p / D.
 
     Valid to first order in Omega_p (population stays in the ground
-    state).  probe_detuning may be an array.
+    state).  probe_detuning may be an array, and a scalar gives a scalar.
+    D is built in place by weak_probe_denominator's operations in their
+    order, so the two agree bit for bit, and its slope is not built.
     """
-    return 1j * drive.probe_rabi / weak_probe_denominator(rates, drive, probe_detuning)[0]
+    dp = np.asarray(probe_detuning, dtype=float)
+    dlt_slope = 1.0 if drive.delta_mode == "track" else 0.0
+    # rho holds 2i dlt, gamma_1 - 2i dlt, the dressing, D, then i Omega_p / D
+    rho = np.multiply(2j * dlt_slope, dp, out=np.empty(dp.shape, complex))
+    np.subtract(rates.gamma_1, rho, out=rho)
+    np.divide(drive.control_rabi ** 2, rho, out=rho)
+    bare = np.multiply(2j, dp, out=np.empty_like(rho))
+    rho += np.subtract(rates.gamma_0, bare, out=bare)
+    return np.divide(1j * drive.probe_rabi, rho, out=rho)[()]
 
 
 def hamiltonian(drive: DriveConfig, probe_detuning):

@@ -146,17 +146,23 @@ def _default_detunings(rates: DecayRates, drive: DriveConfig):
     two near the span, so squared widths cannot underflow, and with squares
     taken as products that scaling is exact.
 
-    The loop is unrolled over four features (the fixed mode's two padded
-    with a repeat, which cannot change a minimum): the nearest squared
-    distance is taken as min() takes it, the first of the four unless a
-    later one is smaller, and the step as max(floor, step) takes it.
+    The loop runs over two features.  On Delta >= 0 a feature is never
+    nearer than one with the same |Re|, a Re not smaller and an Im^2 not
+    larger, nor is it in floating point, as rounding is monotone.  So of
+    each (Re, Im^2), counted once, only those that none dominates are
+    kept: the right dressed pole and the narrower line on the imaginary
+    axis, a lone one padded with a repeat.  The nearest squared distance
+    is then the value min() takes over all, and the step is taken as
+    max(floor, step) takes it.
     """
     span = max(20.0 * rates.gamma_0, 3.0 * drive.control_rabi)
     unit = 2.0 ** math.frexp(span)[1]
     span /= unit
     features = [(f.real / unit, f.imag / unit) for f in _features(rates, drive)]
-    (r0, i0), (r1, i1), (r2, i2), (r3, i3) = (features + features[-1:] * 2)[:4]
-    q0, q1, q2, q3 = i0 * i0, i1 * i1, i2 * i2, i3 * i3
+    pairs = {(r, i * i) for r, i in features}
+    kept = [(r, q) for r, q in pairs if not any(
+        abs(r2) == abs(r) and r2 >= r and q2 <= q for r2, q2 in pairs - {(r, q)})]
+    (r0, q0), (r1, q1) = kept if len(kept) == 2 else kept * 2
     floor = 1e-6 * span
     resolution, sqrt = _GRID_RESOLUTION, math.sqrt
     side = []
@@ -167,14 +173,6 @@ def _default_detunings(rates: DecayRates, drive: DriveConfig):
         nearest = d * d + q0
         d = x - r1
         d = d * d + q1
-        if d < nearest:
-            nearest = d
-        d = x - r2
-        d = d * d + q2
-        if d < nearest:
-            nearest = d
-        d = x - r3
-        d = d * d + q3
         if d < nearest:
             nearest = d
         step = resolution * sqrt(nearest)
@@ -211,7 +209,8 @@ def susceptibility_at_rates(params: Params, rates: DecayRates, detunings=None):
     params only in the drive: no rate depends on the control or the probe,
     so a control scan resolves its rates once and sweeps each
     replace(params, control_rabi_gamma0=...) here.  The carrier comes
-    from the rates.
+    from the rates.  chi is the array of weak_probe_coherences, scaled in
+    place, so a sweep allocates one complex array that it keeps.
     """
     drive = drive_from_params(params, rates)
     if detunings is None:
@@ -220,10 +219,12 @@ def susceptibility_at_rates(params: Params, rates: DecayRates, detunings=None):
     k0 = rates.carrier_k
     eps0 = float(dispersion(k0))
     prefactor = params.soliton_concentration * rates.carrier_coupling / eps0
-    rho_e1g = weak_probe_coherences(rates, drive, detunings)
+    chi = weak_probe_coherences(rates, drive, detunings)
+    chi *= prefactor
+    chi /= drive.probe_rabi
     return SusceptibilityCurve(
         detunings=detunings,
-        chi=prefactor * rho_e1g / drive.probe_rabi,
+        chi=chi,
         carrier_energy=eps0,
         carrier_velocity=eps0 / k0,
         drive=drive,

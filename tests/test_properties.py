@@ -9,7 +9,10 @@ check adds a wavevector and sets the exact overlap sums of all five state
 pairs against the trapezoid oracle, parity classes included.  The grid
 check sets the default detuning grid against the loop it replaced
 (detuning_grid_oracle), bit for bit, up to controls where the step floor
-binds.  The group-velocity check finds v_g at zero detuning finite and
+binds.  The kernel check sets the in-place weak-probe coherence and chi
+against the out-of-place route through weak_probe_denominator, bit for
+bit, on arrays that hold Delta = 0 and on one Python-float detuning.
+The group-velocity check finds v_g at zero detuning finite and
 positive wherever the track-mode sweep has a transparency window.  The
 cascade checks keep the total norm above its 0.98 floor at
 three sample times, or see the grid refused near gamma_0 = gamma_1, and
@@ -37,7 +40,13 @@ from test_decay import ALIAS_COUNTEREXAMPLE, direct_first_line, direct_two_phono
 from trapezoid_oracle import trapezoid_coupling
 
 from slowsound import response
-from slowsound.bloch import drive_from_params, steady_state_lindblad
+from slowsound.bloch import (
+    drive_from_params,
+    steady_state_lindblad,
+    weak_probe_coherences,
+    weak_probe_denominator,
+)
+from slowsound.bogoliubov import dispersion
 from slowsound.coupling import g_quadrature
 from slowsound.decay import MAX_GRID_POINTS, cascade, decay_rates
 from slowsound.numerics import NumericsError
@@ -46,6 +55,7 @@ from slowsound.qutrit import qutrit_window_in_coupling_ratio
 from slowsound.response import (
     NoTransparency,
     group_velocity_curve,
+    susceptibility_at_rates,
     susceptibility_curve,
     transparency_width,
 )
@@ -129,6 +139,28 @@ def test_step_floor_binds_at_the_top_of_the_drawn_controls():
     grid, _ = grids(replace(REFERENCE, control_rabi_gamma0=10.0**3.5))
     floor = 1e-6 * grid[-1]
     assert np.min(np.diff(grid)) == pytest.approx(floor, rel=1e-9)
+
+
+def bits(values):
+    return np.atleast_1d(np.asarray(values, dtype=complex)).view(np.uint64)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(window_params(), st.lists(st.floats(-50.0, 50.0), max_size=8), st.floats(-50.0, 50.0))
+def test_in_place_kernel_equals_the_denominator_route_bit_for_bit(params, scaled, one):
+    rates = decay_rates(params)
+    drive = drive_from_params(params, rates)
+    prefactor = params.soliton_concentration * rates.carrier_coupling / float(
+        dispersion(rates.carrier_k))
+    # every default grid holds Delta = 0, so each array here does too
+    arrays = [rates.gamma_0 * np.array([0.0, *scaled]), response._default_detunings(rates, drive)]
+    for detunings in (*arrays, one * rates.gamma_0):
+        rho = weak_probe_coherences(rates, drive, detunings)
+        direct = 1j * drive.probe_rabi / weak_probe_denominator(rates, drive, detunings)[0]
+        assert np.ndim(rho) == np.ndim(detunings)
+        assert np.array_equal(bits(rho), bits(direct))
+        chi = susceptibility_at_rates(params, rates, detunings).chi
+        assert np.array_equal(bits(chi), bits(prefactor * direct / drive.probe_rabi))
 
 
 def cascade_at_three_times(params):

@@ -3,8 +3,10 @@
 The golden check pins validate's (check, status) pairs in track mode; the
 pairs in fixed mode, one check run on its own, and the number of overlap
 evaluations, rates resolutions and default detuning grids behind validate
-and susceptibility are pinned here.
+and susceptibility are pinned here, and so is the traced peak memory of
+the Kramers-Kronig check.
 """
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -158,3 +160,20 @@ def test_susceptibility_builds_each_control_sweep_once(monkeypatch):
     assert len(grids) == 11
     assert len({grid[1:] for grid in grids}) == 11
     assert all(grid[0] == decay_rates(REFERENCE) for grid in grids)
+
+
+def test_kramers_kronig_check_peaks_below_seven_grid_arrays():
+    """The 2**15-point Kramers-Kronig sweep sets validate's peak memory: the
+    traced peak of check_transparency stays below seven float64 arrays of
+    that grid (it was 9.7 with the slope built and chi held through the
+    transform, and is 6.25 with one complex buffer per sweep)."""
+    rates = decay_rates(REFERENCE)
+    list(scenarios.check_transparency(REFERENCE, rates))  # first-call imports out of the count
+    tracemalloc.start()
+    try:
+        list(scenarios.check_transparency(REFERENCE, rates))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grid_array = 8 * (1 << 15)
+    assert peak < 7 * grid_array, peak / grid_array
